@@ -1,7 +1,9 @@
 """Command-line front end; every analysis, machine-readable output.
 
 Exit codes: 0 success, 1 analysis assertion failed, 2 certification
-failed, 64 usage error. Output is bit-stable: no timestamps, no
+failed, 64 usage error (an argument out of its domain or over a depth
+cap), 70 internal fault (any other error, such as a solver failure; the
+traceback goes to stderr). Output is bit-stable: no timestamps, no
 environment lookups, floats rendered by repr, JSON keys sorted.
 """
 
@@ -14,6 +16,7 @@ import json
 import math
 import random
 import sys
+import traceback
 
 from .cookie import CookieMap
 from .dimension import dimension_estimate
@@ -25,6 +28,7 @@ from .flow import FlowEngine
 from .symbolic import basic_interval, enumerate_intervals
 
 USAGE_ERROR = 64
+INTERNAL_ERROR = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -213,7 +217,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except (DomainError, DepthCapError, ValueError) as exc:
+    except (DomainError, DepthCapError) as exc:
         print(f"flowcutter: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except CertificationError as exc:
@@ -222,6 +226,10 @@ def main(argv=None) -> int:
     except (BoundViolationError, EscapeError) as exc:
         print(f"flowcutter: analysis failed: {exc}", file=sys.stderr)
         return 1
+    except (RuntimeError, ValueError):
+        traceback.print_exc()
+        print("flowcutter: internal fault", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -101,14 +101,6 @@ class TimeSchedule:
         r = (n - (1 << k) + 1) / (1 << k)   # dyadic, exact in float64
         return r * self.T if k % 2 == 0 else (1.0 - r) * self.T
 
-    def cumulative_times(self, n: np.ndarray) -> np.ndarray:
-        n = np.asarray(n)
-        _, e = np.frexp(n.astype(np.float64))
-        k = e - 1
-        p2 = np.ldexp(np.ones(n.shape), k)
-        r = (n - p2 + 1.0) / p2
-        return np.where(k % 2 == 0, r, 1.0 - r) * self.T
-
     def block_sum(self, k: int) -> float:
         """Sum of t_n over the full block 2^k <= n < 2^(k+1): exactly (-1)^k T."""
         return self.T if k % 2 == 0 else -self.T
@@ -243,42 +235,6 @@ class CookieMap:
         return 3.0 * x
 
     # -- vectorized operations --------------------------------------------
-
-    def apply_batch(self, b: PointBatch) -> tuple[PointBatch, np.ndarray]:
-        """F on a batch; returns (image, log F' - ln 3 per point).
-
-        Hole points raise: batch callers enumerate inside the invariant
-        hierarchy where escapes indicate a geometry bug.
-        """
-        if np.any(b.locus == int(Locus.HOLE)):
-            raise DomainError("batch contains hole points")
-        locus = b.locus.copy()
-        n = b.n.copy()
-        u = b.u.copy()
-        extra = np.zeros(b.u.shape)
-
-        gap = b.locus == int(Locus.GAP)
-        if gap.any():
-            n[gap] -= 1
-            into_hole = gap & (n == 0)
-            locus[into_hole] = int(Locus.HOLE)
-            n[into_hole] = 0
-
-        inj_deep = (b.locus == int(Locus.INJ)) & (b.n >= 1)
-        if inj_deep.any():
-            t = self.schedule.flow_times(b.n[inj_deep])
-            y, v = self.engine.evolve(t, b.u[inj_deep], order=1)
-            u[inj_deep] = y
-            n[inj_deep] -= 1
-            extra[inj_deep] = np.log(v)
-
-        inj0 = (b.locus == int(Locus.INJ)) & (b.n == 0)
-        if inj0.any():
-            sub = PointBatch.from_raw(b.u[inj0])
-            locus[inj0] = sub.locus
-            n[inj0] = sub.n
-            u[inj0] = sub.u
-        return PointBatch(locus, n, u), extra
 
     def inverse_batch(self, symbol: int, b: PointBatch) -> tuple[PointBatch, np.ndarray]:
         """One inverse branch on a batch; returns (preimage, log F' - ln 3).

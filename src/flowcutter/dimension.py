@@ -18,7 +18,7 @@ from scipy.special import logsumexp
 
 from .cookie import CookieMap
 from .errors import BoundViolationError, DepthCapError, DomainError
-from .symbolic import IntervalSet, _concat, interval_table
+from .symbolic import IntervalSet, interval_table, word_levels
 
 LN2 = math.log(2.0)
 DIMENSION_DEPTH_CAP = 16
@@ -72,11 +72,9 @@ def box_dimension(cmap: CookieMap, depth: int) -> float:
     largest width; convergence is only first order in depth, so this is a
     cross-check, not the headline number.
     """
-    table = IntervalSet.root()
     log_n = []
     log_inv_eps = []
-    for j in range(1, depth + 1):
-        table = _concat(table.pull_back(cmap, 0), table.pull_back(cmap, 1))
+    for j, table in enumerate(word_levels(IntervalSet.root(), cmap, depth), 1):
         log_n.append(j * LN2)
         log_inv_eps.append(-float(table.log_sizes().max()))
     slope = np.polyfit(np.array(log_inv_eps), np.array(log_n), 1)[0]

@@ -10,16 +10,18 @@ cancelling, leaving exactly the distortion of the time-T flow. The image
 size shrinks like 3^(-2^k) while the distortion does not move, so the
 distortion bound cannot improve toward 1 at small image scales.
 
-All sweeps run on (words x grid) arrays. Level j+1 of the word tree is
-reached by pulling level j back through both inverse branches; the grid of
-a word is always the inverse image of one fixed uniform grid on [0,1], so
-the grid position of a sample IS its normalized image coordinate under
-F^k, which the profile search uses directly. Extrema are sharpened by a
-golden-section pass run in lockstep across every word of a depth.
+All sweeps run on (words x grid) arrays, walked by symbolic.word_levels
+(level j+1 stacks both pullbacks of level j) from a suffix or single word
+seeded by symbolic.pull_back_word. The grid of a word is always the
+inverse image of one fixed uniform grid on [0,1], so the grid position of
+a sample IS its normalized image coordinate under F^k, which the profile
+search uses directly. Extrema are sharpened by a golden-section pass run
+in lockstep across every word of a depth.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,7 +33,7 @@ from .cookie import LN3, CookieMap, interval_J
 from .errors import BoundViolationError, DepthCapError, DomainError
 from .optimize import INV_PHI, INV_PHI_SQ, golden_max, golden_min
 from .scaled import PointBatch, ScaledPoint
-from .symbolic import IntervalSet, Word, _concat
+from .symbolic import IntervalSet, Word, pull_back_word, word_levels
 
 LN2 = math.log(2.0)
 
@@ -139,26 +141,16 @@ class _PointGrid:
         return cls(b.locus[None, :].copy(), b.n[None, :].copy(),
                    b.u[None, :].copy(), np.zeros((1, grid)))
 
-    @property
-    def rows(self) -> int:
-        return self.u.shape[0]
-
     def pull_back(self, cmap: CookieMap, symbol: int) -> "_PointGrid":
         batch = PointBatch(self.locus, self.n, self.u)
         child, delta = cmap.inverse_batch(symbol, batch)
         return _PointGrid(child.locus, child.n, child.u, self.extra + delta)
 
-    def fork(self, cmap: CookieMap) -> "_PointGrid":
-        """Both pullbacks stacked; prepending 0 fills the lower row block,
-        so row order stays lexicographic in the extended words."""
-        zero = self.pull_back(cmap, 0)
-        one = self.pull_back(cmap, 1)
-        return _PointGrid(
-            np.vstack([zero.locus, one.locus]),
-            np.vstack([zero.n, one.n]),
-            np.vstack([zero.u, one.u]),
-            np.vstack([zero.extra, one.extra]),
-        )
+    @classmethod
+    def stack(cls, a: "_PointGrid", b: "_PointGrid") -> "_PointGrid":
+        """The rows of a above the rows of b."""
+        return cls(**{k: np.vstack([getattr(a, k), getattr(b, k)])
+                      for k in cls.__slots__})
 
 
 def _compose_extras(cmap: CookieMap, symbols: np.ndarray,
@@ -247,13 +239,6 @@ def _refine_extrema(cmap: CookieMap, word_ints: np.ndarray, depth: int,
 # the sweep core
 # ----------------------------------------------------------------------
 
-def _seed_grid(cmap: CookieMap, suffix: str, grid: int) -> _PointGrid:
-    state = _PointGrid.root(grid)
-    for symbol in reversed(suffix):
-        state = state.pull_back(cmap, int(symbol))
-    return state
-
-
 def _window_spread(extra: np.ndarray, window_cells: int) -> float:
     """Largest max-minus-min of extra over index windows of the given span."""
     size = window_cells + 1
@@ -272,13 +257,14 @@ def _sweep_shard(cmap: CookieMap, suffix: str, k_max: int, grid: int,
     """
     d = len(suffix)
     suffix_int = int(suffix, 2) if suffix else 0
-    state = _seed_grid(cmap, suffix, grid)
+    state = pull_back_word(_PointGrid.root(grid), cmap, suffix)
+    levels = word_levels(state, cmap, k_max - d)
+    if d:
+        levels = itertools.chain([state], levels)
     out: dict[int, dict] = {}
-    for depth in range(max(d, 1), k_max + 1):
-        if depth > d:
-            state = state.fork(cmap)
-        rows = state.rows
-        word_ints = np.arange(rows, dtype=np.int64) * (1 << d) + suffix_int
+    for depth, state in enumerate(levels, max(d, 1)):
+        rows = np.arange(state.u.shape[0], dtype=np.int64)
+        word_ints = rows * (1 << d) + suffix_int
         hi, lo = _refine_extrema(cmap, word_ints, depth, state.extra,
                                  refine_iters)
         entry: dict = {"ratios": np.exp(hi - lo)}
@@ -301,6 +287,8 @@ def _run_shards(cmap: CookieMap, k_max: int, grid: int, refine_iters: int,
     is index placement plus elementwise maxima in a fixed order, so the
     result is bit-identical for any thread count.
     """
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     shard_depth = max(0, min(shard_depth, k_max))
     suffixes = ([""] if shard_depth == 0 else
                 [format(i, f"0{shard_depth}b") for i in range(1 << shard_depth)])
@@ -361,7 +349,7 @@ def distortion(cmap: CookieMap, word: Word | str, grid: int = DEFAULT_GRID,
     if grid < 33:
         raise DomainError(f"need at least 33 grid points, got {grid}")
     word = Word.of(word)
-    state = _seed_grid(cmap, word.bits, grid)
+    state = pull_back_word(_PointGrid.root(grid), cmap, word.bits)
     hi, lo = _refine_extrema(cmap, np.array([word.index], dtype=np.int64),
                              len(word), state.extra, refine_iters)
     return float(np.exp(hi[0] - lo[0]))
@@ -519,9 +507,7 @@ def audit_interval_sizes(cmap: CookieMap, n_max: int, k_max: int,
     checked = 0
     min_slack = math.inf
     violations: list[tuple[int, Word]] = []
-    table = IntervalSet.root()
-    for depth in range(1, cap + 1):
-        table = _concat(table.pull_back(cmap, 0), table.pull_back(cmap, 1))
+    for depth, table in enumerate(word_levels(IntervalSet.root(), cmap, cap), 1):
         logs = table.log_sizes()
         for k in range(0, min(k_max, depth - 1) + 1):
             n = depth - 1 - k

@@ -108,6 +108,12 @@ def _field_difference(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     return out
 
 
+def _flatten(x, t) -> tuple[np.ndarray, np.ndarray]:
+    """x as a float array, and t broadcast against it and flattened."""
+    x = np.asarray(x, dtype=np.float64)
+    return x, np.ravel(np.broadcast_to(np.asarray(t, dtype=np.float64), x.shape))
+
+
 @dataclass(frozen=True)
 class FieldValue:
     """Pointwise field data: position, X, X', X''."""
@@ -168,20 +174,48 @@ class FlowEngine:
 
     All batch methods accept numpy arrays for the position and broadcast
     the time against it, integrating the whole batch with one shared
-    adaptive step sequence. Scalar lookups are memoized at full precision
-    keyed by (t, x); the cache only ever stores pure-function results, so
-    concurrent readers are safe and results do not depend on cache state.
+    adaptive step sequence. evolve and the scalar lookups share one
+    variational solve (_solve); a scalar lookup is a batch of one at order
+    2, memoized at full precision keyed by (t, x). The cache only ever
+    stores pure-function results, so concurrent readers are safe and
+    results do not depend on cache state. A tolerance outside
+    [1e-14, 1e-6] raises DomainError.
     """
 
     def __init__(self, tol: float = 1e-13):
         if not 1e-14 <= tol <= 1e-6:
-            raise ValueError(f"tolerance {tol!r} outside [1e-14, 1e-6]")
+            raise DomainError(f"tolerance {tol!r} outside [1e-14, 1e-6]")
         self.tol = tol
         self._cache: dict[tuple[float, float], tuple[float, float, float, float]] = {}
 
     # ------------------------------------------------------------------
     # batched ODE route
     # ------------------------------------------------------------------
+
+    def _solve(self, t: np.ndarray, x: np.ndarray, order: int):
+        """y' = t X(y) with `order` variational rows v' = t X'(y) v and
+        w' = t (X''(y) v^2 + X'(y) w), for flat t and x of one length.
+
+        Returns (state, err): state has order + 1 rows, y clamped to [0,1]
+        (endpoints are exact fixed points, so only roundoff can stray).
+        """
+        y0 = np.zeros((order + 1, x.size))
+        y0[0] = x
+        if order >= 1:
+            y0[1] = 1.0
+
+        def rhs(state):
+            field = _field_arrays(state[0], order)
+            rows = [t * field[0]]
+            if order >= 1:
+                rows.append(t * field[1] * state[1])
+            if order >= 2:
+                rows.append(t * (field[2] * state[1] ** 2 + field[1] * state[2]))
+            return np.stack(rows)
+
+        yf, err, _ = integrate_unit_interval(rhs, y0, atol=self.tol)
+        yf[0] = np.clip(yf[0], 0.0, 1.0)
+        return yf, err
 
     def evolve(self, t, x, order: int = 1):
         """Integrate the flow and its variations for a batch of points.
@@ -194,52 +228,13 @@ class FlowEngine:
             Initial positions in [0,1].
         order : int
             0 returns (y,); 1 returns (y, d1); 2 returns (y, d1, d2).
-
-        The result y is clamped to [0,1] (endpoints are exact fixed points,
-        so only roundoff can stray).
         """
-        x = np.asarray(x, dtype=np.float64)
-        t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), x.shape)
-        flat_x = np.ravel(x)
-        flat_t = np.ravel(t_arr)
-        n = flat_x.size
-        if n == 0 or not np.any(flat_t):
-            outs = [np.array(x, copy=True)]
-            if order >= 1:
-                outs.append(np.ones_like(x))
-            if order >= 2:
-                outs.append(np.zeros_like(x))
-            return tuple(outs)
-
-        y0 = np.zeros((order + 1, n))
-        y0[0] = flat_x
-        if order >= 1:
-            y0[1] = 1.0
-
-        if order == 0:
-            def rhs(state):
-                (s,) = _field_arrays(state[0], 0)
-                return np.stack([flat_t * s])
-        elif order == 1:
-            def rhs(state):
-                s, d1 = _field_arrays(state[0], 1)
-                return np.stack([flat_t * s, flat_t * d1 * state[1]])
-        else:
-            def rhs(state):
-                s, d1, d2 = _field_arrays(state[0], 2)
-                return np.stack([
-                    flat_t * s,
-                    flat_t * d1 * state[1],
-                    flat_t * (d2 * state[1] ** 2 + d1 * state[2]),
-                ])
-
-        yf, _, _ = integrate_unit_interval(rhs, y0, atol=self.tol)
-        outs = [np.clip(yf[0], 0.0, 1.0).reshape(x.shape)]
-        if order >= 1:
-            outs.append(yf[1].reshape(x.shape))
-        if order >= 2:
-            outs.append(yf[2].reshape(x.shape))
-        return tuple(outs)
+        x, flat_t = _flatten(x, t)
+        if not np.any(flat_t):
+            return (np.array(x, copy=True), np.ones_like(x),
+                    np.zeros_like(x))[:order + 1]
+        yf, _ = self._solve(flat_t, np.ravel(x), order)
+        return tuple(row.reshape(x.shape) for row in yf)
 
     def evolve_interval(self, t, x_lo, width):
         """Flow an interval [x, x + w] forward, tracking w without cancellation.
@@ -251,22 +246,17 @@ class FlowEngine:
 
         Returns (y_lo, w_new).
         """
-        x_lo = np.asarray(x_lo, dtype=np.float64)
+        x_lo, flat_t = _flatten(x_lo, t)
         width = np.asarray(width, dtype=np.float64)
-        t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), x_lo.shape)
-        flat_x = np.ravel(x_lo)
-        flat_w = np.ravel(width)
-        flat_t = np.ravel(t_arr)
-        if flat_x.size == 0 or not np.any(flat_t):
+        if not np.any(flat_t):
             return np.array(x_lo, copy=True), np.array(width, copy=True)
-
-        y0 = np.stack([flat_x, flat_w])
 
         def rhs(state):
             (s,) = _field_arrays(state[0], 0)
             dw = _field_difference(state[0], state[1])
             return np.stack([flat_t * s, flat_t * dw])
 
+        y0 = np.stack([np.ravel(x_lo), np.ravel(width)])
         yf, _, _ = integrate_unit_interval(rhs, y0, atol=self.tol)
         y_lo = np.clip(yf[0], 0.0, 1.0).reshape(x_lo.shape)
         return y_lo, yf[1].reshape(x_lo.shape)
@@ -283,19 +273,8 @@ class FlowEngine:
         if t == 0.0:
             out = (x, 1.0, 0.0, 0.0)
         else:
-            y0 = np.array([[x], [1.0], [0.0]])
-
-            def rhs(state):
-                s, d1, d2 = _field_arrays(state[0], 2)
-                return np.stack([
-                    t * s,
-                    t * d1 * state[1],
-                    t * (d2 * state[1] ** 2 + d1 * state[2]),
-                ])
-
-            yf, err, _ = integrate_unit_interval(rhs, y0, atol=self.tol)
-            out = (min(max(float(yf[0, 0]), 0.0), 1.0),
-                   float(yf[1, 0]), float(yf[2, 0]), err)
+            yf, err = self._solve(np.array([t]), np.array([x]), 2)
+            out = (float(yf[0, 0]), float(yf[1, 0]), float(yf[2, 0]), err)
         if len(self._cache) > 1_000_000:
             self._cache.clear()
         self._cache[key] = out
@@ -383,7 +362,7 @@ class FlowEngine:
         Raises CertificationError if the 2/3 bound fails anywhere.
         """
         if grid_n < 1024:
-            raise ValueError(f"certification grid must be >= 1024, got {grid_n}")
+            raise DomainError(f"certification grid must be >= 1024, got {grid_n}")
         grid = np.linspace(0.0, 1.0, grid_n + 1)
 
         (_, d1) = _field_arrays(grid, 1)

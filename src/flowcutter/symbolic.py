@@ -10,6 +10,11 @@ Interval endpoints are built by composing exact inverse branches from the
 inside out, never by root finding. Widths ride along through the
 cancellation-free pair flow, so log sizes keep full relative precision at
 depths where raw endpoint subtraction would return garbage.
+
+Every analysis walks the word tree with word_levels, the one breadth-first
+level walker, or pull_back_word, one word inside out; both take any state
+with pull_back and stack. Single points go through inverse_branch, a batch
+of one over the one pull-back kernel, CookieMap.inverse_batch.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .cookie import LN3, CookieMap
 from .errors import DepthCapError, DomainError
-from .scaled import Locus, ScaledPoint
+from .scaled import PointBatch, ScaledPoint
 
 DEPTH_CAP = 20
 
@@ -117,24 +122,33 @@ def decompose_blocks(word: Word | str) -> BlockDecomposition:
 def inverse_branch(cmap: CookieMap, symbol: int, p: ScaledPoint) -> ScaledPoint:
     """The unique preimage of p under the branch named by symbol.
 
-    Symbol 1 is the affine pullback into [2/3, 1]; symbol 0 pulls windows
-    back one level through the backward flow and shifts gap coordinates
-    down unchanged. Every point of [0,1] has exactly one preimage per
-    branch, hole points included.
+    A batch of one through CookieMap.inverse_batch, the single pull-back
+    kernel: symbol 1 is the affine pullback into [2/3, 1]; symbol 0 pulls
+    windows back one level through the backward flow and shifts gap
+    coordinates down unchanged. Every point of [0,1] has exactly one
+    preimage per branch, hole points included.
     """
-    if symbol == 1:
-        return ScaledPoint(Locus.INJ, 0, p.raw)
-    if symbol != 0:
-        raise DomainError(f"branch symbol must be 0 or 1, got {symbol!r}")
-    if p.locus is Locus.ZERO:
-        return p
-    if p.locus is Locus.HOLE:
-        return ScaledPoint(Locus.GAP, 1, p.u)
-    if p.locus is Locus.GAP:
-        return ScaledPoint(Locus.GAP, p.n + 1, p.u)
-    t = cmap.schedule.flow_time(p.n + 1)
-    y = cmap.engine.flow_position(-t, p.u)
-    return ScaledPoint.in_window(p.n + 1, y)
+    child, _ = cmap.inverse_batch(symbol, PointBatch.from_points([p]))
+    return child.point(0)
+
+
+def pull_back_word(state, cmap: CookieMap, bits: str):
+    """Pull state (intervals or a point grid) back through bits, inside out."""
+    for symbol in reversed(bits):
+        state = state.pull_back(cmap, int(symbol))
+    return state
+
+
+def word_levels(state, cmap: CookieMap, levels: int):
+    """The breadth-first word-tree walk: yield the next `levels` levels.
+
+    Each level stacks both pullbacks of the one before it, the 0-pullback
+    first. Prepending the symbol s to a word with index i among 2^j words
+    gives index s * 2^j + i, so rows stay in lexicographic word order.
+    """
+    for _ in range(levels):
+        state = state.stack(state.pull_back(cmap, 0), state.pull_back(cmap, 1))
+        yield state
 
 
 @dataclass(frozen=True)
@@ -181,6 +195,12 @@ class IntervalSet:
             u_hi=np.array([1.0]),
             d=np.array([math.nan]),
         )
+
+    @classmethod
+    def stack(cls, a: "IntervalSet", b: "IntervalSet") -> "IntervalSet":
+        """The rows of a followed by the rows of b."""
+        return cls(**{k: np.concatenate([getattr(a, k), getattr(b, k)])
+                      for k in cls.__slots__})
 
     @property
     def size(self) -> int:
@@ -251,38 +271,23 @@ class IntervalSet:
                              log_size=float(self.log_sizes()[i]))
 
 
-def _concat(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return IntervalSet(
-        anchored=np.concatenate([a.anchored, b.anchored]),
-        n=np.concatenate([a.n, b.n]),
-        u_lo=np.concatenate([a.u_lo, b.u_lo]),
-        u_hi=np.concatenate([a.u_hi, b.u_hi]),
-        d=np.concatenate([a.d, b.d]),
-    )
-
-
 def interval_table(cmap: CookieMap, depth: int) -> IntervalSet:
     """All 2^depth basic intervals, rows indexed by word in lex order.
 
-    Built breadth first on suffixes: the depth j+1 family is the union of
-    both pullbacks of the depth j family, and prepending the symbol s to a
-    word with index i gives index s * 2^j + i, which keeps rows sorted.
+    The last level of the breadth-first walk word_levels from [0,1].
     """
     if depth < 0:
         raise DomainError(f"depth must be >= 0, got {depth}")
     table = IntervalSet.root()
-    for j in range(depth):
-        table = _concat(table.pull_back(cmap, 0), table.pull_back(cmap, 1))
+    for table in word_levels(table, cmap, depth):
+        pass
     return table
 
 
 def basic_interval(cmap: CookieMap, word: Word | str) -> BasicInterval:
     """I_w from inside-out composition of inverse branches."""
     word = Word.of(word)
-    state = IntervalSet.root()
-    for symbol in reversed(word.bits):
-        state = state.pull_back(cmap, int(symbol))
-    return state.interval(0, word)
+    return pull_back_word(IntervalSet.root(), cmap, word.bits).interval(0, word)
 
 
 def enumerate_intervals(cmap: CookieMap, depth: int,

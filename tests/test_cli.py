@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from flowcutter import cli
 from flowcutter.cli import main
+from flowcutter.errors import SolverError
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +49,28 @@ def test_usage_errors(capsys):
     assert main(["dimension", "--method", "fancy"]) == 64
     assert main(["dimension", "--depth", "99"]) == 64
     assert main(["--tol", "0.5", "certify"]) == 64
+
+
+@pytest.mark.parametrize("command", ["distortion", "sbd-profile"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_nonpositive_threads_is_usage_error(capsys, command, threads):
+    code, out = run_cli(capsys, command, "--depth", "2", "--grid", "33",
+                        "--threads", threads)
+    assert code == 64 and out == ""
+
+
+@pytest.mark.parametrize("fault", [SolverError("step size underflow"),
+                                   ValueError("operands could not be broadcast")])
+def test_internal_fault_exit_code(capsys, monkeypatch, fault):
+    # an internal error is not a usage error: exit 70 with the traceback
+    def broken(args):
+        raise fault
+
+    monkeypatch.setattr(cli, "_cmd_dimension", broken)
+    code = main(["dimension", "--depth", "4"])
+    err = capsys.readouterr().err
+    assert code == 70
+    assert "Traceback" in err and type(fault).__name__ in err
 
 
 def test_verify_lemmas(capsys):

@@ -79,6 +79,12 @@ def test_sweep_thread_count_does_not_change_bits(cmap):
         assert ra.c_k == rb.c_k
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_sweep_rejects_nonpositive_threads(cmap, threads):
+    with pytest.raises(DomainError):
+        bd_sweep(cmap, 2, grid=33, threads=threads)
+
+
 def test_sweep_sharding_covers_all_depths(cmap):
     plain = bd_sweep(cmap, 5, grid=65, refine_iters=0, shard_depth=0)
     sharded = bd_sweep(cmap, 5, grid=65, refine_iters=0, shard_depth=2)
@@ -169,6 +175,12 @@ def test_profile_monotone_in_scale(cmap):
 def test_profile_validation(cmap):
     with pytest.raises(DomainError):
         sbd_profile(cmap, 3, scales=(0.5,))
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_profile_rejects_nonpositive_threads(cmap, threads):
+    with pytest.raises(DomainError):
+        sbd_profile(cmap, 2, grid=33, threads=threads)
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcutter import (DepthCapError, Locus, PointBatch, ScaledPoint, Word,
-                        basic_interval, decompose_blocks, enumerate_intervals,
-                        interval_J, interval_table, inverse_branch)
+from flowcutter import (DepthCapError, DomainError, Locus, PointBatch,
+                        ScaledPoint, Word, basic_interval, decompose_blocks,
+                        enumerate_intervals, interval_J, interval_table,
+                        inverse_branch)
 from flowcutter.cookie import LN3
 
 words = st.text(alphabet="01", min_size=0, max_size=40)
@@ -69,13 +70,44 @@ def test_left_branch_from_right_window(cmap):
 
 
 def test_round_trip_bulk(cmap):
+    # the batched pull-back is a right inverse of the scalar forward map
     rng = np.random.default_rng(17)
     xs = rng.uniform(0.0, 1.0, 10_000)
     batch = PointBatch.from_raw(xs)
     for symbol in (0, 1):
         pre, _ = cmap.inverse_batch(symbol, batch)
-        img, _ = cmap.apply_batch(pre)
-        assert np.max(np.abs(img.raw() - xs)) < 1e-11
+        for i in range(0, xs.size, 97):
+            assert abs(cmap.apply(pre.point(i)).raw - xs[i]) < 1e-11
+
+
+def _branch_probe_points():
+    rng = np.random.default_rng(41)
+    points = [ScaledPoint.zero(), ScaledPoint.from_raw(0.5),
+              ScaledPoint(Locus.GAP, 1, 0.45), ScaledPoint(Locus.GAP, 7, 0.6),
+              ScaledPoint.from_raw(0.8), ScaledPoint.in_window(0, 0.0),
+              ScaledPoint.in_window(0, 1.0)]
+    for n in (1, 2, 5, 16, 33, 40, 200):
+        points += [ScaledPoint.in_window(n, float(u))
+                   for u in (0.0, 1.0, *rng.uniform(0.0, 1.0, 6))]
+    return points
+
+
+def test_inverse_branch_is_a_batch_of_one(cmap):
+    # ZERO, HOLE, GAP, J_0 and deep window points, bitwise against the kernel
+    points = _branch_probe_points()
+    assert {p.locus for p in points} == set(Locus)
+    for symbol in (0, 1):
+        for p in points:
+            pre, _ = cmap.inverse_batch(symbol, PointBatch.from_points([p]))
+            assert inverse_branch(cmap, symbol, p) == pre.point(0), (symbol, p)
+
+
+def test_inverse_branch_rejects_other_symbols(cmap):
+    p = ScaledPoint.from_raw(0.8)
+    with pytest.raises(DomainError):
+        inverse_branch(cmap, 2, p)
+    with pytest.raises(DomainError):
+        cmap.inverse_batch(2, PointBatch.from_points([p]))
 
 
 def test_round_trip_scalar_points(cmap):
