@@ -50,40 +50,36 @@ def _field_arrays(x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
     float64, evaluate to exactly 0.0 in every component. No domain check:
     the stepper may probe a hair outside [0,1] and must see a zero field
     rather than an overflow.
+
+    Branch-free: every component is computed on the whole array and the
+    dead points are selected away with np.where, so each live point goes
+    through the same operations whatever batch it sits in. g = x(x-1) is
+    negative exactly on (0,1); 1/g is -inf at 0 and wherever g is
+    subnormal, and +inf at 1, so `live` needs no separate domain test.
     """
     x = np.asarray(x, dtype=np.float64)
-    speed = np.zeros_like(x)
-    d1 = np.zeros_like(x) if order >= 1 else None
-    d2 = np.zeros_like(x) if order >= 2 else None
-    inside = (x > 0.0) & (x < 1.0)
-    if inside.any():
-        xi = x[inside]
-        g = xi * (xi - 1.0)              # negative on (0,1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = x * (x - 1.0)
         e = 1.0 / g
-        live = e > UNDERFLOW_EXPONENT    # below this, X and all factors are 0.0
-        if live.any():
-            xl = xi[live]
-            gl = g[live]
-            ex = np.exp(e[live])
-            sub = np.flatnonzero(inside)[live]
-            speed.flat[sub] = ex
-            if order >= 1:
-                h = -(2.0 * xl - 1.0) / (gl * gl)
-                d1.flat[sub] = h * ex
-            if order >= 2:
-                hp = -2.0 / (gl * gl) + 2.0 * (2.0 * xl - 1.0) ** 2 / (gl ** 3)
-                d2.flat[sub] = (hp + h * h) * ex
-    if order == 0:
-        return (speed,)
-    if order == 1:
-        return (speed, d1)
+        live = (e < 0.0) & (e > UNDERFLOW_EXPONENT)
+        speed = np.exp(np.where(live, e, -np.inf))
+        if order == 0:
+            return (speed,)
+        s = 2.0 * x - 1.0
+        h = -s / (g * g)
+        d1 = np.where(live, h * speed, 0.0)
+        if order == 1:
+            return (speed, d1)
+        hp = -2.0 / (g * g) + 2.0 * s ** 2 / (g ** 3)
+        d2 = np.where(live, (hp + h * h) * speed, 0.0)
     return (speed, d1, d2)
 
 
-def _field_difference(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _field_difference(a: np.ndarray, d: np.ndarray, xa: np.ndarray) -> np.ndarray:
     """X(a + d) - X(a), accurate to full relative precision in d.
 
-    Direct subtraction loses all digits once d is small. Instead use
+    xa is X(a), which every caller already holds. Direct subtraction loses
+    all digits once d is small. Instead use
     1/g(a+d) - 1/g(a) = -d (2a + d - 1) / (g(a) g(a+d)), which has no
     cancellation, and expand the outer exponential with expm1. Falls back
     to the plain difference whenever either point is outside the live
@@ -92,20 +88,13 @@ def _field_difference(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     b = a + d
-    xa = _field_arrays(a, 0)[0]
-    xb = _field_arrays(b, 0)[0]
-    out = xb - xa
-    inside = (a > 0.0) & (a < 1.0) & (b > 0.0) & (b < 1.0)
-    if not inside.any():
-        return out
-    ga = a * (a - 1.0)
-    gb = b * (b - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        de = np.where(inside, -d * (2.0 * a + d - 1.0) / (ga * gb), 0.0)
-    smooth = inside & (np.abs(de) <= 0.5) & (xa > 0.0)
-    if smooth.any():
-        out[smooth] = xa[smooth] * np.expm1(de[smooth])
-    return out
+    (xb,) = _field_arrays(b, 0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gb = b * (b - 1.0)
+        de = -d * (2.0 * a + d - 1.0) / (a * (a - 1.0) * gb)
+        # xa > 0 puts a inside (0,1), and gb < 0 puts b there
+        smooth = (xa > 0.0) & (gb < 0.0) & (np.abs(de) <= 0.5)
+        return np.where(smooth, xa * np.expm1(de), xb - xa)
 
 
 def _flatten(x, t) -> tuple[np.ndarray, np.ndarray]:
@@ -206,12 +195,16 @@ class FlowEngine:
 
         def rhs(state):
             field = _field_arrays(state[0], order)
-            rows = [t * field[0]]
+            out = np.empty_like(state)
+            np.multiply(t, field[0], out=out[0])
             if order >= 1:
-                rows.append(t * field[1] * state[1])
+                np.multiply(t, field[1], out=out[1])
+                out[1] *= state[1]
             if order >= 2:
-                rows.append(t * (field[2] * state[1] ** 2 + field[1] * state[2]))
-            return np.stack(rows)
+                acc = field[2] * state[1] ** 2
+                acc += field[1] * state[2]
+                np.multiply(t, acc, out=out[2])
+            return out
 
         yf, err, _ = integrate_unit_interval(rhs, y0, atol=self.tol)
         yf[0] = np.clip(yf[0], 0.0, 1.0)
@@ -253,8 +246,11 @@ class FlowEngine:
 
         def rhs(state):
             (s,) = _field_arrays(state[0], 0)
-            dw = _field_difference(state[0], state[1])
-            return np.stack([flat_t * s, flat_t * dw])
+            out = np.empty_like(state)
+            np.multiply(flat_t, s, out=out[0])
+            np.multiply(flat_t, _field_difference(state[0], state[1], s),
+                        out=out[1])
+            return out
 
         y0 = np.stack([np.ravel(x_lo), np.ravel(width)])
         yf, _, _ = integrate_unit_interval(rhs, y0, atol=self.tol)

@@ -39,6 +39,10 @@ _A = (
 _B6 = (11 / 144, 0.0, 0.0, 256 / 693, 0.0, 125 / 504, 125 / 528, 5 / 72, 0.0)
 _B5 = (28 / 477, 0.0, 0.0, 212 / 441, -312500 / 366177, 2125 / 1764, 0.0,
        -2105 / 35532, 2995 / 17766)
+# The ninth stage's input is the 6th order solution: integrate_unit_interval
+# takes y_new from there instead of summing the weights a second time.
+if _A[-1] != _B6[:-1] or _B6[-1] != 0.0:
+    raise AssertionError("tableau: the last row of _A must be the 6th order weights")
 # Truncation-error weights: difference of the propagating and embedded rows.
 _TR = tuple(a - b for a, b in zip(_B6, _B5))
 
@@ -79,6 +83,7 @@ def integrate_unit_interval(
     h = 1.0          # the field is tame; try to cross in one step
     err_acc = 0.0
     accepted = 0
+    tmp = np.empty_like(y)   # one scratch buffer for every stage term
     for _ in range(max_steps):
         if 1.0 - s <= 1e-16:
             return y, err_acc, accepted
@@ -88,16 +93,15 @@ def integrate_unit_interval(
             yi = y.copy()
             for a_ij, kj in zip(row, k):
                 if a_ij != 0.0:
-                    yi += (h * a_ij) * kj
+                    np.multiply(kj, h * a_ij, out=tmp)
+                    yi += tmp
             k.append(f(yi))
-        y_new = y.copy()
-        for b_i, ki in zip(_B6, k):
-            if b_i != 0.0:
-                y_new += (h * b_i) * ki
+        y_new = yi               # last row of _A == _B6, checked at import
         err_vec = np.zeros_like(y)
         for tr_i, ki in zip(_TR, k):
             if tr_i != 0.0:
-                err_vec += (h * tr_i) * ki
+                np.multiply(ki, h * tr_i, out=tmp)
+                err_vec += tmp
         err = float(np.max(np.abs(err_vec))) if err_vec.size else 0.0
         if err <= atol:
             s += h

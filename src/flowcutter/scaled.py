@@ -147,9 +147,6 @@ class PointBatch:
     def size(self) -> int:
         return self.u.size
 
-    def copy(self) -> "PointBatch":
-        return PointBatch(self.locus.copy(), self.n.copy(), self.u.copy())
-
     @classmethod
     def from_raw(cls, x: np.ndarray) -> "PointBatch":
         x = np.asarray(x, dtype=np.float64)

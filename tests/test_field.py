@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,13 +80,13 @@ def test_field_difference_matches_plain_subtraction_when_safe():
     d = np.array([0.05, 0.1, 0.01])
     (xa,) = _field_arrays(a, 0)
     (xb,) = _field_arrays(a + d, 0)
-    assert _field_difference(a, d) == pytest.approx(xb - xa, rel=1e-13)
+    assert _field_difference(a, d, xa) == pytest.approx(xb - xa, rel=1e-13)
 
 
 def test_field_difference_keeps_relative_precision_for_tiny_gaps():
     a = np.array([0.3])
     d = np.array([1e-13])
-    got = float(_field_difference(a, d)[0])
+    got = float(_field_difference(a, d, _field_arrays(a, 0)[0])[0])
     # first-order oracle: d * X'(a), with curvature correction ~ 1e-13
     want = 1e-13 * vector_field(0.3).d1
     assert got == pytest.approx(want, rel=1e-10)
@@ -95,4 +96,26 @@ def test_field_difference_handles_endpoint_anchors():
     # left endpoint anchored at zero: difference is X(d) - X(0) = X(d)
     a = np.array([0.0])
     d = np.array([0.25])
-    assert float(_field_difference(a, d)[0]) == vector_field(0.25).speed
+    (xa,) = _field_arrays(a, 0)
+    assert float(_field_difference(a, d, xa)[0]) == vector_field(0.25).speed
+
+
+def test_kernel_is_batch_independent_and_warning_free():
+    # x_c solves 1/(x(x-1)) = -745, the float64 underflow exponent; a 1e-3
+    # relative step either way lands on either side of it
+    x_c = 0.5 * (1.0 - math.sqrt(1.0 - 4.0 / 745.0))
+    live_x = [0.5, 0.3, 0.9, x_c * (1.0 + 1e-3), 1.0 - x_c * (1.0 + 1e-3)]
+    dead_x = [0.0, 1.0, -1e-12, 1.0 + 1e-12, 5e-324, 1.0 - 2.0 ** -53,
+              0.001, x_c * (1.0 - 1e-3), 1.0 - x_c * (1.0 - 1e-3), -2.0, 3.0]
+    xs = np.array(live_x + dead_x)
+    live = np.arange(xs.size) < len(live_x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        whole = _field_arrays(xs, 2)
+        backward = [c[::-1] for c in _field_arrays(xs[::-1], 2)]
+        single = [np.concatenate(c) for c in
+                  zip(*(_field_arrays(xs[i:i + 1], 2) for i in range(xs.size)))]
+    for comp, rev, one in zip(whole, backward, single):
+        assert comp.tobytes() == rev.tobytes() == one.tobytes()
+        assert comp[~live].tobytes() == np.zeros(len(dead_x)).tobytes()
+    assert np.all(whole[0][live] > 0.0)
