@@ -226,7 +226,7 @@ def main(argv=None) -> int:
     except (BoundViolationError, EscapeError) as exc:
         print(f"flowcutter: analysis failed: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, ValueError):
+    except Exception:
         traceback.print_exc()
         print("flowcutter: internal fault", file=sys.stderr)
         return INTERNAL_ERROR

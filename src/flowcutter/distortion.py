@@ -15,8 +15,8 @@ All sweeps run on (words x grid) arrays, walked by symbolic.word_levels
 seeded by symbolic.pull_back_word. The grid of a word is always the
 inverse image of one fixed uniform grid on [0,1], so the grid position of
 a sample IS its normalized image coordinate under F^k, which the profile
-search uses directly. Extrema are sharpened by a golden-section pass run
-in lockstep across every word of a depth.
+search uses directly. Extrema are sharpened by one golden-section pass run
+in lockstep across every word of every depth of a shard.
 """
 
 from __future__ import annotations
@@ -159,6 +159,8 @@ def _compose_extras(cmap: CookieMap, symbols: np.ndarray,
 
     symbols has shape (tasks, k) with the first symbol leftmost; the
     composition runs inside out, grouping tasks by symbol per position.
+    A symbol of -1 is padding and leaves its task untouched, so words of
+    different lengths ride in one batch right-aligned.
     """
     b = PointBatch.from_raw(s)
     extra = np.zeros(s.shape)
@@ -177,33 +179,45 @@ def _compose_extras(cmap: CookieMap, symbols: np.ndarray,
     return extra
 
 
-def _refine_extrema(cmap: CookieMap, word_ints: np.ndarray, depth: int,
-                    grid_extra: np.ndarray, iters: int
+def _grid_extrema(extra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row grid argmax and argmin cells and their values.
+
+    Both results have shape (2, rows): row 0 for the maxima, row 1 for the
+    minima. Only these O(rows) arrays outlive a sweep level.
+    """
+    cells = np.stack([np.argmax(extra, axis=1), np.argmin(extra, axis=1)])
+    values = np.take_along_axis(extra, cells.T, axis=1).T
+    return cells, values
+
+
+def _refine_extrema(cmap: CookieMap, word_ints: np.ndarray,
+                    depths: np.ndarray, cells: np.ndarray,
+                    values: np.ndarray, grid: int, iters: int
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section sharpening of per-word extra maxima and minima.
 
-    Brackets are the one-cell neighborhoods of the grid extrema in the
-    normalized coordinate; every word of the depth advances in lockstep,
-    one batched evaluation per iteration. Maximum and minimum tasks ride
-    in the same batch with opposite signs. The result is never below the
-    grid value it refines.
+    Row r is the word word_ints[r] of length depths[r], with its grid
+    extrema (cells, values) from _grid_extrema. Brackets are the one-cell
+    neighborhoods of the grid extrema in the normalized coordinate; every
+    word of every depth of a shard advances in lockstep, one batched
+    evaluation per iteration, with shorter words left-padded so that each
+    composes through exactly its own symbols. Maximum and minimum tasks
+    ride in the same batch with opposite signs. The result is never below
+    the grid value it refines.
     """
-    rows, grid = grid_extra.shape
-    s_axis = np.linspace(0.0, 1.0, grid)
-    hi_cell = np.argmax(grid_extra, axis=1)
-    lo_cell = np.argmin(grid_extra, axis=1)
-    grid_hi = grid_extra[np.arange(rows), hi_cell]
-    grid_lo = grid_extra[np.arange(rows), lo_cell]
-    if iters <= 0 or depth == 0:
+    grid_hi, grid_lo = values
+    if iters <= 0:
         return grid_hi, grid_lo
-
-    cells = np.concatenate([hi_cell, lo_cell])
+    rows = word_ints.size
+    s_axis = np.linspace(0.0, 1.0, grid)
+    cells = cells.ravel()
     sign = np.concatenate([np.ones(rows), -np.ones(rows)])
     a = s_axis[np.maximum(cells - 1, 0)]
     b = s_axis[np.minimum(cells + 1, grid - 1)]
 
-    shifts = np.arange(depth - 1, -1, -1, dtype=np.int64)
+    shifts = np.arange(int(depths.max()) - 1, -1, -1, dtype=np.int64)
     symbols = ((word_ints[:, None] >> shifts[None, :]) & 1).astype(np.int8)
+    symbols[shifts[None, :] >= depths[:, None]] = -1
     symbols = np.vstack([symbols, symbols])
 
     def evaluate(points):
@@ -249,11 +263,13 @@ def _window_spread(extra: np.ndarray, window_cells: int) -> float:
 
 def _sweep_shard(cmap: CookieMap, suffix: str, k_max: int, grid: int,
                  refine_iters: int, scales) -> dict[int, dict]:
-    """Sweep every word ending in the given suffix, depth by depth.
+    """Sweep every word ending in the given suffix, at every depth.
 
-    Returns per-depth shard results: refined per-word ratios in prefix
-    order, and (when scales are requested) the windowed grid spreads for
-    the profile search.
+    The tree is walked level by level, keeping only each row's grid
+    extrema (and, when scales are requested, the windowed grid spreads for
+    the profile search); one refine pass then covers all rows of all
+    depths. Returns per-depth shard results: refined per-word ratios in
+    prefix order, and the window spreads.
     """
     d = len(suffix)
     suffix_int = int(suffix, 2) if suffix else 0
@@ -262,12 +278,15 @@ def _sweep_shard(cmap: CookieMap, suffix: str, k_max: int, grid: int,
     if d:
         levels = itertools.chain([state], levels)
     out: dict[int, dict] = {}
+    word_ints, depths, cells, values = [], [], [], []
     for depth, state in enumerate(levels, max(d, 1)):
         rows = np.arange(state.u.shape[0], dtype=np.int64)
-        word_ints = rows * (1 << d) + suffix_int
-        hi, lo = _refine_extrema(cmap, word_ints, depth, state.extra,
-                                 refine_iters)
-        entry: dict = {"ratios": np.exp(hi - lo)}
+        word_ints.append(rows * (1 << d) + suffix_int)
+        depths.append(np.full(rows.size, depth, dtype=np.int64))
+        level_cells, level_values = _grid_extrema(state.extra)
+        cells.append(level_cells)
+        values.append(level_values)
+        entry: dict = {}
         if scales:
             entry["window"] = {
                 float(r): _window_spread(state.extra,
@@ -275,6 +294,16 @@ def _sweep_shard(cmap: CookieMap, suffix: str, k_max: int, grid: int,
                 for r in scales
             }
         out[depth] = entry
+    hi, lo = _refine_extrema(cmap, np.concatenate(word_ints),
+                             np.concatenate(depths),
+                             np.concatenate(cells, axis=1),
+                             np.concatenate(values, axis=1), grid,
+                             refine_iters)
+    ratios = np.exp(hi - lo)
+    start = 0
+    for entry, level in zip(out.values(), word_ints):
+        entry["ratios"] = ratios[start:start + level.size]
+        start += level.size
     return out
 
 
@@ -350,8 +379,10 @@ def distortion(cmap: CookieMap, word: Word | str, grid: int = DEFAULT_GRID,
         raise DomainError(f"need at least 33 grid points, got {grid}")
     word = Word.of(word)
     state = pull_back_word(_PointGrid.root(grid), cmap, word.bits)
+    cells, values = _grid_extrema(state.extra)
     hi, lo = _refine_extrema(cmap, np.array([word.index], dtype=np.int64),
-                             len(word), state.extra, refine_iters)
+                             np.array([len(word)], dtype=np.int64), cells,
+                             values, grid, refine_iters)
     return float(np.exp(hi[0] - lo[0]))
 
 

@@ -60,7 +60,9 @@ def test_nonpositive_threads_is_usage_error(capsys, command, threads):
 
 
 @pytest.mark.parametrize("fault", [SolverError("step size underflow"),
-                                   ValueError("operands could not be broadcast")])
+                                   ValueError("operands could not be broadcast"),
+                                   OSError("disk full"),
+                                   OverflowError("math range error")])
 def test_internal_fault_exit_code(capsys, monkeypatch, fault):
     # an internal error is not a usage error: exit 70 with the traceback
     def broken(args):
@@ -71,6 +73,15 @@ def test_internal_fault_exit_code(capsys, monkeypatch, fault):
     err = capsys.readouterr().err
     assert code == 70
     assert "Traceback" in err and type(fault).__name__ in err
+
+
+def test_out_into_missing_directory_is_internal_fault(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code = main(["--out", str(target), "certify", "--grid", "1024"])
+    captured = capsys.readouterr()
+    assert code == 70 and captured.out == ""
+    assert "FileNotFoundError" in captured.err
+    assert not target.exists()
 
 
 def test_verify_lemmas(capsys):

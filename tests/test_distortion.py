@@ -6,7 +6,10 @@ import pytest
 from flowcutter import (DomainError, SizeBoundReport, ScaledPoint, bd_sweep,
                         distortion, audit_interval_sizes, sbd_profile, sbd_witness,
                         theoretical_bound)
+from flowcutter.distortion import (_PointGrid, _compose_extras, _grid_extrema,
+                                   _refine_extrema)
 from flowcutter.optimize import golden_max, golden_min
+from flowcutter.symbolic import word_levels
 
 
 def test_affine_words_have_unit_distortion(cmap):
@@ -86,10 +89,39 @@ def test_sweep_rejects_nonpositive_threads(cmap, threads):
 
 
 def test_sweep_sharding_covers_all_depths(cmap):
-    plain = bd_sweep(cmap, 5, grid=65, refine_iters=0, shard_depth=0)
-    sharded = bd_sweep(cmap, 5, grid=65, refine_iters=0, shard_depth=2)
-    for ra, rb in zip(plain, sharded):
-        assert ra.per_word == pytest.approx(rb.per_word, rel=1e-10)
+    for refine_iters, rel in ((0, 1e-10), (8, 1e-12)):
+        plain = bd_sweep(cmap, 5, grid=65, refine_iters=refine_iters,
+                         shard_depth=0)
+        sharded = bd_sweep(cmap, 5, grid=65, refine_iters=refine_iters,
+                           shard_depth=2)
+        for ra, rb in zip(plain, sharded):
+            assert ra.per_word == pytest.approx(rb.per_word, rel=rel)
+
+
+def test_mixed_depth_refine_matches_per_depth_refine(cmap):
+    # one lockstep refine over every depth against one refine per depth
+    grid, iters = 65, 12
+    reports = bd_sweep(cmap, 7, grid=grid, refine_iters=iters)
+    levels = word_levels(_PointGrid.root(grid), cmap, 7)
+    for rep, state in zip(reports, levels):
+        words = np.arange(2 ** rep.depth, dtype=np.int64)
+        depths = np.full(words.size, rep.depth, dtype=np.int64)
+        cells, values = _grid_extrema(state.extra)
+        hi, lo = _refine_extrema(cmap, words, depths, cells, values, grid,
+                                 iters)
+        np.testing.assert_allclose(rep.per_word, np.exp(hi - lo),
+                                   rtol=1e-13, atol=0.0)
+        assert np.all(rep.per_word >= np.exp(values[0] - values[1]))
+
+
+def test_padding_symbols_leave_a_word_untouched(cmap):
+    s = np.linspace(0.0, 1.0, 33)
+    word = np.array([0, 1, 1, 0, 1], dtype=np.int8)
+    alone = _compose_extras(cmap, np.tile(word, (s.size, 1)), s)
+    padded = np.concatenate([np.full(3, -1, dtype=np.int8), word])
+    mixed = _compose_extras(cmap, np.tile(padded, (s.size, 1)), s)
+    assert np.array_equal(alone, mixed)
+    assert np.any(alone != 0.0)
 
 
 # ----------------------------------------------------------------------
