@@ -80,12 +80,16 @@ class TimeSchedule:
         k = n.bit_length() - 1
         return (-0.5) ** k * self.T
 
-    def flow_times(self, n: np.ndarray) -> np.ndarray:
-        n = np.asarray(n)
+    @staticmethod
+    def blocks(n: np.ndarray) -> np.ndarray:
+        """The block index k = floor(log2 n) of each schedule index n >= 1."""
         # frexp is exact for integers below 2^53: n = m * 2^e with m in [0.5,1)
-        _, e = np.frexp(n.astype(np.float64))
-        k = e - 1
-        mag = np.ldexp(np.full(n.shape, self.T), -k)
+        _, e = np.frexp(np.asarray(n).astype(np.float64))
+        return e - 1
+
+    def flow_times(self, n: np.ndarray) -> np.ndarray:
+        k = self.blocks(n)
+        mag = np.ldexp(np.full(k.shape, self.T), -k)
         return np.where(k % 2 == 0, mag, -mag)
 
     def cumulative_time(self, n: int) -> float:
@@ -240,8 +244,12 @@ class CookieMap:
         """One inverse branch on a batch; returns (preimage, log F' - ln 3).
 
         The reported log increment is the slope of F at the *preimage*,
-        obtained for free from the backward variational factor, since
-        phi_t'(phi_{-t}(u)) * phi_{-t}'(u) = 1.
+        obtained for free from the backward flow's log slope, since
+        phi_t'(phi_{-t}(u)) * phi_{-t}'(u) = 1. Window points flow through
+        the engine's displacement tables (FlowEngine.table_flow), so each
+        preimage and increment is a pure function of its own point: the
+        results are bitwise the same whatever batch, shard or thread
+        computes them.
         """
         if symbol == 1:
             raw = b.raw()
@@ -265,11 +273,13 @@ class CookieMap:
 
         inj = b.locus == int(Locus.INJ)
         if inj.any():
-            t = -self.schedule.flow_times(b.n[inj] + 1)
-            y, v = self.engine.evolve(t, b.u[inj], order=1)
+            k = self.schedule.blocks(b.n[inj] + 1)
+            times = [-self.schedule.flow_time(1 << j)
+                     for j in range(int(k.max()) + 1)]
+            y, log_slope = self.engine.table_flow(times, k, b.u[inj])
             u[inj] = y
             n[inj] += 1
-            extra[inj] = -np.log(v)
+            extra[inj] = -log_slope
         return PointBatch(locus, n, u), extra
 
     # -- boundary smoothness ----------------------------------------------

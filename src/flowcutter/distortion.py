@@ -17,6 +17,12 @@ inverse image of one fixed uniform grid on [0,1], so the grid position of
 a sample IS its normalized image coordinate under F^k, which the profile
 search uses directly. Extrema are sharpened by one golden-section pass run
 in lockstep across every word of every depth of a shard.
+
+Every pull-back goes through CookieMap.inverse_batch, whose window flows
+are lookups in per-time displacement tables, a pure function of each point.
+A word's ratio is therefore bitwise the same whether distortion() computes
+it alone or a sweep computes it among other words, depths, shards or
+threads.
 """
 
 from __future__ import annotations

@@ -8,28 +8,38 @@ constants that the downstream map construction relies on (the flow horizon
 T, the curvature bound M, the slope bound B1 = sup|X'|) are all computed
 here.
 
-Two independent evaluation routes are provided on purpose:
+Three evaluation routes are provided:
 
+* the table route (FlowEngine.table_flow), the hot path of every pull-back:
+  a cubic Hermite table of the displacement delta_t(x) = phi_t(x) - x on a
+  uniform grid, built once per flow time from the displacement ODE
+  delta' = t X(x + delta) and checked against that ODE at every cell
+  midpoint when it is built. The log slope log phi_t'(x) follows from delta
+  in closed form, so each result is a pure function of (t, x), whatever
+  batch it is computed in;
 * the variational route: integrate y' = X(y) jointly with v' = X'(y) v and
-  w' = X''(y) v^2 + X'(y) w using the adaptive stepper, and
+  w' = X''(y) v^2 + X'(y) w using the adaptive stepper. It serves arbitrary
+  times, the scalar lookups, interval widths and certification, and is the
+  oracle the tables are measured against;
 * the rectified-time route: tau(x) = integral_{1/2}^x du / X(u) by adaptive
   quadrature, inverted by bracketed root finding, which turns the flow into
   a shift tau^{-1}(tau(x) + t).
 
-They share no code beyond the field formula, so their agreement is a real
-accuracy check rather than a tautology.
+The last two share no code beyond the field formula, so their agreement is
+a real accuracy check rather than a tautology.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import CertificationError, DomainError
+from .errors import CertificationError, DomainError, SolverError
 from .integrate import integrate_unit_interval
 from .optimize import golden_max
 
@@ -41,6 +51,29 @@ UNDERFLOW_EXPONENT = -745.0
 TIME_COORDINATE_MARGIN = 0.002
 
 _MAX_SPEED = math.exp(-4.0)  # X(1/2), the global maximum of the field
+
+# Uniform cells of a displacement table. A power of two, so x * cells and the
+# cell offset are exact. The cubic Hermite error in the log slope measures
+# 1.0e-15 at |t| = 1 with 2^14 cells (1.2e-16 with 2^15, 1.6e-14 with 2^13);
+# 2^15 cells would double the build's working set for no gain over the ODE's
+# own error.
+TABLE_CELLS = 1 << 14
+# A table must reproduce the displacement ODE at every cell midpoint to this
+# bound, in the displacement and in the log slope.
+TABLE_CHECK = 1e-14
+_ENDS = np.array([0, 1])   # a cell's left and right knot
+
+
+def _exponent(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g = x(x-1), the exponent e = 1/g of X, and the live mask.
+
+    A point is live when X(x) = exp(e) is a positive float: e < 0 puts x
+    inside (0,1), and e > UNDERFLOW_EXPONENT keeps exp(e) from underflowing.
+    Call under np.errstate: e is +-inf at the endpoints.
+    """
+    g = x * (x - 1.0)
+    e = 1.0 / g
+    return g, e, (e < 0.0) & (e > UNDERFLOW_EXPONENT)
 
 
 def _field_arrays(x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
@@ -59,9 +92,7 @@ def _field_arrays(x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
     """
     x = np.asarray(x, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g = x * (x - 1.0)
-        e = 1.0 / g
-        live = (e < 0.0) & (e > UNDERFLOW_EXPONENT)
+        g, e, live = _exponent(x)
         speed = np.exp(np.where(live, e, -np.inf))
         if order == 0:
             return (speed,)
@@ -75,15 +106,22 @@ def _field_arrays(x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
     return (speed, d1, d2)
 
 
+def _exponent_change(x, d, gx, gy):
+    """e(x + d) - e(x) for the exponent e = 1/g of X, given gx = g(x) and
+    gy = g(x + d): written as -d (2x + d - 1) / (g(x) g(x + d)), it has no
+    cancellation and keeps the relative precision of d."""
+    return -d * (2.0 * x + d - 1.0) / (gx * gy)
+
+
 def _field_difference(a: np.ndarray, d: np.ndarray, xa: np.ndarray) -> np.ndarray:
     """X(a + d) - X(a), accurate to full relative precision in d.
 
     xa is X(a), which every caller already holds. Direct subtraction loses
-    all digits once d is small. Instead use
-    1/g(a+d) - 1/g(a) = -d (2a + d - 1) / (g(a) g(a+d)), which has no
-    cancellation, and expand the outer exponential with expm1. Falls back
-    to the plain difference whenever either point is outside the live
-    region or the exponent change is large (where subtraction is safe).
+    all digits once d is small. Instead take the exponent change from
+    _exponent_change, which has no cancellation, and expand the outer
+    exponential with expm1. Falls back to the plain difference whenever
+    either point is outside the live region or the exponent change is
+    large (where subtraction is safe).
     """
     a = np.asarray(a, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
@@ -91,10 +129,49 @@ def _field_difference(a: np.ndarray, d: np.ndarray, xa: np.ndarray) -> np.ndarra
     (xb,) = _field_arrays(b, 0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         gb = b * (b - 1.0)
-        de = -d * (2.0 * a + d - 1.0) / (a * (a - 1.0) * gb)
+        de = _exponent_change(a, d, a * (a - 1.0), gb)
         # xa > 0 puts a inside (0,1), and gb < 0 puts b there
         smooth = (xa > 0.0) & (gb < 0.0) & (np.abs(de) <= 0.5)
         return np.where(smooth, xa * np.expm1(de), xb - xa)
+
+
+def _log_slope(x: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The displacement d = phi_t(x) - x and log phi_t'(x), dead x masked.
+
+    phi_t'(x) = X(phi_t x) / X(x), so the log slope is the exponent change
+    e(x + d) - e(x), which keeps the relative precision of d, tiny as d is
+    in the flat tails. Where X(x) underflows (and at the endpoints) the
+    flow is the identity: d and the log slope are returned as 0.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g, _, live = _exponent(x)
+        d = np.where(live, d, 0.0)
+        y = x + d
+        return d, np.where(live, _exponent_change(x, d, g, y * (y - 1.0)), 0.0)
+
+
+def _cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The table cell holding each x in [0,1], and the offset theta in it.
+
+    x * TABLE_CELLS and theta are exact; x = 1 sits at theta = 1 of the
+    last cell.
+    """
+    s = x * TABLE_CELLS
+    cell = np.clip(np.floor(s), 0.0, TABLE_CELLS - 1.0)
+    return cell.astype(np.intp), s - cell
+
+
+def _hermite(knots: np.ndarray, theta) -> np.ndarray:
+    """The cubic Hermite interpolant of delta in the cell offset theta.
+
+    knots[..., j, :] holds (delta, h delta') at the cell's left (j = 0) and
+    right (j = 1) end, h = 1/TABLE_CELLS.
+    """
+    d0, m0 = knots[..., 0, 0], knots[..., 0, 1]
+    d1, m1 = knots[..., 1, 0], knots[..., 1, 1]
+    c2 = 3.0 * (d1 - d0) - 2.0 * m0 - m1
+    c3 = 2.0 * (d0 - d1) + m0 + m1
+    return d0 + theta * (m0 + theta * (c2 + theta * c3))
 
 
 def _flatten(x, t) -> tuple[np.ndarray, np.ndarray]:
@@ -161,14 +238,17 @@ class FlowSample:
 class FlowEngine:
     """Evaluates phi_t and its first two spatial derivatives.
 
-    All batch methods accept numpy arrays for the position and broadcast
-    the time against it, integrating the whole batch with one shared
-    adaptive step sequence. evolve and the scalar lookups share one
-    variational solve (_solve); a scalar lookup is a batch of one at order
-    2, memoized at full precision keyed by (t, x). The cache only ever
-    stores pure-function results, so concurrent readers are safe and
-    results do not depend on cache state. A tolerance outside
-    [1e-14, 1e-6] raises DomainError.
+    table_flow, the pull-back hot path, reads phi_t and log phi_t' from a
+    displacement table per flow time, built lazily and thread-safely once
+    per engine; each point's result is a pure function of (t, x). The ODE
+    methods accept numpy arrays for the position and broadcast the time
+    against it, integrating the whole batch with one shared adaptive step
+    sequence. evolve and the scalar lookups share one variational solve
+    (_solve); a scalar lookup is a batch of one at order 2, memoized at
+    full precision keyed by (t, x). The cache only ever stores
+    pure-function results, so concurrent readers are safe and results do
+    not depend on cache state. A tolerance outside [1e-14, 1e-6] raises
+    DomainError.
     """
 
     def __init__(self, tol: float = 1e-13):
@@ -176,6 +256,99 @@ class FlowEngine:
             raise DomainError(f"tolerance {tol!r} outside [1e-14, 1e-6]")
         self.tol = tol
         self._cache: dict[tuple[float, float], tuple[float, float, float, float]] = {}
+        # displacement tables: row _table_rows[t] of _tables is time t
+        self._table_lock = threading.Lock()
+        self._table_rows: dict[float, int] = {}
+        self._tables = np.empty((0, TABLE_CELLS + 1, 2))
+
+    # ------------------------------------------------------------------
+    # table route (the pull-back hot path)
+    # ------------------------------------------------------------------
+
+    def table_flow(self, times, which: np.ndarray, x: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """phi_t(x) and log phi_t'(x) with t = times[which], from the tables.
+
+        times is a short sequence of flow times, which an integer array of
+        indices into it (one per point) and x the positions in [0,1]. A
+        time's table is built on its first use. Each point costs one
+        gather of its cell's two knots from the (times x knots) array, the
+        Hermite cubic in the exact cell offset, and the closed-form log
+        slope; no step controller is shared, so the results are bitwise the
+        same whatever batch a point is evaluated in.
+        """
+        rows = np.array([self._table_row(float(t)) for t in times],
+                        dtype=np.intp)
+        x = np.asarray(x, dtype=np.float64)
+        cell, theta = _cells(x)
+        knots = self._tables[rows[which][..., None], cell[..., None] + _ENDS]
+        d, log_slope = _log_slope(x, _hermite(knots, theta))
+        return x + d, log_slope
+
+    def _table_row(self, t: float) -> int:
+        """The row of time t in _tables, building it on first use.
+
+        The lock makes concurrent first uses share one build. _tables is
+        replaced before the row is published, so a reader that finds a row
+        also finds it in the array it reads next.
+        """
+        row = self._table_rows.get(t)
+        if row is None:
+            with self._table_lock:
+                row = self._table_rows.get(t)
+                if row is None:
+                    knots = self._build_table(t)
+                    self._tables = np.concatenate([self._tables, knots[None]])
+                    row = self._table_rows[t] = len(self._table_rows)
+        return row
+
+    def _build_table(self, t: float) -> np.ndarray:
+        """The Hermite knots of delta_t, shape (TABLE_CELLS + 1, 2).
+
+        Row i holds delta_t and h delta_t' at x_i = i h, h = 1/TABLE_CELLS.
+        delta comes from _displacement, and delta' = phi_t' - 1 from the
+        closed-form log slope. The table is then evaluated at every cell
+        midpoint and must reproduce a second displacement solve there, in
+        delta and in the log slope, to TABLE_CHECK, else SolverError. Time
+        0 is the zero table, with no solve.
+        """
+        knots = np.zeros((TABLE_CELLS + 1, 2))
+        if t == 0.0:
+            return knots
+        x = np.arange(TABLE_CELLS + 1) / TABLE_CELLS
+        knots[:, 0], log_slope = _log_slope(x, self._displacement(t, x))
+        knots[:, 1] = np.expm1(log_slope) / TABLE_CELLS
+
+        mid = (x[:-1] + x[1:]) / 2.0
+        cells = np.arange(TABLE_CELLS)[:, None] + _ENDS
+        got = _log_slope(mid, _hermite(knots[cells], 0.5))
+        want = _log_slope(mid, self._displacement(t, mid))
+        miss = max(float(np.max(np.abs(g - w))) for g, w in zip(got, want))
+        if not miss <= TABLE_CHECK:
+            raise SolverError(
+                f"flow table at t={t:g} misses its ODE by {miss:.3e} at a "
+                f"cell midpoint (bound {TABLE_CHECK:.0e})")
+        return knots
+
+    def _displacement(self, t: float, x: np.ndarray) -> np.ndarray:
+        """delta_t(x) = phi_t(x) - x from its own ODE, one column per point.
+
+        delta' = t (X(x) + (X(x + delta) - X(x))), the bracket evaluated by
+        the cancellation-free _field_difference, so delta keeps its
+        relative precision in the flat tails, where it is far below the
+        spacing of floats around x. Where X(x) underflows, delta stays
+        exactly 0.
+        """
+        (xa,) = _field_arrays(x, 0)
+
+        def rhs(state):
+            out = np.empty_like(state)
+            np.add(xa, _field_difference(x, state[0], xa), out=out[0])
+            out *= t
+            return out
+
+        return integrate_unit_interval(rhs, np.zeros((1, x.size)),
+                                       atol=self.tol)[0][0]
 
     # ------------------------------------------------------------------
     # batched ODE route

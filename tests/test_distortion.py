@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flowcutter import (DomainError, SizeBoundReport, ScaledPoint, bd_sweep,
+from flowcutter import (CookieMap, DomainError, FlowEngine, SizeBoundReport, ScaledPoint, bd_sweep,
                         distortion, audit_interval_sizes, sbd_profile, sbd_witness,
                         theoretical_bound)
 from flowcutter.distortion import (_PointGrid, _compose_extras, _grid_extrema,
@@ -71,7 +71,7 @@ def test_sweep_matches_single_word_evaluations(cmap):
         for i in range(2 ** rep.depth):
             bits = format(i, f"0{rep.depth}b")
             solo = distortion(cmap, bits, grid=65, refine_iters=10)
-            assert rep.per_word[i] == pytest.approx(solo, rel=1e-10)
+            assert rep.per_word[i] == solo
 
 
 def test_sweep_thread_count_does_not_change_bits(cmap):
@@ -89,13 +89,24 @@ def test_sweep_rejects_nonpositive_threads(cmap, threads):
 
 
 def test_sweep_sharding_covers_all_depths(cmap):
-    for refine_iters, rel in ((0, 1e-10), (8, 1e-12)):
+    for refine_iters in (0, 8):
         plain = bd_sweep(cmap, 5, grid=65, refine_iters=refine_iters,
                          shard_depth=0)
         sharded = bd_sweep(cmap, 5, grid=65, refine_iters=refine_iters,
                            shard_depth=2)
         for ra, rb in zip(plain, sharded):
-            assert ra.per_word == pytest.approx(rb.per_word, rel=rel)
+            assert np.array_equal(ra.per_word, rb.per_word)
+
+
+@pytest.mark.parametrize("shard_depth", [0, 2, 3])
+def test_single_word_distortion_is_its_sweep_entry(cmap, shard_depth):
+    # every result is a pure per-point function, so neither the batch nor
+    # the shard a word is swept in moves a bit
+    reports = bd_sweep(cmap, 5, shard_depth=shard_depth)
+    for rep in reports:
+        for i in range(2 ** rep.depth):
+            bits = format(i, f"0{rep.depth}b")
+            assert rep.per_word[i] == distortion(cmap, bits), bits
 
 
 def test_mixed_depth_refine_matches_per_depth_refine(cmap):
@@ -109,8 +120,7 @@ def test_mixed_depth_refine_matches_per_depth_refine(cmap):
         cells, values = _grid_extrema(state.extra)
         hi, lo = _refine_extrema(cmap, words, depths, cells, values, grid,
                                  iters)
-        np.testing.assert_allclose(rep.per_word, np.exp(hi - lo),
-                                   rtol=1e-13, atol=0.0)
+        assert np.array_equal(rep.per_word, np.exp(hi - lo))
         assert np.all(rep.per_word >= np.exp(values[0] - values[1]))
 
 
@@ -207,6 +217,16 @@ def test_profile_monotone_in_scale(cmap):
 def test_profile_validation(cmap):
     with pytest.raises(DomainError):
         sbd_profile(cmap, 3, scales=(0.5,))
+
+
+def test_profile_thread_count_does_not_change_bits(consts):
+    # each run on a fresh engine, so that the threads race to build the
+    # flow tables on first use
+    runs = [sbd_profile(CookieMap(consts, FlowEngine(tol=consts.tol)), 6,
+                        scales=(1.0, 3.0, 27.0), grid=65, threads=threads,
+                        shard_depth=2)
+            for threads in (1, 3)]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("threads", [0, -3])

@@ -11,7 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from flowcutter import DomainError, vector_field
+import flowcutter.flow as flow
+from flowcutter import DomainError, FlowEngine, SolverError, vector_field
+from flowcutter.scaled import Locus, PointBatch
 
 PHI_1_05 = 0.5182829661743497
 PHI_1_03 = 0.3088896139052051
@@ -210,3 +212,112 @@ def test_plateau_rate_against_30_digit_oracle(consts, plateau_rate):
         # the constant 0.1 lies below rho* by far more than 30-digit roundoff
         assert rho - mp.mpf("0.1") > mp.mpf("1e-3")
         assert abs(plateau_rate / rho - 1) <= 1e-12
+
+
+# ----------------------------------------------------------------------
+# displacement tables (the pull-back hot path)
+# ----------------------------------------------------------------------
+
+def _pull_back_times(T):
+    # the times inverse_batch flows by: -t_n for the blocks k = 0..9 that
+    # windows up to n = 600 reach
+    return [-(-0.5) ** k * T for k in range(10)]
+
+
+def test_tables_against_30_digit_oracle(cmap):
+    # phi_t(x) solves int_x^y du/X = t; Newton on y in 30-digit arithmetic,
+    # then log phi_t'(x) = e(y) - e(x) with e = 1/(x(x-1)), exactly
+    mp = pytest.importorskip("mpmath").mp
+    times = _pull_back_times(cmap.constants.T)
+    xs = np.array([0.03, 0.05, 0.1, 0.25, 0.41, 0.5, 0.62, 0.83, 0.95, 0.97])
+    worst_pos = worst_slope = 0.0
+    with mp.workdps(30):
+        X = lambda u: mp.exp(1 / (u * (u - 1)))
+        for j, t in enumerate(times):
+            y, log_slope = cmap.engine.table_flow(times, np.full(xs.size, j), xs)
+            for x, got_y, got_slope in zip(xs, y, log_slope):
+                x, t_mp = mp.mpf(float(x)), mp.mpf(t)
+                v = x + t_mp * X(x)
+                for _ in range(5):
+                    step = (mp.quad(lambda u: 1 / X(u), [x, v]) - t_mp) * X(v)
+                    v -= step
+                assert abs(step) <= mp.mpf(10) ** -25
+                want_slope = 1 / (v * (v - 1)) - 1 / (x * (x - 1))
+                worst_pos = max(worst_pos, float(abs(mp.mpf(float(got_y)) - v)))
+                worst_slope = max(worst_slope,
+                                  float(abs(mp.mpf(float(got_slope)) - want_slope)))
+    print(f"table vs 30-digit oracle: |d phi| {worst_pos:.2e}, "
+          f"|d log phi'| {worst_slope:.2e}")
+    assert worst_pos <= 4e-15
+    assert worst_slope <= 1e-14
+
+
+def test_tables_match_variational_ode(cmap):
+    times = _pull_back_times(cmap.constants.T)[:5]
+    xs = np.linspace(0.0, 1.0, 4097)
+    for j, t in enumerate(times):
+        y, log_slope = cmap.engine.table_flow(times, np.full(xs.size, j), xs)
+        y_ode, v = cmap.engine.evolve(t, xs, order=1)
+        assert np.max(np.abs(y - y_ode)) <= 4e-15
+        assert np.max(np.abs(log_slope - np.log(v))) <= 1e-14
+
+
+def test_table_flow_is_batch_independent(cmap):
+    times = _pull_back_times(cmap.constants.T)[:4]
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(0.0, 1.0, 500)
+    which = rng.integers(0, len(times), xs.size)
+    y, log_slope = cmap.engine.table_flow(times, which, xs)
+    back = slice(None, None, -1)
+    y_rev, slope_rev = cmap.engine.table_flow(times, which[back], xs[back])
+    assert np.array_equal(y, y_rev[back])
+    assert np.array_equal(log_slope, slope_rev[back])
+    for i in range(0, xs.size, 37):
+        y1, s1 = cmap.engine.table_flow([times[which[i]]], np.zeros(1, int),
+                                        xs[i:i + 1])
+        assert y1[0] == y[i] and s1[0] == log_slope[i]
+
+
+def test_underflow_points_stay_fixed(cmap):
+    times = _pull_back_times(cmap.constants.T)
+    # 0.001344 shares its table cell with a live knot
+    xs = np.array([0.0, 1e-300, 1e-4, 1e-3, 0.001344, 1.0 - 0.001344,
+                   1.0 - 1e-4, 1.0])
+    (speed,) = flow._field_arrays(xs, 0)
+    assert np.all(speed == 0.0)
+    for j in range(len(times)):
+        y, log_slope = cmap.engine.table_flow(times, np.full(xs.size, j), xs)
+        assert np.array_equal(y, xs)
+        assert np.all(log_slope == 0.0)
+
+
+def test_calibration_table_is_exact_identity(calibration_map, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a zero flow time needs no solve")
+
+    monkeypatch.setattr(flow, "integrate_unit_interval", no_solve)
+    u = np.linspace(0.0, 1.0, 257)
+    n = np.arange(u.size, dtype=np.int32) % 40 + 1
+    batch = PointBatch(np.full(u.size, int(Locus.INJ), dtype=np.int8), n, u)
+    child, extra = calibration_map.inverse_batch(0, batch)
+    assert np.array_equal(child.u, u)
+    assert np.array_equal(child.n, n + 1)
+    assert np.all(extra == 0.0)
+
+
+def test_perturbed_table_nodes_fail_the_build_check(consts, monkeypatch):
+    solve = flow.integrate_unit_interval
+    calls = []
+
+    def perturbed(f, y0, **kwargs):
+        y, err, steps = solve(f, y0, **kwargs)
+        if not calls:                  # the knots' solve, not the midpoints'
+            y *= 1.0 + 1e-9
+        calls.append(y0.shape)
+        return y, err, steps
+
+    monkeypatch.setattr(flow, "integrate_unit_interval", perturbed)
+    engine = FlowEngine(tol=consts.tol)
+    with pytest.raises(SolverError, match="cell midpoint"):
+        engine.table_flow([consts.T], np.zeros(1, int), np.array([0.5]))
+    assert engine._table_rows == {}
