@@ -273,14 +273,26 @@ class CookieMap:
 
         inj = b.locus == int(Locus.INJ)
         if inj.any():
-            k = self.schedule.blocks(b.n[inj] + 1)
-            times = [-self.schedule.flow_time(1 << j)
-                     for j in range(int(k.max()) + 1)]
-            y, log_slope = self.engine.table_flow(times, k, b.u[inj])
+            y, log_slope = self.backward_flow(
+                self.schedule.blocks(b.n[inj] + 1), b.u[inj])
             u[inj] = y
             n[inj] += 1
             extra[inj] = -log_slope
         return PointBatch(locus, n, u), extra
+
+    def backward_flow(self, k: np.ndarray, u: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """phi_t(u) and log phi_t'(u) with t = -(-1/2)^k T, from the tables.
+
+        The flow half of the 0-branch pull-back from window J_n into
+        J_(n+1), whose block index is k = TimeSchedule.blocks(n + 1). The
+        values come from the engine's displacement tables
+        (FlowEngine.table_flow), so each is a pure function of its own
+        (k, u). k must be nonempty.
+        """
+        times = [-self.schedule.flow_time(1 << j)
+                 for j in range(int(k.max()) + 1)]
+        return self.engine.table_flow(times, k, u)
 
     # -- boundary smoothness ----------------------------------------------
 

@@ -10,7 +10,8 @@ here.
 
 Three evaluation routes are provided:
 
-* the table route (FlowEngine.table_flow), the hot path of every pull-back:
+* the table route (FlowEngine.table_flow), the hot path of every pull-back
+  of points, interval endpoints and (by the mean-value rule) narrow widths:
   a cubic Hermite table of the displacement delta_t(x) = phi_t(x) - x on a
   uniform grid, built once per flow time from the displacement ODE
   delta' = t X(x + delta) and checked against that ODE at every cell
@@ -19,8 +20,9 @@ Three evaluation routes are provided:
   batch it is computed in;
 * the variational route: integrate y' = X(y) jointly with v' = X'(y) v and
   w' = X''(y) v^2 + X'(y) w using the adaptive stepper. It serves arbitrary
-  times, the scalar lookups, interval widths and certification, and is the
-  oracle the tables are measured against;
+  times, the scalar lookups, the few interval widths too wide for the
+  mean-value rule (evolve_interval) and certification, and is the oracle
+  the tables are measured against;
 * the rectified-time route: tau(x) = integral_{1/2}^x du / X(u) by adaptive
   quadrature, inverted by bracketed root finding, which turns the flow into
   a shift tau^{-1}(tau(x) + t).
@@ -208,9 +210,10 @@ class FlowConstants:
     """Certified constants driving the map construction.
 
     T is the flow horizon with exp(T * B1) <= 3/2, which forces the slope
-    bound phi_t' >= 2/3 for |t| <= T. M bounds |phi_t''| for |t| <= 1 (a
-    grid supremum padded by 5 percent). B1 = sup |X'|. tol and grid_n
-    record how the certification was run.
+    bound phi_t' >= 2/3 for |t| <= T. M is 1.05 times the grid supremum
+    of |phi_t''| over the sampled times t in {+-1, +-1/2, +-1/4, +-1/8},
+    not over every |t| <= 1. B1 = sup |X'|. tol and grid_n record how the
+    certification was run.
 
     The degenerate value T = 0 is allowed only for calibration maps (the
     flow collapses to the identity and every branch becomes affine).

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcutter import (DepthCapError, DomainError, Locus, PointBatch,
-                        ScaledPoint, Word, basic_interval, decompose_blocks,
-                        enumerate_intervals, interval_J, interval_table,
-                        inverse_branch)
+from flowcutter import (CookieMap, DepthCapError, DomainError, FlowEngine,
+                        Locus, PointBatch, ScaledPoint, Word, basic_interval,
+                        decompose_blocks, enumerate_intervals, interval_J,
+                        interval_table, inverse_branch)
 from flowcutter.cookie import LN3
+from flowcutter.symbolic import WIDTH_RULE_MAX, IntervalSet
 
 words = st.text(alphabet="01", min_size=0, max_size=40)
 
@@ -239,3 +240,88 @@ def test_table_row_order_matches_words(cmap):
         left, right = table.endpoints(i)
         assert abs(left.raw - iv.left.raw) <= 1e-13
         assert abs(right.raw - iv.right.raw) <= 1e-13
+
+
+# ----------------------------------------------------------------------
+# interval widths on the tables against the pair-flow ODE
+# ----------------------------------------------------------------------
+
+def _ode_pull_back(state, cmap):
+    """The 0-branch pull-back with every row on the ODE: anchored right
+    endpoints by evolve, common rows by the pair flow evolve_interval."""
+    t = -cmap.schedule.flow_times(state.n + 1)
+    anch = state.anchored
+    u_lo = np.array(state.u_lo, copy=True)
+    u_hi = np.empty_like(state.u_hi)
+    d = np.array(state.d, copy=True)
+    if anch.any():
+        (u_hi[anch],) = cmap.engine.evolve(t[anch], state.u_hi[anch], order=0)
+    common = ~anch
+    if common.any():
+        y_lo, w = cmap.engine.evolve_interval(t[common], state.u_lo[common],
+                                              state.d[common])
+        u_lo[common] = y_lo
+        d[common] = w
+        u_hi[common] = np.minimum(y_lo + w, 1.0)
+    return IntervalSet(anch.copy(), (state.n + 1).astype(np.int32),
+                       u_lo, u_hi, d)
+
+
+def _common_rows(n, u_lo, d):
+    n = np.asarray(n, dtype=np.int32)
+    u_lo = np.asarray(u_lo, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    return IntervalSet(np.zeros(n.size, dtype=bool), n, u_lo,
+                       np.minimum(u_lo + d, 1.0), d)
+
+
+def _take(state, index):
+    return IntervalSet(*(getattr(state, key)[index]
+                         for key in IntervalSet.__slots__))
+
+
+def test_table_widths_match_high_precision_ode(cmap):
+    oracle = CookieMap(cmap.constants, FlowEngine(tol=1e-14))
+    want = IntervalSet.root()
+    for _ in range(16):
+        want = IntervalSet.stack(_ode_pull_back(want, oracle),
+                                 want.pull_back(oracle, 1))
+    got = interval_table(cmap, 16)
+    dev = float(np.max(np.abs(got.log_sizes() - want.log_sizes())))
+    print(f"depth 16: max |d log|I_w|| = {dev:.2e} against the tol-1e-14 ODE")
+    # the tol-1e-13 pair flow itself deviates by 3.2e-14 here
+    assert dev <= 3.2e-14
+
+    # rows on both sides of the rule's threshold, in several windows
+    n = np.repeat([0, 1, 5, 40], 3)
+    u_lo = np.tile([0.02, 0.5, 0.97], 4)
+    for w in (WIDTH_RULE_MAX * (1 - 1e-9), WIDTH_RULE_MAX * (1 + 1e-9)):
+        rows = _common_rows(n, u_lo, np.full(n.size, w))
+        dev = np.max(np.abs(np.log(rows.pull_back(cmap, 0).d)
+                            - np.log(_ode_pull_back(rows, oracle).d)))
+        print(f"w = {w:.9e}: max |d log w| = {dev:.2e}")
+        assert dev <= 3.2e-14
+
+    # a width far below the float spacing at x: phi_t' times w
+    w = 1e-18
+    got = _common_rows(n, u_lo, np.full(n.size, w)).pull_back(cmap, 0).d
+    t = -cmap.schedule.flow_times(n + 1)
+    _, slope = oracle.engine.evolve(t, u_lo, order=1)
+    assert got == pytest.approx(w * slope, rel=1e-13)
+
+
+def test_narrow_width_pull_back_is_batch_independent(cmap):
+    rng = np.random.default_rng(37)
+    size = 300
+    d = WIDTH_RULE_MAX * 10.0 ** rng.uniform(-15.0, 0.0, size)
+    rows = _common_rows(rng.integers(0, 200, size),
+                        rng.uniform(0.0, 1.0, size) * (1.0 - d), d)
+    whole = rows.pull_back(cmap, 0)
+    back = slice(None, None, -1)
+    rev = _take(rows, back).pull_back(cmap, 0)
+    for key in ("u_lo", "d", "u_hi"):
+        assert np.array_equal(getattr(whole, key), getattr(rev, key)[back])
+    for i in range(size):
+        one = _take(rows, slice(i, i + 1)).pull_back(cmap, 0)
+        for key in ("u_lo", "d", "u_hi"):
+            assert getattr(one, key)[0] == getattr(whole, key)[i]
