@@ -150,7 +150,7 @@ def _cmd_verify_lemmas(args) -> int:
 
     ok = all(r["pass"] for r in rows)
     _emit(args, {"rows": rows, "pass": ok}, rows,
-          ["check", "residual", "pass"])
+          ["check", "residual", "pass", "min_slack"])
     return 0 if ok else 1
 
 

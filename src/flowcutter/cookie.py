@@ -195,6 +195,9 @@ class CookieMap:
                 hole_slack: float = 0.0) -> IterateResult:
         """F^k(p) and log (F^k)'(p), accumulated in log space.
 
+        Window steps read phi_{t_n} and its log slope from the forward
+        table of their block (block_flow): no ODE solve once it exists.
+
         Raises EscapeError at the first j < k for which F^j(p) leaves the
         domain (enters the hole); the final point may land anywhere.
 
@@ -217,10 +220,10 @@ class CookieMap:
                 else:
                     raise EscapeError(j)
             if q.locus is Locus.INJ and q.n >= 1:
-                t = self.schedule.flow_time(q.n)
-                y, v, _, _ = self.engine._sample(t, q.u)
-                extra += math.log(v)
-                q = ScaledPoint.in_window(q.n - 1, y)
+                y, log_slope = self.block_flow(
+                    1.0, self.schedule.blocks(np.array([q.n])), np.array([q.u]))
+                extra += float(log_slope[0])
+                q = ScaledPoint.in_window(q.n - 1, float(y[0]))
             else:
                 q = self.apply(q)
         return IterateResult(point=q, steps=k, log_extra=extra)
@@ -273,24 +276,26 @@ class CookieMap:
 
         inj = b.locus == int(Locus.INJ)
         if inj.any():
-            y, log_slope = self.backward_flow(
-                self.schedule.blocks(b.n[inj] + 1), b.u[inj])
+            y, log_slope = self.block_flow(
+                -1.0, self.schedule.blocks(b.n[inj] + 1), b.u[inj])
             u[inj] = y
             n[inj] += 1
             extra[inj] = -log_slope
         return PointBatch(locus, n, u), extra
 
-    def backward_flow(self, k: np.ndarray, u: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """phi_t(u) and log phi_t'(u) with t = -(-1/2)^k T, from the tables.
+    def block_flow(self, direction: float, k: np.ndarray, u: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """phi_t(u) and log phi_t'(u) with t = direction (-1/2)^k T, from
+        the tables.
 
-        The flow half of the 0-branch pull-back from window J_n into
-        J_(n+1), whose block index is k = TimeSchedule.blocks(n + 1). The
+        direction +1 is the flow half of F on a window J_n, whose block
+        index is k = TimeSchedule.blocks(n); direction -1 that of the
+        0-branch pull-back from J_n into J_(n+1), k = blocks(n + 1). The
         values come from the engine's displacement tables
-        (FlowEngine.table_flow), so each is a pure function of its own
-        (k, u). k must be nonempty.
+        (FlowEngine.table_flow), one per direction and block index, so each
+        is a pure function of its own (k, u). k must be nonempty.
         """
-        times = [-self.schedule.flow_time(1 << j)
+        times = [direction * self.schedule.flow_time(1 << j)
                  for j in range(int(k.max()) + 1)]
         return self.engine.table_flow(times, k, u)
 

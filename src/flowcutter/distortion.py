@@ -435,27 +435,32 @@ def sbd_witness(cmap: CookieMap, k: int) -> SbdWitness:
     For even k, F^(2^k) maps J_{2^(k+1)-1} onto J_{2^k-1} as an affine
     conjugate of the time-T flow, so its distortion equals the distortion
     of phi_T on [0,1] no matter how small the image window is. alpha and
-    beta are canonicalized as the extremizers of phi_T', located by a grid
-    scan plus golden section.
+    beta are canonicalized as the extremizers of log phi_T', located by a
+    grid scan plus golden section on the time-T table; the orbits run on
+    the forward tables (CookieMap.iterate), so no ODE solve once they exist.
     """
     if k % 2 != 0:
         raise DomainError(f"witness order must be even (odd orders flow by -T), got {k}")
     if not 2 <= k <= 6:
         raise DomainError(f"witness order must be in [2, 6], got {k}")
-    engine = cmap.engine
     T = cmap.constants.T
+
+    def log_slope(z):
+        z = np.atleast_1d(z)
+        return cmap.engine.table_flow([T], np.zeros(z.shape, np.intp), z)[1]
+
     axis = np.linspace(0.0, 1.0, 4097)
-    _, slope = engine.evolve(T, axis, order=1)
+    scan = log_slope(axis)
     cell = 1.0 / 4096.0
 
-    i_hi = int(np.argmax(slope))
-    alpha, v_alpha = golden_max(
-        lambda z: engine.flow_derivative(T, z),
-        max(0.0, axis[i_hi] - cell), min(1.0, axis[i_hi] + cell), tol=1e-13)
-    i_lo = int(np.argmin(slope))
-    beta, v_beta = golden_min(
-        lambda z: engine.flow_derivative(T, z),
-        max(0.0, axis[i_lo] - cell), min(1.0, axis[i_lo] + cell), tol=1e-13)
+    def bracket(i):
+        x = float(axis[i])
+        return max(0.0, x - cell), min(1.0, x + cell)
+
+    alpha, v_alpha = golden_max(lambda z: float(log_slope(z)[0]),
+                                *bracket(int(np.argmax(scan))), tol=1e-13)
+    beta, v_beta = golden_min(lambda z: float(log_slope(z)[0]),
+                              *bracket(int(np.argmin(scan))), tol=1e-13)
 
     steps = 1 << k
     window = (steps << 1) - 1            # 2^(k+1) - 1
@@ -468,7 +473,7 @@ def sbd_witness(cmap: CookieMap, k: int) -> SbdWitness:
         image=interval_J(steps - 1),
         image_log_size=-steps * LN3,
         measured_ratio=measured,
-        limit_ratio=v_alpha / v_beta,
+        limit_ratio=math.exp(v_alpha - v_beta),
         alpha=alpha,
         beta=beta,
     )

@@ -11,18 +11,19 @@ here.
 Three evaluation routes are provided:
 
 * the table route (FlowEngine.table_flow), the hot path of every pull-back
-  of points, interval endpoints and (by the mean-value rule) narrow widths:
-  a cubic Hermite table of the displacement delta_t(x) = phi_t(x) - x on a
-  uniform grid, built once per flow time from the displacement ODE
-  delta' = t X(x + delta) and checked against that ODE at every cell
-  midpoint when it is built. The log slope log phi_t'(x) follows from delta
-  in closed form, so each result is a pure function of (t, x), whatever
-  batch it is computed in;
+  of points, interval endpoints and (by the mean-value rule) narrow widths,
+  and of the forward window orbits (CookieMap.iterate) and the strong-bound
+  witness: a cubic Hermite table of the displacement
+  delta_t(x) = phi_t(x) - x on a uniform grid, built once per flow time
+  from the displacement ODE delta' = t X(x + delta) and checked against
+  that ODE at every cell midpoint when it is built. The log slope
+  log phi_t'(x) follows from delta in closed form, so each result is a pure
+  function of (t, x), whatever batch it is computed in;
 * the variational route: integrate y' = X(y) jointly with v' = X'(y) v and
   w' = X''(y) v^2 + X'(y) w using the adaptive stepper. It serves arbitrary
-  times, the scalar lookups, the few interval widths too wide for the
-  mean-value rule (evolve_interval) and certification, and is the oracle
-  the tables are measured against;
+  times, the scalar lookups (each an uncached one-column solve), the few
+  interval widths too wide for the mean-value rule (evolve_interval) and
+  certification, and is the oracle the tables are measured against;
 * the rectified-time route: tau(x) = integral_{1/2}^x du / X(u) by adaptive
   quadrature, inverted by bracketed root finding, which turns the flow into
   a shift tau^{-1}(tau(x) + t).
@@ -247,18 +248,15 @@ class FlowEngine:
     methods accept numpy arrays for the position and broadcast the time
     against it, integrating the whole batch with one shared adaptive step
     sequence. evolve and the scalar lookups share one variational solve
-    (_solve); a scalar lookup is a batch of one at order 2, memoized at
-    full precision keyed by (t, x). The cache only ever stores
-    pure-function results, so concurrent readers are safe and results do
-    not depend on cache state. A tolerance outside [1e-14, 1e-6] raises
-    DomainError.
+    (_solve); a scalar lookup is a batch of one at order 2, solved afresh
+    on every call. The tables are the engine's only state. A tolerance
+    outside [1e-14, 1e-6] raises DomainError.
     """
 
     def __init__(self, tol: float = 1e-13):
         if not 1e-14 <= tol <= 1e-6:
             raise DomainError(f"tolerance {tol!r} outside [1e-14, 1e-6]")
         self.tol = tol
-        self._cache: dict[tuple[float, float], tuple[float, float, float, float]] = {}
         # displacement tables: row _table_rows[t] of _tables is time t
         self._table_lock = threading.Lock()
         self._table_rows: dict[float, int] = {}
@@ -437,21 +435,6 @@ class FlowEngine:
     # scalar interface
     # ------------------------------------------------------------------
 
-    def _sample(self, t: float, x: float) -> tuple[float, float, float, float]:
-        key = (t, x)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if t == 0.0:
-            out = (x, 1.0, 0.0, 0.0)
-        else:
-            yf, err = self._solve(np.array([t]), np.array([x]), 2)
-            out = (float(yf[0, 0]), float(yf[1, 0]), float(yf[2, 0]), err)
-        if len(self._cache) > 1_000_000:
-            self._cache.clear()
-        self._cache[key] = out
-        return out
-
     def _check_args(self, t: float, x: float) -> None:
         if not 0.0 <= x <= 1.0:
             raise DomainError(f"position {x!r} outside [0,1]")
@@ -459,24 +442,25 @@ class FlowEngine:
             raise DomainError(f"flow time {t!r} outside [-1,1]")
 
     def flow(self, t: float, x: float) -> FlowSample:
-        """phi_t(x) together with both variations and the error proxy."""
+        """phi_t(x), both variations and the error proxy: one uncached solve."""
         self._check_args(t, x)
-        y, d1, d2, err = self._sample(float(t), float(x))
-        return FlowSample(t=float(t), x=float(x), y=y, d1=d1, d2=d2, err=err)
+        t, x = float(t), float(x)
+        if t == 0.0:
+            return FlowSample(t=t, x=x, y=x, d1=1.0, d2=0.0, err=0.0)
+        yf, err = self._solve(np.array([t]), np.array([x]), 2)
+        return FlowSample(t=t, x=x, y=float(yf[0, 0]), d1=float(yf[1, 0]),
+                          d2=float(yf[2, 0]), err=err)
 
     def flow_position(self, t: float, x: float) -> float:
-        self._check_args(t, x)
-        return self._sample(float(t), float(x))[0]
+        return self.flow(t, x).y
 
     def flow_derivative(self, t: float, x: float) -> float:
         """phi_t'(x), from the first variational equation."""
-        self._check_args(t, x)
-        return self._sample(float(t), float(x))[1]
+        return self.flow(t, x).d1
 
     def flow_second_derivative(self, t: float, x: float) -> float:
         """phi_t''(x), from the second variational equation."""
-        self._check_args(t, x)
-        return self._sample(float(t), float(x))[2]
+        return self.flow(t, x).d2
 
     # ------------------------------------------------------------------
     # rectified-time route (independent oracle)

@@ -193,7 +193,7 @@ def _mean_value_width(cmap: CookieMap, k: np.ndarray, x: np.ndarray,
     """
     mean = np.zeros_like(w)
     for node, weight in zip(WIDTH_NODES, WIDTH_WEIGHTS):
-        _, log_slope = cmap.backward_flow(k, x + node * w)
+        _, log_slope = cmap.block_flow(-1.0, k, x + node * w)
         mean += weight * np.exp(log_slope)
     return w * mean
 
@@ -266,7 +266,7 @@ class IntervalSet:
         common = ~anch
         k = cmap.schedule.blocks(self.n + 1)
         # anchored rows move their right endpoint, the others their left
-        y, _ = cmap.backward_flow(k, np.where(anch, self.u_hi, self.u_lo))
+        y, _ = cmap.block_flow(-1.0, k, np.where(anch, self.u_hi, self.u_lo))
         u_lo_new = np.where(anch, self.u_lo, y)
         d_new = np.array(self.d, copy=True)
         narrow = common & (self.d <= WIDTH_RULE_MAX)

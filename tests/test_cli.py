@@ -32,6 +32,28 @@ def test_certify_csv(capsys):
     assert len(rows) == 1 and rows[0]["ok"] == "True"
 
 
+# every subcommand at its smallest size, with the CSV header it advertises
+CSV_RUNS = [
+    (["certify", "--grid", "1024"], ["T", "M", "B1", "tol", "grid", "ok"]),
+    (["verify-lemmas", "--depth", "1"],
+     ["check", "residual", "pass", "min_slack"]),
+    (["distortion", "--depth", "1", "--grid", "33"], ["k", "C_k", "C_theory"]),
+    (["sbd", "--k", "2"], ["k", "ratio", "limit_ratio", "image_log_size"]),
+    (["sbd-profile", "--depth", "1", "--grid", "33"], ["r", "beta_hat"]),
+    (["dimension", "--depth", "1"], ["depth", "method", "s", "s_lower", "s_upper"]),
+    (["intervals", "--depth", "1"], ["word", "left", "right", "log_size"]),
+]
+
+
+@pytest.mark.parametrize("argv, header", CSV_RUNS, ids=[a[0] for a, _ in CSV_RUNS])
+def test_every_subcommand_writes_csv(capsys, argv, header):
+    code, out = run_cli(capsys, "--format", "csv", *argv)
+    assert code == 0
+    lines = list(csv.reader(io.StringIO(out)))
+    assert lines[0] == header
+    assert len(lines) > 1 and all(len(line) == len(header) for line in lines)
+
+
 def test_certify_bad_grid_is_usage_error(capsys):
     code, _ = run_cli(capsys, "certify", "--grid", "0")
     assert code == 64

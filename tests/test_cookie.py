@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcutter import (DomainError, EscapeError, Locus, ScaledPoint,
-                        TimeSchedule, affine_A, affine_B, interval_J)
+from flowcutter import (DomainError, EscapeError, Locus, PointBatch,
+                        ScaledPoint, TimeSchedule, affine_A, affine_B,
+                        interval_J)
 from flowcutter.cookie import LN3
 
 
@@ -232,6 +233,30 @@ def test_iterate_window_factorization(cmap):
         assert r.point.locus is Locus.INJ and r.point.n == 0
         assert r.point.raw == pytest.approx(
             affine_B(1, cmap.engine.flow_position(s_n, u)), abs=1e-11)
+
+
+def test_forward_and_backward_tables_are_inverse(cmap):
+    # J_0 points pulled back through 0^n by inverse_batch and carried
+    # forward n steps by iterate: the backward and forward tables of every
+    # block must undo each other, in position and in the log slope
+    rng = np.random.default_rng(3)
+    u = np.concatenate([rng.uniform(0.0, 1.0, 200),
+                        [0.0, 1.0, 0.0013, 0.9987, 0.5]])
+    batch = PointBatch.from_points(ScaledPoint.in_window(0, x) for x in u)
+    extras = np.zeros(u.size)
+    worst_u = worst_log = 0.0
+    for n in range(1, 101):
+        batch, extra = cmap.inverse_batch(0, batch)
+        extras += extra
+        if n not in (1, 2, 7, 8, 100):
+            continue
+        for i in range(u.size):
+            r = cmap.iterate(batch.point(i), n)
+            assert r.point.locus is Locus.INJ and r.point.n == 0
+            worst_u = max(worst_u, abs(r.point.u - u[i]))
+            worst_log = max(worst_log, abs(r.log_extra - extras[i]))
+    assert worst_u <= 1e-15
+    assert worst_log <= 1e-14
 
 
 def test_iterate_escape_reports_first_exit(cmap):

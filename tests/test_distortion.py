@@ -8,6 +8,7 @@ from flowcutter import (CookieMap, DomainError, FlowEngine, SizeBoundReport, Sca
                         theoretical_bound)
 from flowcutter.distortion import (_PointGrid, _compose_extras, _grid_extrema,
                                    _refine_extrema)
+from flowcutter import flow as flow_module
 from flowcutter.optimize import golden_max, golden_min
 from flowcutter.symbolic import word_levels
 
@@ -165,6 +166,28 @@ def test_witness_extremizers(cmap):
     _, v = cmap.engine.evolve(cmap.constants.T, axis, order=1)
     assert da >= v.max() - 1e-12
     assert db <= v.min() + 1e-12
+
+
+def test_iterate_and_witness_are_pure(cmap, monkeypatch):
+    # a fresh map has an engine with no tables built; its orbits and
+    # witnesses must repeat the shared, warmed map's bits in either order
+    p = ScaledPoint.in_window(20, 0.37)
+
+    def run(m):
+        return sbd_witness(m, 2), sbd_witness(m, 4), m.iterate(p, 20)
+
+    fresh_first = run(CookieMap(cmap.constants))
+    warm = run(cmap)
+    fresh_last = run(CookieMap(cmap.constants))
+    assert fresh_first == warm == fresh_last
+    for w in warm[:2]:
+        assert type(w.alpha) is float and type(w.beta) is float
+    # once their tables exist, neither starts an ODE solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("ODE solve on the table path")
+
+    monkeypatch.setattr(flow_module, "integrate_unit_interval", no_solve)
+    assert run(cmap) == warm
 
 
 def test_witness_validation(cmap):
