@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cookie import CookieMap
 from .errors import BoundViolationError, DepthCapError, DomainError
@@ -41,8 +40,19 @@ def certified_bracket(constants) -> tuple[float, float]:
 
 
 def pressure_sum(log_sizes: np.ndarray, s: float) -> float:
-    """log of sum_w |I_w|^s, stable at any depth."""
-    return float(logsumexp(s * log_sizes))
+    """log of sum_w |I_w|^s, stable at any depth.
+
+    The shifted log-sum-exp as scipy.special.logsumexp computes it, and
+    bitwise equal to it: the m terms equal to the maximum a_max are
+    taken out of the sum, the rest summed as exp(a - a_max) and divided
+    by m, and the result is log1p(sum) + log(m) + a_max.
+    """
+    a = s * np.asarray(log_sizes, dtype=np.float64)
+    a_max = np.max(a)
+    top = a == a_max
+    m = np.float64(np.count_nonzero(top))
+    rest = np.sum(np.exp(np.where(top, -np.inf, a) - a_max)) / m
+    return float(np.log1p(rest) + np.log(m) + a_max)
 
 
 def pressure_root(log_sizes: np.ndarray, tol: float = 1e-10) -> float:

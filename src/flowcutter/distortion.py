@@ -33,7 +33,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .cookie import LN3, CookieMap, interval_J
 from .errors import BoundViolationError, DepthCapError, DomainError
@@ -260,10 +259,26 @@ def _refine_extrema(cmap: CookieMap, word_ints: np.ndarray,
 # ----------------------------------------------------------------------
 
 def _window_spread(extra: np.ndarray, window_cells: int) -> float:
-    """Largest max-minus-min of extra over index windows of the given span."""
-    size = window_cells + 1
-    hi = maximum_filter1d(extra, size=size, axis=1, mode="nearest")
-    lo = minimum_filter1d(extra, size=size, axis=1, mode="nearest")
+    """Largest max-minus-min of extra over index windows of the given span.
+
+    Each row is scanned with windows of window_cells + 1 consecutive
+    entries, or the whole row when it is shorter. Window maxima and minima
+    come from doubling: the extrema over spans of 1, 2, 4, ... entries,
+    and a window's extremum as that of two overlapping power-of-two spans.
+    Only comparisons are involved, so the result is exact, and equal to the
+    spread of a "nearest"-mode max/min filter: a window clipped at a row's
+    end is a subset of a full window.
+    """
+    size = min(window_cells + 1, extra.shape[1])
+    hi = lo = extra
+    span = 1
+    while 2 * span <= size:
+        hi = np.maximum(hi[:, :-span], hi[:, span:])
+        lo = np.minimum(lo[:, :-span], lo[:, span:])
+        span *= 2
+    shift = size - span
+    hi = np.maximum(hi[:, :hi.shape[1] - shift], hi[:, shift:])
+    lo = np.minimum(lo[:, :lo.shape[1] - shift], lo[:, shift:])
     return float(np.max(hi - lo))
 
 

@@ -26,7 +26,9 @@ Three evaluation routes are provided:
   certification, and is the oracle the tables are measured against;
 * the rectified-time route: tau(x) = integral_{1/2}^x du / X(u) by adaptive
   quadrature, inverted by bracketed root finding, which turns the flow into
-  a shift tau^{-1}(tau(x) + t).
+  a shift tau^{-1}(tau(x) + t). It is the package's only use of scipy
+  (quad and brentq), imported on its first call, so that importing the
+  package and certifying load no scipy subpackage.
 
 The last two share no code beyond the field formula, so their agreement is
 a real accuracy check rather than a tautology.
@@ -39,8 +41,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import CertificationError, DomainError, SolverError
 from .integrate import integrate_unit_interval
@@ -104,7 +104,9 @@ def _field_arrays(x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
         d1 = np.where(live, h * speed, 0.0)
         if order == 1:
             return (speed, d1)
-        hp = -2.0 / (g * g) + 2.0 * s ** 2 / (g ** 3)
+        # g * g * g, not g ** 3: the power is a libm pow call per point,
+        # most of the cost of an order-2 kernel call
+        hp = -2.0 / (g * g) + 2.0 * s ** 2 / (g * g * g)
         d2 = np.where(live, (hp + h * h) * speed, 0.0)
     return (speed, d1, d2)
 
@@ -272,14 +274,19 @@ class FlowEngine:
 
         times is a short sequence of flow times, which an integer array of
         indices into it (one per point) and x the positions in [0,1]. A
-        time's table is built on its first use. Each point costs one
+        time's table is built the first time a point reads it; a listed
+        time that no point reads gets none. Each point costs one
         gather of its cell's two knots from the (times x knots) array, the
         Hermite cubic in the exact cell offset, and the closed-form log
         slope; no step controller is shared, so the results are bitwise the
         same whatever batch a point is evaluated in.
         """
-        rows = np.array([self._table_row(float(t)) for t in times],
-                        dtype=np.intp)
+        rows = [self._table_rows.get(float(t)) for t in times]
+        if None in rows:
+            read = np.bincount(np.ravel(which), minlength=len(rows)) > 0
+            rows = [self._table_row(float(t)) if r else 0
+                    for t, r in zip(times, read)]
+        rows = np.array(rows, dtype=np.intp)
         x = np.asarray(x, dtype=np.float64)
         cell, theta = _cells(x)
         knots = self._tables[rows[which][..., None], cell[..., None] + _ENDS]
@@ -478,12 +485,16 @@ class FlowEngine:
                 f"time coordinate needs x in [{lo}, {1 - lo}], got {x!r}")
         if x == 0.5:
             return 0.0
+        from scipy.integrate import quad
+
         val, _ = quad(lambda u: math.exp(-1.0 / (u * (u - 1.0))),
                       0.5, x, epsabs=0.0, epsrel=1e-13, limit=400)
         return val
 
     def invert_time_coordinate(self, theta: float, lo: float, hi: float) -> float:
         """Solve tau(y) = theta for y in [lo, hi] by bracketed root finding."""
+        from scipy.optimize import brentq
+
         f = lambda y: self.time_coordinate(y) - theta
         return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
 
@@ -515,6 +526,11 @@ class FlowEngine:
         for dyadic |t| <= T. M is 1.05 times the grid supremum of
         |phi_t''| over t in {+-1, +-1/2, +-1/4, +-1/8}.
 
+        Each distinct flow time is solved once, at order 2 if M reads it
+        and order 1 otherwise, and the slope check reads phi_t' from that
+        solve. With T = 1 the eight curvature times are also slope times,
+        so the ten slope times cost ten solves in all.
+
         Raises CertificationError if the 2/3 bound fails anywhere.
         """
         if grid_n < 1024:
@@ -536,21 +552,22 @@ class FlowEngine:
 
         T = min(1.0, math.log(1.5) / b1)
 
-        dyadic = [T / 2 ** j for j in range(5)]
-        for tv in dyadic:
-            for sgn in (1.0, -1.0):
-                _, v = self.evolve(sgn * tv, grid, order=1)
-                vmin = float(v.min())
-                if vmin < 2.0 / 3.0:
-                    raise CertificationError(
-                        f"slope bound failed: phi'_{sgn * tv:g} min {vmin} < 2/3")
+        slope_times = [sgn * T / 2 ** j for j in range(5) for sgn in (1.0, -1.0)]
+        curvature_times = [sgn * tv for tv in (1.0, 0.5, 0.25, 0.125)
+                           for sgn in (1.0, -1.0)]
+        orders = dict.fromkeys(slope_times, 1)
+        orders.update(dict.fromkeys(curvature_times, 2))
+        solved = {t: self.evolve(t, grid, order=order)
+                  for t, order in orders.items()}
 
-        sup_w = 0.0
-        for tv in (1.0, 0.5, 0.25, 0.125):
-            for sgn in (1.0, -1.0):
-                _, _, w = self.evolve(sgn * tv, grid, order=2)
-                sup_w = max(sup_w, float(np.max(np.abs(w))))
-        M = 1.05 * sup_w
+        for t in slope_times:
+            vmin = float(solved[t][1].min())
+            if vmin < 2.0 / 3.0:
+                raise CertificationError(
+                    f"slope bound failed: phi'_{t:g} min {vmin} < 2/3")
+
+        M = 1.05 * max(float(np.max(np.abs(solved[t][2])))
+                       for t in curvature_times)
 
         return FlowConstants(T=T, M=M, B1=b1, tol=self.tol, grid_n=grid_n)
 

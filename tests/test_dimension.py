@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from flowcutter import (DepthCapError, DomainError, bowen_dimension,
@@ -40,6 +41,15 @@ def test_pressure_is_strictly_decreasing(cmap):
     logs = interval_table(cmap, 8).log_sizes()
     probes = [pressure_sum(logs, s) for s in (0.2, 0.5, 0.8)]
     assert probes[0] > probes[1] > probes[2]
+
+
+def test_pressure_sum_matches_scipy_logsumexp(cmap):
+    logsumexp = pytest.importorskip("scipy.special").logsumexp
+    logs = interval_table(cmap, 16).log_sizes()
+    ties = np.array([-2.5, -1.0, -1.0, -7.0, -1.0, -30.0])
+    for sizes in (logs, ties, np.array([-3.25]), np.full(5, -0.75)):
+        for s in (0.0, 0.2, 0.5, 0.6310053, 0.8, 1.0):
+            assert pressure_sum(sizes, s) == float(logsumexp(s * sizes))
 
 
 def test_estimates_stabilize_with_depth(cmap):

@@ -7,7 +7,7 @@ from flowcutter import (CookieMap, DomainError, FlowEngine, SizeBoundReport, Sca
                         distortion, audit_interval_sizes, sbd_profile, sbd_witness,
                         theoretical_bound)
 from flowcutter.distortion import (_PointGrid, _compose_extras, _grid_extrema,
-                                   _refine_extrema)
+                                   _refine_extrema, _window_spread)
 from flowcutter import flow as flow_module
 from flowcutter.optimize import golden_max, golden_min
 from flowcutter.symbolic import word_levels
@@ -190,6 +190,26 @@ def test_iterate_and_witness_are_pure(cmap, monkeypatch):
     assert run(cmap) == warm
 
 
+def test_witness_builds_only_the_tables_it_reads(cmap):
+    # the order-6 orbit reads the forward table of block 6 (t = T/64) and
+    # the witness scan that of t = T; block 5 (t = -T/32) is never read
+    T = cmap.constants.T
+    fresh = CookieMap(cmap.constants)
+    got = sbd_witness(fresh, 6)
+    assert -T / 32 not in fresh.engine._table_rows
+    assert got == sbd_witness(cmap, 6)
+    # a sparse set of block indices builds only its own tables and reads
+    # the same values as on a map that holds every table
+    k = np.array([6, 2, 6, 0, 2])
+    u = np.linspace(0.1, 0.9, k.size)
+    dense = [cmap.schedule.flow_time(1 << j) for j in range(7)]
+    cmap.engine.table_flow(dense, np.arange(7), np.full(7, 0.5))
+    want = cmap.engine.table_flow(dense, k, u)
+    for a, b in zip(fresh.block_flow(1.0, k, u), want):
+        assert np.array_equal(a, b)
+    assert set(fresh.engine._table_rows) == {dense[0], dense[2], dense[6]}
+
+
 def test_witness_validation(cmap):
     with pytest.raises(DomainError):
         sbd_witness(cmap, 3)
@@ -213,6 +233,26 @@ def test_scale_cancellation_identity(cmap):
 # ----------------------------------------------------------------------
 # profile search
 # ----------------------------------------------------------------------
+
+def _filter_spread(extra, window_cells):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    size = window_cells + 1
+    hi = ndimage.maximum_filter1d(extra, size=size, axis=1, mode="nearest")
+    lo = ndimage.minimum_filter1d(extra, size=size, axis=1, mode="nearest")
+    return float(np.max(hi - lo))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 29, 86, 300])
+def test_window_spread_matches_scipy_filters(cmap, size):
+    rng = np.random.default_rng(size)
+    rows = [rng.standard_normal((5, 257)), rng.standard_normal((3, 40)),
+            rng.integers(-3, 4, (4, 257)).astype(np.float64),
+            np.cumsum(rng.random((2, 257)), axis=1)]
+    levels = word_levels(_PointGrid.root(257), cmap, 6)
+    rows.append(list(levels)[-1].extra)
+    for extra in rows:
+        assert _window_spread(extra, size - 1) == _filter_spread(extra, size - 1)
+
 
 def test_profile_unit_scale_equals_sweep_max(cmap):
     k_max = 5

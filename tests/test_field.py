@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flowcutter import DomainError, vector_field
-from flowcutter.flow import _field_arrays, _field_difference
+from flowcutter.flow import _exponent, _field_arrays, _field_difference
 
 
 def test_endpoints_are_exact_zeros():
@@ -119,3 +119,37 @@ def test_kernel_is_batch_independent_and_warning_free():
         assert comp.tobytes() == rev.tobytes() == one.tobytes()
         assert comp[~live].tobytes() == np.zeros(len(dead_x)).tobytes()
     assert np.all(whole[0][live] > 0.0)
+
+
+def _pow_kernel_d2(x):
+    # X'' as the kernel computed it with a libm power: 2 s^2 / g ** 3
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g, e, live = _exponent(x)
+        speed = np.exp(np.where(live, e, -np.inf))
+        s = 2.0 * x - 1.0
+        h = -s / (g * g)
+        hp = -2.0 / (g * g) + 2.0 * s ** 2 / (g ** 3)
+        return np.where(live, (hp + h * h) * speed, 0.0)
+
+
+def test_second_derivative_against_30_digit_oracle():
+    # X'' = (h' + h^2) X with h = -s/g^2, h' = -2/g^2 + 2 s^2/g^3, g = x(x-1),
+    # s = 2x - 1, evaluated at 30 digits; g * g * g must lose nothing
+    # against the power it replaced
+    mp = pytest.importorskip("mpmath").mp
+    xs = np.linspace(0.003, 0.997, 1501)
+    kernels = {"product": _field_arrays(xs, 2)[2], "pow": _pow_kernel_d2(xs)}
+    errors = {name: [] for name in kernels}
+    with mp.workdps(30):
+        for i, x in enumerate(xs):
+            x = mp.mpf(float(x))
+            g, s = x * (x - 1), 2 * x - 1
+            h = -s / g ** 2
+            want = (-2 / g ** 2 + 2 * s ** 2 / g ** 3 + h * h) * mp.exp(1 / g)
+            for name, got in kernels.items():
+                errors[name].append(float(abs(mp.mpf(float(got[i])) / want - 1)))
+    worst = {name: max(e) for name, e in errors.items()}
+    median = {name: float(np.median(e)) for name, e in errors.items()}
+    print(f"X'' vs 30-digit oracle: max {worst}, median {median}")
+    assert worst["product"] <= worst["pow"] <= 2e-13
+    assert median["product"] <= median["pow"]

@@ -7,6 +7,10 @@ path under test.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +133,27 @@ def test_time_coordinate_basics(engine):
     assert engine.time_coordinate(0.4) < 0.0
     with pytest.raises(DomainError):
         engine.time_coordinate(0.0005)
+
+
+def test_scipy_stays_off_the_import_path():
+    # import and certification load none of the scipy subpackages; the
+    # rectified-time route imports scipy.integrate on first use
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    script = (
+        "import sys\n"
+        "import flowcutter\n"
+        "cmap = flowcutter.CookieMap.certified()\n"
+        "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.special',\n"
+        "         'scipy.ndimage')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "print(cmap.engine.time_coordinate(0.6) > 0.0)\n"
+        "print('scipy.integrate' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:3] == ["[]", "True", "True"]
 
 
 def test_flow_against_time_coordinate_route(engine):
