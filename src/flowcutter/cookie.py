@@ -311,64 +311,70 @@ class CookieMap:
         literally 3x there) and are reported as such. Every quotient is
         evaluated in scaled coordinates, so steps far below the raw float
         resolution of a window are still meaningful.
+
+        The flowed points take three positions-only ODE solves
+        (FlowEngine.evolve at order 0), one per family: the seam points of
+        J_n, the window points right of 0 at the raw steps, and the window
+        midpoints. The tables are not read, so this is a cross-route check.
         """
         if n < 0:
             raise DomainError(f"window index must be >= 0, got {n}")
         if h_min <= 0.0:
             raise DomainError("h_min must be positive")
-        rows: list[C1Quotient] = []
         steps = []
         h = 1e-2
         while h >= h_min * (1.0 - 1e-12):
             steps.append(h)
             h /= 10.0
 
-        pow3np1 = float(3 ** (n + 1))
-        for h in steps:
+        # seam points of J_n: x - h at u = 1 - du, x + h at u = du
+        du = np.array(steps) * float(3 ** (n + 1))
+        seam = du[du <= 1.0] if n >= 1 else du[:0]
+        t_n = self.schedule.flow_time(n) if n >= 1 else 0.0
+        y = self.engine.evolve(t_n, np.concatenate([1.0 - seam, seam]),
+                               order=0)[0]
+        left = iter((3.0 * (1.0 - y[:seam.size]) / seam).tolist())
+        right = iter((3.0 * y[seam.size:] / seam).tolist())
+
+        # right of 0 at the raw step h: a gap, or a window point to flow
+        probes = [ScaledPoint.from_raw(h) for h in steps]
+        deep = [p for p in probes if p.locus is Locus.INJ and p.n >= 1]
+        u0 = np.array([p.u for p in deep])
+        y = self.engine.evolve(self.schedule.flow_times(
+            np.array([p.n for p in deep], dtype=np.int64)), u0, order=0)[0]
+        zero = iter((3.0 * (y + 2.0) / (u0 + 2.0)).tolist())
+
+        rows: list[C1Quotient] = []
+        for h, d, p in zip(steps, du.tolist(), probes):
             if n >= 1:
-                # left-sided at 1/3^n: x - h sits at u = 1 - h 3^(n+1) in J_n
-                du = h * pow3np1
-                if du <= 1.0:
-                    t = self.schedule.flow_time(n)
-                    y = self.engine.flow_position(t, 1.0 - du)
-                    q = 3.0 * (1.0 - y) / du
-                    rows.append(C1Quotient(f"1/3^{n}", "left", h, q))
+                if d <= 1.0:
+                    rows.append(C1Quotient(f"1/3^{n}", "left", h, next(left)))
                 # right-sided at 1/3^n lands in the gap where F = 3x;
                 # for n = 1 the right side is the hole, outside the domain
-                if n >= 2 and du < 1.0:
+                if n >= 2 and d < 1.0:
                     rows.append(C1Quotient(f"1/3^{n}", "right", h, 3.0))
-                # right-sided at 2/3^(n+1): x + h sits at u = h 3^(n+1)
-                if du <= 1.0:
-                    t = self.schedule.flow_time(n)
-                    y = self.engine.flow_position(t, du)
-                    q = 3.0 * y / du
-                    rows.append(C1Quotient(f"2/3^{n + 1}", "right", h, q))
-                if du < 1.0:
+                if d <= 1.0:
+                    rows.append(C1Quotient(f"2/3^{n + 1}", "right", h,
+                                           next(right)))
+                if d < 1.0:
                     rows.append(C1Quotient(f"2/3^{n + 1}", "left", h, 3.0))
             else:
                 # J_0 = [2/3, 1]: the branch is affine, quotients are exact
                 rows.append(C1Quotient("1", "left", h, 3.0))
                 rows.append(C1Quotient("2/3", "right", h, 3.0))
-            # right-sided at 0 with the raw step h (lands in a gap or window)
-            p = ScaledPoint.from_raw(h)
             if p.locus is Locus.GAP:
                 rows.append(C1Quotient("0", "right", h, 3.0))
             elif p.locus is Locus.INJ and p.n >= 1:
-                t = self.schedule.flow_time(p.n)
-                y = self.engine.flow_position(t, p.u)
-                q = 3.0 * (y + 2.0) / (p.u + 2.0)
-                rows.append(C1Quotient("0", "right", h, q))
+                rows.append(C1Quotient("0", "right", h, next(zero)))
 
         # window-midpoint family at 0: h = midpoint of J_m, m doubling;
         # convergence here is paced by t_m ~ T / m, the slow direction
-        midpoint_rows: list[C1Quotient] = []
-        m = 1
-        while m <= 1 << 13:
-            t = self.schedule.flow_time(m)
-            y = self.engine.flow_position(t, 0.5)
-            q = 3.0 * (y + 2.0) / 2.5
-            midpoint_rows.append(C1Quotient("0", "right-midpoints", float(m), q))
-            m *= 2
+        m = 1 << np.arange(14, dtype=np.int64)
+        y = self.engine.evolve(self.schedule.flow_times(m),
+                               np.full(m.shape, 0.5), order=0)[0]
+        midpoint_rows = [
+            C1Quotient("0", "right-midpoints", float(mi), q)
+            for mi, q in zip(m.tolist(), (3.0 * (y + 2.0) / 2.5).tolist())]
         return C1BoundaryReport(n=n, rows=rows, midpoint_rows=midpoint_rows)
 
 

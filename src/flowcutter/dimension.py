@@ -80,8 +80,11 @@ def box_dimension(cmap: CookieMap, depth: int) -> float:
 
     The depth-j cover uses all 2^j basic intervals at mesh eps_j = their
     largest width; convergence is only first order in depth, so this is a
-    cross-check, not the headline number.
+    cross-check, not the headline number. A line needs two covers, so depth
+    must be at least 2.
     """
+    if depth < 2:
+        raise DomainError(f"box dimension needs depth >= 2, got {depth}")
     log_n = []
     log_inv_eps = []
     for j, table in enumerate(word_levels(IntervalSet.root(), cmap, depth), 1):

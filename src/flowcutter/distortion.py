@@ -36,7 +36,7 @@ import numpy as np
 
 from .cookie import LN3, CookieMap, interval_J
 from .errors import BoundViolationError, DepthCapError, DomainError
-from .optimize import INV_PHI, INV_PHI_SQ, golden_max, golden_min
+from .optimize import golden_max
 from .scaled import PointBatch, ScaledPoint
 from .symbolic import IntervalSet, Word, pull_back_word, word_levels
 
@@ -50,6 +50,9 @@ SIZE_AUDIT_CAP = 20
 DEFAULT_SCALES = (1.0, 3.0, 9.0, 27.0, 81.0)
 
 _WITNESS_ORDERS = (2, 4, 6)
+# golden-section steps on the witness's two-cell brackets (width 2/4096):
+# they shrink to 1.2e-13, the resolution of a tol-1e-13 search
+_WITNESS_GOLDEN_STEPS = 46
 
 
 # ----------------------------------------------------------------------
@@ -203,12 +206,12 @@ def _refine_extrema(cmap: CookieMap, word_ints: np.ndarray,
 
     Row r is the word word_ints[r] of length depths[r], with its grid
     extrema (cells, values) from _grid_extrema. Brackets are the one-cell
-    neighborhoods of the grid extrema in the normalized coordinate; every
-    word of every depth of a shard advances in lockstep, one batched
-    evaluation per iteration, with shorter words left-padded so that each
-    composes through exactly its own symbols. Maximum and minimum tasks
-    ride in the same batch with opposite signs. The result is never below
-    the grid value it refines.
+    neighborhoods of the grid extrema in the normalized coordinate; one
+    optimize.golden_max call searches them all in lockstep, so every word
+    of every depth of a shard shares one batched evaluation per iteration,
+    with shorter words left-padded so that each composes through exactly
+    its own symbols. Maximum and minimum tasks ride in the same batch with
+    opposite signs. The result is never below the grid value it refines.
     """
     grid_hi, grid_lo = values
     if iters <= 0:
@@ -217,38 +220,16 @@ def _refine_extrema(cmap: CookieMap, word_ints: np.ndarray,
     s_axis = np.linspace(0.0, 1.0, grid)
     cells = cells.ravel()
     sign = np.concatenate([np.ones(rows), -np.ones(rows)])
-    a = s_axis[np.maximum(cells - 1, 0)]
-    b = s_axis[np.minimum(cells + 1, grid - 1)]
 
     shifts = np.arange(int(depths.max()) - 1, -1, -1, dtype=np.int64)
     symbols = ((word_ints[:, None] >> shifts[None, :]) & 1).astype(np.int8)
     symbols[shifts[None, :] >= depths[:, None]] = -1
     symbols = np.vstack([symbols, symbols])
 
-    def evaluate(points):
-        return sign * _compose_extras(cmap, symbols, points)
-
-    h = b - a
-    x1 = a + INV_PHI_SQ * h
-    x2 = a + INV_PHI * h
-    f1 = evaluate(x1)
-    f2 = evaluate(x2)
-    for _ in range(iters):
-        take = f1 > f2                      # keep the left subinterval
-        b = np.where(take, x2, b)
-        a = np.where(take, a, x1)
-        h = b - a
-        cand1 = a + INV_PHI_SQ * h
-        cand2 = a + INV_PHI * h
-        probe = np.where(take, cand1, cand2)
-        f_probe = evaluate(probe)
-        x1, x2, f1, f2 = (
-            np.where(take, cand1, x2),
-            np.where(take, x1, cand2),
-            np.where(take, f_probe, f2),
-            np.where(take, f1, f_probe),
-        )
-    best = np.maximum(f1, f2)
+    _, best = golden_max(
+        lambda points: sign * _compose_extras(cmap, symbols, points),
+        s_axis[np.maximum(cells - 1, 0)],
+        s_axis[np.minimum(cells + 1, grid - 1)], iters)
     hi = np.maximum(grid_hi, best[:rows])
     lo = np.minimum(grid_lo, -best[rows:])
     return hi, lo
@@ -450,9 +431,10 @@ def sbd_witness(cmap: CookieMap, k: int) -> SbdWitness:
     For even k, F^(2^k) maps J_{2^(k+1)-1} onto J_{2^k-1} as an affine
     conjugate of the time-T flow, so its distortion equals the distortion
     of phi_T on [0,1] no matter how small the image window is. alpha and
-    beta are canonicalized as the extremizers of log phi_T', located by a
-    grid scan plus golden section on the time-T table; the orbits run on
-    the forward tables (CookieMap.iterate), so no ODE solve once they exist.
+    beta are canonicalized as the extremizers of log phi_T' on the time-T
+    table: a grid scan brackets each, and one golden_max call refines both,
+    the minimum as the maximum of -log phi_T'. The orbits run on the
+    forward tables (CookieMap.iterate), so no ODE solve once they exist.
     """
     if k % 2 != 0:
         raise DomainError(f"witness order must be even (odd orders flow by -T), got {k}")
@@ -461,21 +443,16 @@ def sbd_witness(cmap: CookieMap, k: int) -> SbdWitness:
     T = cmap.constants.T
 
     def log_slope(z):
-        z = np.atleast_1d(z)
         return cmap.engine.table_flow([T], np.zeros(z.shape, np.intp), z)[1]
 
     axis = np.linspace(0.0, 1.0, 4097)
     scan = log_slope(axis)
-    cell = 1.0 / 4096.0
-
-    def bracket(i):
-        x = float(axis[i])
-        return max(0.0, x - cell), min(1.0, x + cell)
-
-    alpha, v_alpha = golden_max(lambda z: float(log_slope(z)[0]),
-                                *bracket(int(np.argmax(scan))), tol=1e-13)
-    beta, v_beta = golden_min(lambda z: float(log_slope(z)[0]),
-                              *bracket(int(np.argmin(scan))), tol=1e-13)
+    ends = np.array([np.argmax(scan), np.argmin(scan)])
+    sign = np.array([1.0, -1.0])
+    x, v = golden_max(lambda z: sign * log_slope(z),
+                      axis[np.maximum(ends - 1, 0)],
+                      axis[np.minimum(ends + 1, 4096)], _WITNESS_GOLDEN_STEPS)
+    alpha, beta = x.tolist()
 
     steps = 1 << k
     window = (steps << 1) - 1            # 2^(k+1) - 1
@@ -488,7 +465,7 @@ def sbd_witness(cmap: CookieMap, k: int) -> SbdWitness:
         image=interval_J(steps - 1),
         image_log_size=-steps * LN3,
         measured_ratio=measured,
-        limit_ratio=math.exp(v_alpha - v_beta),
+        limit_ratio=math.exp(v[0] + v[1]),     # v[1] = -log phi_T'(beta)
         alpha=alpha,
         beta=beta,
     )

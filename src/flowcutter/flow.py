@@ -20,10 +20,13 @@ Three evaluation routes are provided:
   log phi_t'(x) follows from delta in closed form, so each result is a pure
   function of (t, x), whatever batch it is computed in;
 * the variational route: integrate y' = X(y) jointly with v' = X'(y) v and
-  w' = X''(y) v^2 + X'(y) w using the adaptive stepper. It serves arbitrary
-  times, the scalar lookups (each an uncached one-column solve), the few
-  interval widths too wide for the mean-value rule (evolve_interval) and
-  certification, and is the oracle the tables are measured against;
+  w' = X''(y) v^2 + X'(y) w using the adaptive stepper, in batches
+  (evolve) or one column at a time (flow). It serves certification, the
+  junction check (CookieMap.check_c1_boundary, three positions-only
+  batches per report), the few interval widths too wide for the
+  mean-value rule (evolve_interval) and the scalar lookups that
+  CookieMap.apply and its derivatives keep as cross-route checks, and is
+  the oracle the tables are measured against;
 * the rectified-time route: tau(x) = integral_{1/2}^x du / X(u) by adaptive
   quadrature, inverted by bracketed root finding, which turns the flow into
   a shift tau^{-1}(tau(x) + t). It is the package's only use of scipy
@@ -65,6 +68,9 @@ TABLE_CELLS = 1 << 14
 # bound, in the displacement and in the log slope.
 TABLE_CHECK = 1e-14
 _ENDS = np.array([0, 1])   # a cell's left and right knot
+# Golden-section steps of the B1 search on four-cell brackets (width
+# 4/4096): they shrink to 1.3e-14, the resolution of a tol-1e-14 search.
+_B1_GOLDEN_STEPS = 52
 
 
 def _exponent(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -519,12 +525,12 @@ class FlowEngine:
     def certify(self, grid_n: int = 4096) -> FlowConstants:
         """Compute and verify the constants T, M, B1.
 
-        B1 maximizes |X'| over a uniform grid, refined by golden section
-        around the two interior critical points of X' (symmetric about
-        1/2). T = min(1, ln(3/2)/B1) then guarantees exp(T B1) <= 3/2, and
-        the slope bound phi_t' >= 2/3 is verified pointwise on the grid
-        for dyadic |t| <= T. M is 1.05 times the grid supremum of
-        |phi_t''| over t in {+-1, +-1/2, +-1/4, +-1/8}.
+        B1 maximizes |X'| over a uniform grid, refined by one lockstep
+        golden-section search around the two interior critical points of
+        X' (symmetric about 1/2). T = min(1, ln(3/2)/B1) then guarantees
+        exp(T B1) <= 3/2, and the slope bound phi_t' >= 2/3 is verified
+        pointwise on the grid for dyadic |t| <= T. M is 1.05 times the grid
+        supremum of |phi_t''| over t in {+-1, +-1/2, +-1/4, +-1/8}.
 
         Each distinct flow time is solved once, at order 2 if M reads it
         and order 1 otherwise, and the slope check reads phi_t' from that
@@ -542,13 +548,12 @@ class FlowEngine:
         i = int(np.argmax(absd1))
         dx = 1.0 / grid_n
         b1 = float(absd1[i])
-        for center in (grid[i], 1.0 - grid[i]):
-            lo = max(0.0, center - 2 * dx)
-            hi = min(1.0, center + 2 * dx)
-            _, peak = golden_max(
-                lambda z: abs(float(_field_arrays(np.array([z]), 1)[1][0])),
-                lo, hi, tol=1e-14)
-            b1 = max(b1, peak)
+        centers = np.array([grid[i], 1.0 - grid[i]])
+        _, peaks = golden_max(lambda z: np.abs(_field_arrays(z, 1)[1]),
+                              np.maximum(0.0, centers - 2 * dx),
+                              np.minimum(1.0, centers + 2 * dx),
+                              _B1_GOLDEN_STEPS)
+        b1 = max(b1, float(peaks.max()))
 
         T = min(1.0, math.log(1.5) / b1)
 

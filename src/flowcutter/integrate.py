@@ -50,13 +50,14 @@ _ORDER = 6
 _SAFETY = 0.9
 _MAX_GROW = 5.0
 _MIN_SHRINK = 0.2
+# Hard cap on accepted plus rejected steps per solve.
+MAX_STEPS = 10_000
 
 
 def integrate_unit_interval(
     f: Callable[[np.ndarray], np.ndarray],
     y0: np.ndarray,
     atol: float = 1e-13,
-    max_steps: int = 10_000,
 ) -> tuple[np.ndarray, float, int]:
     """Integrate y' = f(y) over s in [0, 1] with shared adaptive steps.
 
@@ -69,14 +70,15 @@ def integrate_unit_interval(
     atol : float
         Absolute tolerance on the per-step embedded error, max-norm over
         every component of the batch.
-    max_steps : int
-        Hard cap on accepted plus rejected steps.
 
     Returns
     -------
     (y, err_acc, n_steps)
         Final state, the sum of accepted per-step error estimates (a cheap
         global error proxy), and the number of accepted steps.
+
+    Raises SolverError when the step size underflows or MAX_STEPS steps
+    do not reach s = 1.
     """
     y = np.array(y0, dtype=np.float64, copy=True)
     s = 0.0
@@ -84,7 +86,7 @@ def integrate_unit_interval(
     err_acc = 0.0
     accepted = 0
     tmp = np.empty_like(y)   # one scratch buffer for every stage term
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if 1.0 - s <= 1e-16:
             return y, err_acc, accepted
         h = min(h, 1.0 - s)
@@ -118,4 +120,4 @@ def integrate_unit_interval(
                 raise SolverError(
                     f"step size underflow at s={s:.6g} (err={err:.3e}, atol={atol:.3e})"
                 )
-    raise SolverError(f"step budget exhausted ({max_steps} steps, s={s:.6g})")
+    raise SolverError(f"step budget exhausted ({MAX_STEPS} steps, s={s:.6g})")

@@ -1,48 +1,61 @@
-"""Golden-section search helpers."""
+"""Golden-section search, run in lockstep over a batch of brackets.
+
+The package's one golden-section loop: the distortion refine (C_k), the
+strong-bound witness (alpha, beta) and certification (B1) all call it.
+"""
 
 from __future__ import annotations
 
 import math
 from typing import Callable
 
+import numpy as np
+
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0        # 1/phi
 INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0     # 1/phi^2
 
 
-def golden_max(f: Callable[[float], float], a: float, b: float,
-               tol: float = 1e-12) -> tuple[float, float]:
-    """Locate a local maximum of f on [a, b].
+def golden_max(f: Callable[[np.ndarray], np.ndarray], a, b,
+               iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Local maxima of f on the brackets [a, b], all searched in lockstep.
 
-    Returns (x, f(x)) for the best point seen. Assumes f is unimodal on the
-    bracket; on a flat or multimodal bracket it still returns the best of
-    the evaluated points, which is all the callers need.
+    f maps an array of points (one per bracket) to their values. Each of
+    the iters steps shrinks every bracket by 1/phi and evaluates f once on
+    the whole batch, so f runs iters + 2 times. Returns, per bracket, the
+    better of the two final interior points and its value. When f is
+    elementwise, each bracket's result depends on its own (a, b) only, so
+    a batch returns bitwise what each bracket returns alone. f is assumed
+    unimodal on each bracket; on a flat or multimodal one the result is
+    still a point that was evaluated there.
     """
-    a, b = min(a, b), max(a, b)
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    n = int(math.ceil(math.log(tol / h) / math.log(INV_PHI)))
-    c = a + INV_PHI_SQ * h
-    d = a + INV_PHI * h
-    yc = f(c)
-    yd = f(d)
-    for _ in range(n - 1):
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h = INV_PHI * h
-            c = a + INV_PHI_SQ * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h = INV_PHI * h
-            d = a + INV_PHI * h
-            yd = f(d)
-    return (c, yc) if yc > yd else (d, yd)
+    x1 = a + INV_PHI_SQ * h
+    x2 = a + INV_PHI * h
+    f1 = f(x1)
+    f2 = f(x2)
+    for _ in range(iters):
+        take = f1 > f2                      # keep the left subinterval
+        b = np.where(take, x2, b)
+        a = np.where(take, a, x1)
+        h = b - a
+        cand1 = a + INV_PHI_SQ * h
+        cand2 = a + INV_PHI * h
+        probe = np.where(take, cand1, cand2)
+        f_probe = f(probe)
+        x1, x2, f1, f2 = (
+            np.where(take, cand1, x2),
+            np.where(take, x1, cand2),
+            np.where(take, f_probe, f2),
+            np.where(take, f1, f_probe),
+        )
+    take = f1 > f2
+    return np.where(take, x1, x2), np.where(take, f1, f2)
 
 
-def golden_min(f: Callable[[float], float], a: float, b: float,
-               tol: float = 1e-12) -> tuple[float, float]:
-    """Locate a local minimum of f on [a, b]; see golden_max."""
-    x, y = golden_max(lambda t: -f(t), a, b, tol)
+def golden_min(f: Callable[[np.ndarray], np.ndarray], a, b,
+               iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Local minima of f on the brackets [a, b]; see golden_max."""
+    x, y = golden_max(lambda t: -f(t), a, b, iters)
     return x, -y

@@ -76,8 +76,6 @@ class ScaledPoint:
             return math.log(self.u)
         if self.locus is Locus.GAP:
             return math.log(self.u) - self.n * _LN3
-        if self.u == 0.0 and self.n == 0:
-            return math.log(2.0) - _LN3
         return math.log(self.u + 2.0) - (self.n + 1) * _LN3
 
     @property

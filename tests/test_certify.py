@@ -13,6 +13,7 @@ B1_ARGMAX = 0.30334005340483568
 
 def test_slope_bound_value(consts):
     assert consts.B1 == pytest.approx(B1_REF, abs=1e-13)
+    assert type(consts.B1) is float
 
 
 def test_slope_bound_dominates_dense_grid(consts):

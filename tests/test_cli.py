@@ -45,6 +45,10 @@ CSV_RUNS = [
 ]
 
 
+# the columns that hold text; every other cell is a number or empty
+TEXT_COLUMNS = {"ok", "check", "pass", "method", "word"}
+
+
 @pytest.mark.parametrize("argv, header", CSV_RUNS, ids=[a[0] for a, _ in CSV_RUNS])
 def test_every_subcommand_writes_csv(capsys, argv, header):
     code, out = run_cli(capsys, "--format", "csv", *argv)
@@ -52,6 +56,11 @@ def test_every_subcommand_writes_csv(capsys, argv, header):
     lines = list(csv.reader(io.StringIO(out)))
     assert lines[0] == header
     assert len(lines) > 1 and all(len(line) == len(header) for line in lines)
+    # a numpy scalar would print as "np.float64(...)", which no reader parses
+    for line in lines[1:]:
+        for column, cell in zip(header, line):
+            if column not in TEXT_COLUMNS and cell != "":
+                float(cell)
 
 
 def test_certify_bad_grid_is_usage_error(capsys):
@@ -163,6 +172,12 @@ def test_dimension_json(capsys):
     doc = json.loads(out)
     assert doc["s_lower"] < doc["s"] < doc["s_upper"]
     assert doc["method"] == "bowen"
+
+
+def test_dimension_box_depth_one_is_usage_error(capsys):
+    # a box-counting slope needs at least two covers
+    code, out = run_cli(capsys, "dimension", "--method", "box", "--depth", "1")
+    assert code == 64 and out == ""
 
 
 def test_dimension_box_method(capsys):

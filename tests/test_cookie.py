@@ -304,3 +304,55 @@ def test_midpoint_family_converges_slowly(cmap):
     assert res[-1] < res[0]
     assert res[-1] < 5e-6
     assert rep.midpoint_final_residual == res[-1]
+
+
+def _scalar_c1_rows(cmap, n, h_min=1e-9):
+    """The junction quotients of check_c1_boundary, one scalar ODE solve
+    (FlowEngine.flow_position) per flowed point, in the report's row order."""
+    sched, flow = cmap.schedule, cmap.engine.flow_position
+    steps = [1e-2]
+    while steps[-1] / 10.0 >= h_min * (1.0 - 1e-12):
+        steps.append(steps[-1] / 10.0)
+    rows = []
+    for h in steps:
+        if n >= 1:
+            du = h * float(3 ** (n + 1))
+            t = sched.flow_time(n)
+            if du <= 1.0:
+                rows.append((f"1/3^{n}", "left", h,
+                             3.0 * (1.0 - flow(t, 1.0 - du)) / du))
+            if n >= 2 and du < 1.0:
+                rows.append((f"1/3^{n}", "right", h, 3.0))
+            if du <= 1.0:
+                rows.append((f"2/3^{n + 1}", "right", h, 3.0 * flow(t, du) / du))
+            if du < 1.0:
+                rows.append((f"2/3^{n + 1}", "left", h, 3.0))
+        else:
+            rows += [("1", "left", h, 3.0), ("2/3", "right", h, 3.0)]
+        p = ScaledPoint.from_raw(h)
+        if p.locus is Locus.GAP:
+            rows.append(("0", "right", h, 3.0))
+        elif p.locus is Locus.INJ and p.n >= 1:
+            y = flow(sched.flow_time(p.n), p.u)
+            rows.append(("0", "right", h, 3.0 * (y + 2.0) / (p.u + 2.0)))
+    midpoints = [("0", "right-midpoints", float(2 ** j),
+                  3.0 * (flow(sched.flow_time(2 ** j), 0.5) + 2.0) / 2.5)
+                 for j in range(14)]
+    return rows, midpoints
+
+
+def test_c1_boundary_batches_match_scalar_solves(cmap):
+    first_midpoints = None
+    for n in (0, 1, 3, 10):
+        report = cmap.check_c1_boundary(n)
+        rows, midpoints = _scalar_c1_rows(cmap, n)
+        for got_rows, want_rows in ((report.rows, rows),
+                                    (report.midpoint_rows, midpoints)):
+            assert ([(r.location, r.side, r.step) for r in got_rows]
+                    == [w[:3] for w in want_rows])
+            for r, w in zip(got_rows, want_rows):
+                assert type(r.quotient) is float
+                assert abs(r.quotient - w[3]) <= 1e-12, (n, r)
+        if first_midpoints is None:
+            first_midpoints = report.midpoint_rows
+        assert report.midpoint_rows == first_midpoints

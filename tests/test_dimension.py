@@ -58,6 +58,15 @@ def test_estimates_stabilize_with_depth(cmap):
     assert abs(a - b) <= 0.005
 
 
+def test_box_dimension_needs_two_covers(cmap):
+    # one cover is one point, through which no slope is determined
+    with pytest.raises(DomainError):
+        box_dimension(cmap, 1)
+    with pytest.raises(DomainError):
+        dimension_estimate(cmap, 1, method="box")
+    assert box_dimension(cmap, 2) == 0.6309297535714576
+
+
 def test_box_estimate_agrees_roughly(cmap):
     bowen = bowen_dimension(cmap, 10)
     box = box_dimension(cmap, 10)

@@ -23,15 +23,17 @@ def test_window_word_matches_direct_flow_ratio(cmap):
     for n in (1, 2, 4):
         got = distortion(cmap, "0" * n + "1", grid=257)
         s_n = cmap.schedule.cumulative_time(n)
-        f = lambda u: cmap.engine.flow_derivative(s_n, u)
+        # the ODE oracle: phi'_{s_n} from the first variational equation
+        f = lambda u: cmap.engine.evolve(s_n, u, order=1)[1]
         axis = np.linspace(0.0, 1.0, 513)
-        # the scan only brackets the extrema for the scalar golden searches
-        _, vals = cmap.engine.evolve(s_n, axis, order=1)
+        # the scan only brackets the extrema for the golden searches; 50
+        # steps shrink a two-cell bracket (2/512) below 1e-13
+        vals = f(axis)
         _, hi = golden_max(f, axis[vals.argmax()] - 1 / 512,
-                           min(1.0, axis[vals.argmax()] + 1 / 512), tol=1e-13)
+                           min(1.0, axis[vals.argmax()] + 1 / 512), 50)
         _, lo = golden_min(f, max(0.0, axis[vals.argmin()] - 1 / 512),
-                           min(1.0, axis[vals.argmin()] + 1 / 512), tol=1e-13)
-        assert got == pytest.approx(hi / lo, rel=1e-9)
+                           min(1.0, axis[vals.argmin()] + 1 / 512), 50)
+        assert got == pytest.approx(float(hi) / float(lo), rel=1e-9)
 
 
 def test_grid_refinement_stabilizes(cmap):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from flowcutter import integrate
+from flowcutter.errors import SolverError
 from flowcutter.flow import _field_arrays
 from flowcutter.integrate import (_A, _B6, _MAX_GROW, _MIN_SHRINK, _ORDER,
                                   _SAFETY, _TR, integrate_unit_interval)
@@ -75,3 +77,10 @@ def test_stepper_matches_reference_loop_bitwise(rhs, y0, atol):
     assert (err_acc, accepted) == (want_err, want_accepted)
     assert attempted > accepted      # a rejected step is among those counted
     assert calls == 9 * attempted    # the rule behind bench's steps_rejected
+
+
+def test_step_budget_exhaustion_raises(monkeypatch):
+    # y' = -200 y needs far more than three steps at atol 1e-13
+    monkeypatch.setattr(integrate, "MAX_STEPS", 3)
+    with pytest.raises(SolverError, match="step budget exhausted"):
+        integrate_unit_interval(lambda y: -200.0 * y, np.ones((1, 2)))

@@ -71,6 +71,10 @@ def test_log_raw_of_zero():
     assert ScaledPoint.zero().log_raw == -math.inf
 
 
+def test_log_raw_at_the_left_end_of_j0():
+    assert ScaledPoint.in_window(0, 0.0).log_raw == math.log(2.0) - math.log(3.0)
+
+
 def test_validation():
     with pytest.raises(DomainError):
         ScaledPoint(Locus.INJ, -1, 0.5)
