@@ -312,13 +312,26 @@ class CookieMap:
         evaluated in scaled coordinates, so steps far below the raw float
         resolution of a window are still meaningful.
 
-        The flowed points take three positions-only ODE solves
-        (FlowEngine.evolve at order 0), one per family: the seam points of
-        J_n, the window points right of 0 at the raw steps, and the window
-        midpoints. The tables are not read, so this is a cross-route check.
+        The batch of one of check_c1_boundaries: three positions-only ODE
+        solves (FlowEngine.evolve at order 0), one per family. The tables
+        are not read, so this is a cross-route check.
         """
-        if n < 0:
-            raise DomainError(f"window index must be >= 0, got {n}")
+        return self.check_c1_boundaries([n], h_min)[0]
+
+    def check_c1_boundaries(self, ns, h_min: float = 1e-9
+                            ) -> list["C1BoundaryReport"]:
+        """check_c1_boundary(n, h_min) for each n in ns, in order.
+
+        The flowed points form three families, each one positions-only
+        solve: the seam points of J_n, one solve per n, and two families
+        that do not depend on n, solved once for all of ns: the window
+        points right of 0 at the raw steps and the window midpoints. Each
+        solve is the batch check_c1_boundary(n) makes, so every report is
+        bitwise the same as the per-n call.
+        """
+        ns = list(ns)
+        if any(n < 0 for n in ns):
+            raise DomainError(f"window index must be >= 0, got {min(ns)}")
         if h_min <= 0.0:
             raise DomainError("h_min must be positive")
         steps = []
@@ -327,6 +340,26 @@ class CookieMap:
             steps.append(h)
             h /= 10.0
 
+        # right of 0 at the raw step h: a gap, or a window point to flow
+        probes = [ScaledPoint.from_raw(h) for h in steps]
+        deep = [p for p in probes if p.locus is Locus.INJ and p.n >= 1]
+        u0 = np.array([p.u for p in deep])
+        y = self.engine.evolve(self.schedule.flow_times(
+            np.array([p.n for p in deep], dtype=np.int64)), u0, order=0)[0]
+        zero_quotients = (3.0 * (y + 2.0) / (u0 + 2.0)).tolist()
+
+        # window-midpoint family at 0: h = midpoint of J_m, m doubling;
+        # convergence here is paced by t_m ~ T / m, the slow direction
+        m = 1 << np.arange(14, dtype=np.int64)
+        y = self.engine.evolve(self.schedule.flow_times(m),
+                               np.full(m.shape, 0.5), order=0)[0]
+        midpoints = list(zip(m.tolist(), (3.0 * (y + 2.0) / 2.5).tolist()))
+        return [self._c1_report(n, steps, probes, zero_quotients, midpoints)
+                for n in ns]
+
+    def _c1_report(self, n, steps, probes, zero_quotients, midpoints
+                   ) -> "C1BoundaryReport":
+        """The report for window n, given the n-free quotients."""
         # seam points of J_n: x - h at u = 1 - du, x + h at u = du
         du = np.array(steps) * float(3 ** (n + 1))
         seam = du[du <= 1.0] if n >= 1 else du[:0]
@@ -336,14 +369,7 @@ class CookieMap:
         left = iter((3.0 * (1.0 - y[:seam.size]) / seam).tolist())
         right = iter((3.0 * y[seam.size:] / seam).tolist())
 
-        # right of 0 at the raw step h: a gap, or a window point to flow
-        probes = [ScaledPoint.from_raw(h) for h in steps]
-        deep = [p for p in probes if p.locus is Locus.INJ and p.n >= 1]
-        u0 = np.array([p.u for p in deep])
-        y = self.engine.evolve(self.schedule.flow_times(
-            np.array([p.n for p in deep], dtype=np.int64)), u0, order=0)[0]
-        zero = iter((3.0 * (y + 2.0) / (u0 + 2.0)).tolist())
-
+        zero = iter(zero_quotients)
         rows: list[C1Quotient] = []
         for h, d, p in zip(steps, du.tolist(), probes):
             if n >= 1:
@@ -366,15 +392,8 @@ class CookieMap:
                 rows.append(C1Quotient("0", "right", h, 3.0))
             elif p.locus is Locus.INJ and p.n >= 1:
                 rows.append(C1Quotient("0", "right", h, next(zero)))
-
-        # window-midpoint family at 0: h = midpoint of J_m, m doubling;
-        # convergence here is paced by t_m ~ T / m, the slow direction
-        m = 1 << np.arange(14, dtype=np.int64)
-        y = self.engine.evolve(self.schedule.flow_times(m),
-                               np.full(m.shape, 0.5), order=0)[0]
-        midpoint_rows = [
-            C1Quotient("0", "right-midpoints", float(mi), q)
-            for mi, q in zip(m.tolist(), (3.0 * (y + 2.0) / 2.5).tolist())]
+        midpoint_rows = [C1Quotient("0", "right-midpoints", float(mi), q)
+                         for mi, q in midpoints]
         return C1BoundaryReport(n=n, rows=rows, midpoint_rows=midpoint_rows)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowcutter.flow as flow_module
 from flowcutter import (DomainError, EscapeError, Locus, PointBatch,
                         ScaledPoint, TimeSchedule, affine_A, affine_B,
                         interval_J)
@@ -356,3 +357,29 @@ def test_c1_boundary_batches_match_scalar_solves(cmap):
         if first_midpoints is None:
             first_midpoints = report.midpoint_rows
         assert report.midpoint_rows == first_midpoints
+
+
+def test_c1_boundaries_batch_matches_per_n_reports(cmap, monkeypatch):
+    solve, shapes = flow_module.integrate_unit_interval, []
+
+    def counted(f, y0, **kwargs):
+        shapes.append(y0.shape)
+        return solve(f, y0, **kwargs)
+
+    ns = [0, 1, 2, 5, 10, 3]
+    with monkeypatch.context() as patch:
+        patch.setattr(flow_module, "integrate_unit_interval", counted)
+        reports = cmap.check_c1_boundaries(ns)
+    # one seam solve per n >= 1 and each n-free family once
+    assert len(shapes) == 5 + 2
+    assert [r.n for r in reports] == ns
+    for n, report in zip(ns, reports):
+        single = cmap.check_c1_boundary(n)
+        for got, want in ((report.rows, single.rows),
+                          (report.midpoint_rows, single.midpoint_rows)):
+            assert [(r.location, r.side, r.step) for r in got] == \
+                [(r.location, r.side, r.step) for r in want]
+            assert all(r.quotient.hex() == w.quotient.hex()
+                       for r, w in zip(got, want)), n
+    with pytest.raises(DomainError):
+        cmap.check_c1_boundaries([2, -1])

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +340,84 @@ def test_perturbed_table_nodes_fail_the_build_check(consts, monkeypatch):
         if not calls:                  # the knots' solve, not the midpoints'
             y *= 1.0 + 1e-9
         calls.append(y0.shape)
+        return y, err, steps
+
+    monkeypatch.setattr(flow, "integrate_unit_interval", perturbed)
+    engine = FlowEngine(tol=consts.tol)
+    with pytest.raises(SolverError, match="cell midpoint"):
+        engine.table_flow([consts.T], np.zeros(1, int), np.array([0.5]))
+    assert engine._table_rows == {}
+
+
+def _gather_table_flow(engine, times, which, x):
+    """table_flow as a two-index gather of each point's 2 x 2 knot block
+    from the (times x knots x 2) stack; the tables must already exist."""
+    rows = np.array([engine._table_rows[float(t)] for t in times])
+    cell, theta = flow._cells(x)
+    knots = engine._tables[rows[which][..., None],
+                           cell[..., None] + np.array([0, 1])]
+    d, log_slope = flow._log_slope(x, flow._hermite(knots, theta))
+    return x + d, log_slope
+
+
+def test_window_gather_matches_two_index_gather(cmap):
+    engine, times = cmap.engine, _pull_back_times(cmap.constants.T)
+    rng = np.random.default_rng(11)
+    knots = np.arange(0, flow.TABLE_CELLS + 1, 97) / flow.TABLE_CELLS
+    tails = np.concatenate([np.linspace(0.0, 0.0016, 301),
+                            np.linspace(0.9984, 1.0, 301)])
+    cases = [
+        (rng.integers(0, len(times), 3000), rng.uniform(0.0, 1.0, 3000)),
+        (np.full(knots.size, 3), knots),
+        (np.array([0, len(times) - 1, 2, 5]), np.array([0.0, 1.0, 1.0, 0.0])),
+        (rng.integers(0, len(times), tails.size), tails),
+        (rng.integers(0, len(times), (6, 257)),
+         np.broadcast_to(np.linspace(0.0, 1.0, 257), (6, 257))),
+    ]
+    engine.table_flow(times, np.arange(len(times)), np.full(len(times), 0.5))
+    for which, x in cases:
+        got = engine.table_flow(times, which, x)
+        want = _gather_table_flow(engine, times, which, x)
+        assert got[0].shape == x.shape
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+def test_one_point_lookup_copies_no_table(cmap):
+    engine, times = cmap.engine, _pull_back_times(cmap.constants.T)
+    which, x = np.array([4]), np.array([0.3])
+    engine.table_flow(times, np.arange(len(times)), np.full(len(times), 0.5))
+    tracemalloc.start()
+    try:
+        engine.table_flow(times, which, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one table is (TABLE_CELLS + 1) x 2 floats, 256 KiB
+    assert peak < 64 * 1024
+    # the windows are a read-only view of the table stack, not a copy
+    assert np.may_share_memory(engine._windows, engine._tables)
+    assert not engine._windows.flags.writeable
+
+
+@pytest.mark.parametrize("index", [0, -1])
+def test_build_check_covers_both_end_cells(consts, monkeypatch, index):
+    """The midpoint check reaches the outermost cells it can see.
+
+    The field underflows in the cells next to 0 and 1, where _log_slope
+    zeroes both sides of the check, so the perturbed midpoints are the
+    first and the last live one. Their displacement is subnormal, so the
+    perturbation is absolute: 1e-12.
+    """
+    solve = flow.integrate_unit_interval
+    mid = (np.arange(flow.TABLE_CELLS) + 0.5) / flow.TABLE_CELLS
+    live = np.flatnonzero(flow._exponent(mid)[2])[index]
+    assert 0 < live < flow.TABLE_CELLS - 1
+
+    def perturbed(f, y0, **kwargs):
+        y, err, steps = solve(f, y0, **kwargs)
+        if y0.shape[1] == flow.TABLE_CELLS:     # the midpoints' solve
+            y[0, live] += 1e-12
         return y, err, steps
 
     monkeypatch.setattr(flow, "integrate_unit_interval", perturbed)
