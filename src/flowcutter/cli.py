@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 analysis assertion failed, 2 certification
 failed, 64 usage error (an argument out of its domain or over a depth
-cap), 70 internal fault (any other error, such as a solver failure; the
+cap, or an --out path that cannot be written, found before any work),
+70 internal fault (any other error, such as a solver failure; the
 traceback goes to stderr). Output is bit-stable: no timestamps, no
 environment lookups, floats rendered by repr, JSON keys sorted.
 """
@@ -14,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import sys
 import traceback
@@ -95,6 +97,21 @@ def _emit(args, payload: dict, csv_rows: list[dict], csv_fields: list[str]) -> N
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path: str) -> None:
+    """Raise DomainError unless path names a file that open(path, "w")
+    could create or overwrite; checked before any work is done."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise DomainError(f"cannot write --out {path}: {reason}")
 
 
 def _certified(args) -> CookieMap:
@@ -214,6 +231,8 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else USAGE_ERROR
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except (DomainError, DepthCapError) as exc:
         print(f"flowcutter: error: {exc}", file=sys.stderr)

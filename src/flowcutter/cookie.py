@@ -243,44 +243,60 @@ class CookieMap:
 
     # -- vectorized operations --------------------------------------------
 
-    def inverse_batch(self, symbol: int, b: PointBatch) -> tuple[PointBatch, np.ndarray]:
-        """One inverse branch on a batch; returns (preimage, log F' - ln 3).
+    def inverse_batch(self, symbol, b: PointBatch) -> tuple[PointBatch, np.ndarray]:
+        """Inverse branches on a batch; returns (preimage, log F' - ln 3).
 
-        The reported log increment is the slope of F at the *preimage*,
-        obtained for free from the backward flow's log slope, since
-        phi_t'(phi_{-t}(u)) * phi_{-t}'(u) = 1. Window points flow through
-        the engine's displacement tables (FlowEngine.table_flow), so each
-        preimage and increment is a pure function of its own point: the
-        results are bitwise the same whatever batch, shard or thread
-        computes them.
+        symbol is 0 or 1 for the whole batch, or an int8 array of one symbol
+        per point, where -1 is padding that leaves its point unchanged (with
+        increment 0.0); any other symbol raises DomainError. The reported
+        log increment is the slope of F at the *preimage*, obtained for free
+        from the backward flow's log slope, since
+        phi_t'(phi_{-t}(u)) * phi_{-t}'(u) = 1. The 1-branch is affine: its
+        preimages are the raw values. The 0-branch window points flow, in
+        one block_flow call, through the engine's displacement tables
+        (FlowEngine.table_flow), so each preimage and increment is a pure
+        function of its own point and symbol: the results are bitwise the
+        same whatever batch, shard or thread computes them.
         """
-        if symbol == 1:
-            raw = b.raw()
-            return PointBatch(
-                np.full(b.u.shape, int(Locus.INJ), dtype=np.int8),
-                np.zeros(b.u.shape, dtype=np.int32),
-                raw,
-            ), np.zeros(b.u.shape)
-        if symbol != 0:
-            raise DomainError(f"branch symbol must be 0 or 1, got {symbol!r}")
+        if np.ndim(symbol) == 0:
+            if symbol == 1:
+                return PointBatch(
+                    np.full(b.u.shape, int(Locus.INJ), dtype=np.int8),
+                    np.zeros(b.u.shape, dtype=np.int32),
+                    b.raw(),
+                ), np.zeros(b.u.shape)
+            if symbol != 0:
+                raise DomainError(
+                    f"branch symbol must be 0 or 1, got {symbol!r}")
+            zero, one = True, None
+        else:
+            symbol = np.asarray(symbol)
+            if symbol.dtype.kind not in "iu" or np.any((symbol < -1)
+                                                       | (symbol > 1)):
+                raise DomainError(f"branch symbols must be -1, 0 or 1, "
+                                  f"got {symbol!r}")
+            zero, one = symbol == 0, symbol == 1
         locus = b.locus.copy()
         n = b.n.copy()
         u = b.u.copy()
         extra = np.zeros(b.u.shape)
 
-        hole = b.locus == int(Locus.HOLE)
+        hole = zero & (b.locus == int(Locus.HOLE))
         locus[hole] = int(Locus.GAP)
         n[hole] = 1
-        gap = b.locus == int(Locus.GAP)
-        n[gap] += 1
-
-        inj = b.locus == int(Locus.INJ)
+        n += zero & (b.locus == int(Locus.GAP))
+        inj = zero & (b.locus == int(Locus.INJ))
         if inj.any():
             y, log_slope = self.block_flow(
                 -1.0, self.schedule.blocks(b.n[inj] + 1), b.u[inj])
             u[inj] = y
             n[inj] += 1
             extra[inj] = -log_slope
+
+        if one is not None and one.any():
+            u[one] = PointBatch(b.locus[one], b.n[one], b.u[one]).raw()
+            locus[one] = int(Locus.INJ)
+            n[one] = 0
         return PointBatch(locus, n, u), extra
 
     def block_flow(self, direction: float, k: np.ndarray, u: np.ndarray

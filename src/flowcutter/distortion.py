@@ -166,24 +166,16 @@ def _compose_extras(cmap: CookieMap, symbols: np.ndarray,
     """log (F^k)' - k ln 3 at the points f_w(s), one word per task.
 
     symbols has shape (tasks, k) with the first symbol leftmost; the
-    composition runs inside out, grouping tasks by symbol per position.
-    A symbol of -1 is padding and leaves its task untouched, so words of
-    different lengths ride in one batch right-aligned.
+    composition runs inside out, one inverse_batch call per position with
+    each task's own symbol. A symbol of -1 is padding and leaves its task
+    untouched, so words of different lengths ride in one batch
+    right-aligned.
     """
     b = PointBatch.from_raw(s)
     extra = np.zeros(s.shape)
     for col in range(symbols.shape[1] - 1, -1, -1):
-        sym = symbols[:, col]
-        for value in (0, 1):
-            m = sym == value
-            if not m.any():
-                continue
-            sub = PointBatch(b.locus[m], b.n[m], b.u[m])
-            child, delta = cmap.inverse_batch(value, sub)
-            b.locus[m] = child.locus
-            b.n[m] = child.n
-            b.u[m] = child.u
-            extra[m] += delta
+        b, delta = cmap.inverse_batch(symbols[:, col], b)
+        extra += delta
     return extra
 
 
@@ -224,7 +216,8 @@ def _refine_extrema(cmap: CookieMap, word_ints: np.ndarray,
     shifts = np.arange(int(depths.max()) - 1, -1, -1, dtype=np.int64)
     symbols = ((word_ints[:, None] >> shifts[None, :]) & 1).astype(np.int8)
     symbols[shifts[None, :] >= depths[:, None]] = -1
-    symbols = np.vstack([symbols, symbols])
+    # column-major: each position's symbols, one per task, are contiguous
+    symbols = np.asfortranarray(np.vstack([symbols, symbols]))
 
     _, best = golden_max(
         lambda points: sign * _compose_extras(cmap, symbols, points),

@@ -36,6 +36,14 @@ Three evaluation routes are provided:
 
 The last two share no code beyond the field formula, so their agreement is
 a real accuracy check rather than a tautology.
+
+The ODE right-hand sides rest on two pointwise kernels: _field_arrays for
+X, X', X'' (the variational solves) and _FieldDifference for the
+cancellation-free X(a + d) - X(a) (the displacement ODE of the table
+builds and the interval width). Each right-hand side call enters
+np.errstate once and shares g = x(x-1) between the kernels that need it;
+the displacement ODE makes its anchor data and scratch arrays once per
+solve. Every point's result is the same bits whatever batch it is in.
 """
 
 from __future__ import annotations
@@ -75,6 +83,9 @@ _WINDOW = np.dtype((np.void, 32))
 # Golden-section steps of the B1 search on four-cell brackets (width
 # 4/4096): they shrink to 1.3e-14, the resolution of a tol-1e-14 search.
 _B1_GOLDEN_STEPS = 52
+# np.errstate for the field kernels: 1/g is +-inf at the endpoints, and
+# dead points may overflow or make NaNs, which are overwritten
+_QUIET = dict(divide="ignore", over="ignore", invalid="ignore")
 
 
 def _exponent(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -89,6 +100,19 @@ def _exponent(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return g, e, (e < 0.0) & (e > UNDERFLOW_EXPONENT)
 
 
+def _speed(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X(x), g = x(x-1) and the dead mask, ~live (see _exponent).
+
+    exp runs on every point and the dead ones are then set to exactly 0.0,
+    the value exp(-inf) would give them. Call under np.errstate.
+    """
+    g, e, live = _exponent(x)
+    dead = ~live
+    speed = np.exp(e)
+    speed[dead] = 0.0
+    return speed, g, dead
+
+
 def _field_arrays(x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
     """Evaluate X (order 0), X' (order 1), X'' (order 2) on an array.
 
@@ -97,57 +121,102 @@ def _field_arrays(x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
     the stepper may probe a hair outside [0,1] and must see a zero field
     rather than an overflow.
 
-    Branch-free: every component is computed on the whole array and the
-    dead points are selected away with np.where, so each live point goes
-    through the same operations whatever batch it sits in. g = x(x-1) is
-    negative exactly on (0,1); 1/g is -inf at 0 and wherever g is
-    subnormal, and +inf at 1, so `live` needs no separate domain test.
+    Pointwise: every component is computed on the whole array, so each live
+    point goes through the same operations whatever batch it sits in, and
+    the dead points are then overwritten with 0.0, whatever inf or NaN
+    they held. g = x(x-1) is negative exactly on (0,1); 1/g is -inf at 0
+    and wherever g is subnormal, and +inf at 1, so `live` needs no
+    separate domain test.
     """
     x = np.asarray(x, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g, e, live = _exponent(x)
-        speed = np.exp(np.where(live, e, -np.inf))
+    if x.ndim == 0:
+        return tuple(c[0] for c in _field_arrays(x[None], order))
+    with np.errstate(**_QUIET):
+        speed, g, dead = _speed(x)
         if order == 0:
             return (speed,)
         s = 2.0 * x - 1.0
-        h = -s / (g * g)
-        d1 = np.where(live, h * speed, 0.0)
+        gg = g * g
+        h = -s / gg
+        d1 = h * speed
+        d1[dead] = 0.0
         if order == 1:
             return (speed, d1)
-        # g * g * g, not g ** 3: the power is a libm pow call per point,
-        # most of the cost of an order-2 kernel call
-        hp = -2.0 / (g * g) + 2.0 * s ** 2 / (g * g * g)
-        d2 = np.where(live, (hp + h * h) * speed, 0.0)
+        # gg * g, not g ** 3: the power is a libm pow call per point, most
+        # of the cost of an order-2 kernel call
+        d2 = -2.0 / gg + 2.0 * s ** 2 / (gg * g)
+        d2 += h * h
+        d2 *= speed
+        d2[dead] = 0.0
     return (speed, d1, d2)
 
 
-def _exponent_change(x, d, gx, gy):
-    """e(x + d) - e(x) for the exponent e = 1/g of X, given gx = g(x) and
-    gy = g(x + d): written as -d (2x + d - 1) / (g(x) g(x + d)), it has no
-    cancellation and keeps the relative precision of d."""
-    return -d * (2.0 * x + d - 1.0) / (gx * gy)
+def _exponent_change(two_x, d, neg_gx, gy, out=None, den=None):
+    """e(x + d) - e(x) for the exponent e = 1/g of X, given 2x, d,
+    -g(x) and gy = g(x + d), written into out (and den) when given.
+
+    As d ((2x + d) - 1) / (-g(x) g(x + d)) it has no cancellation and keeps
+    the relative precision of d. That is -d (2x + d - 1) / (g(x) g(x + d))
+    with the sign moved into the denominator, which rounding to nearest
+    makes exact: the same bits.
+    """
+    out = np.add(two_x, d, out=out)
+    out -= 1.0
+    out *= d
+    out /= np.multiply(neg_gx, gy, out=den)
+    return out
+
+
+class _FieldDifference:
+    """X(a + d) - X(a) for fixed anchors a, accurate to full relative
+    precision in d.
+
+    Built from a, xa = X(a) and ga = g(a), which every caller already
+    holds; it keeps what depends on a alone (2a, -g(a), whether X(a) > 0)
+    and the scratch arrays of a call, so a solve that calls it at every
+    stage reuses them. Direct subtraction loses all digits once d is
+    small. Instead take the exponent change, which has no cancellation,
+    and expand the outer exponential with expm1. Falls back to the plain
+    difference, X(a + d) evaluated only at those points, whenever either
+    point is outside the live region or the exponent change is large
+    (where subtraction is safe). Call it under np.errstate.
+    """
+
+    def __init__(self, a: np.ndarray, xa: np.ndarray, ga: np.ndarray):
+        self.a, self.xa = a, xa
+        self.two_a = 2.0 * a
+        self.neg_ga = -ga
+        # xa > 0 puts a inside (0,1)
+        self.anchored = xa > 0.0
+        self._b, self._gb, self._de = (np.empty(a.shape) for _ in range(3))
+        self._smooth, self._inside = (np.empty(a.shape, bool) for _ in range(2))
+
+    def __call__(self, d: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write X(a + d) - X(a) into out and return it."""
+        b = np.add(self.a, d, out=self._b)
+        gb = np.subtract(b, 1.0, out=self._gb)
+        gb *= b
+        de = _exponent_change(self.two_a, d, self.neg_ga, gb, out=self._de,
+                              den=out)
+        # gb < 0 puts a + d inside (0,1)
+        smooth = np.less_equal(np.abs(de, out=out), 0.5, out=self._smooth)
+        smooth &= np.less(gb, 0.0, out=self._inside)
+        smooth &= self.anchored
+        np.expm1(de, out=out)
+        out *= self.xa
+        if not smooth.all():
+            rough = np.flatnonzero(~smooth)
+            xb, _, _ = _speed(b[rough])
+            out[rough] = xb - self.xa[rough]
+        return out
 
 
 def _field_difference(a: np.ndarray, d: np.ndarray, xa: np.ndarray) -> np.ndarray:
-    """X(a + d) - X(a), accurate to full relative precision in d.
-
-    xa is X(a), which every caller already holds. Direct subtraction loses
-    all digits once d is small. Instead take the exponent change from
-    _exponent_change, which has no cancellation, and expand the outer
-    exponential with expm1. Falls back to the plain difference whenever
-    either point is outside the live region or the exponent change is
-    large (where subtraction is safe).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    b = a + d
-    (xb,) = _field_arrays(b, 0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        gb = b * (b - 1.0)
-        de = _exponent_change(a, d, a * (a - 1.0), gb)
-        # xa > 0 puts a inside (0,1), and gb < 0 puts b there
-        smooth = (xa > 0.0) & (gb < 0.0) & (np.abs(de) <= 0.5)
-        return np.where(smooth, xa * np.expm1(de), xb - xa)
+    """X(a + d) - X(a) given xa = X(a): one call of _FieldDifference."""
+    a, d, xa = np.broadcast_arrays(np.asarray(a, dtype=np.float64),
+                                   np.asarray(d, dtype=np.float64), xa)
+    with np.errstate(**_QUIET):
+        return _FieldDifference(a, xa, a * (a - 1.0))(d, np.empty(a.shape))
 
 
 def _log_slope(x: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,11 +227,19 @@ def _log_slope(x: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in the flat tails. Where X(x) underflows (and at the endpoints) the
     flow is the identity: d and the log slope are returned as 0.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g, _, live = _exponent(x)
+    with np.errstate(**_QUIET):
+        g, e, live = _exponent(x)
+        del e
         d = np.where(live, d, 0.0)
         y = x + d
-        return d, np.where(live, _exponent_change(x, d, g, y * (y - 1.0)), 0.0)
+        gy = y * (y - 1.0)
+        del y
+        # the temporaries are overwritten in place: a large lookup's peak
+        # memory is set here
+        two_x = 2.0 * x
+        change = _exponent_change(two_x, d, np.negative(g, out=g), gy,
+                                  out=two_x, den=gy)
+        return d, np.where(live, change, 0.0)
 
 
 def _cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -366,16 +443,21 @@ class FlowEngine:
         """delta_t(x) = phi_t(x) - x from its own ODE, one column per point.
 
         delta' = t (X(x) + (X(x + delta) - X(x))), the bracket evaluated by
-        the cancellation-free _field_difference, so delta keeps its
-        relative precision in the flat tails, where it is far below the
-        spacing of floats around x. Where X(x) underflows, delta stays
-        exactly 0.
+        the cancellation-free _FieldDifference, so delta keeps its relative
+        precision in the flat tails, where it is far below the spacing of
+        floats around x. Where X(x) underflows, delta stays exactly 0. X(x),
+        g(x) and the difference's other anchor data are made once per
+        solve, and every right-hand side call writes into its scratch.
         """
-        (xa,) = _field_arrays(x, 0)
+        with np.errstate(**_QUIET):
+            xa, ga, _ = _speed(x)
+        difference = _FieldDifference(x, xa, ga)
 
         def rhs(state):
             out = np.empty_like(state)
-            np.add(xa, _field_difference(x, state[0], xa), out=out[0])
+            with np.errstate(**_QUIET):
+                difference(state[0], out[0])
+            out[0] += xa
             out *= t
             return out
 
@@ -440,7 +522,8 @@ class FlowEngine:
         The width obeys w' = t (X(y + w) - X(y)), whose right hand side is
         evaluated by the cancellation-free difference, so the returned
         width retains full relative precision even when it is far below
-        the spacing of representable floats around y.
+        the spacing of representable floats around y. One kernel call per
+        right-hand side gives X(y) and the difference, which shares g(y).
 
         Returns (y_lo, w_new).
         """
@@ -450,11 +533,12 @@ class FlowEngine:
             return np.array(x_lo, copy=True), np.array(width, copy=True)
 
         def rhs(state):
-            (s,) = _field_arrays(state[0], 0)
             out = np.empty_like(state)
+            with np.errstate(**_QUIET):
+                s, g, _ = _speed(state[0])
+                _FieldDifference(state[0], s, g)(state[1], out[1])
             np.multiply(flat_t, s, out=out[0])
-            np.multiply(flat_t, _field_difference(state[0], state[1], s),
-                        out=out[1])
+            out[1] *= flat_t
             return out
 
         y0 = np.stack([np.ravel(x_lo), np.ravel(width)])

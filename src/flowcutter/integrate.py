@@ -43,6 +43,8 @@ _B5 = (28 / 477, 0.0, 0.0, 212 / 441, -312500 / 366177, 2125 / 1764, 0.0,
 # takes y_new from there instead of summing the weights a second time.
 if _A[-1] != _B6[:-1] or _B6[-1] != 0.0:
     raise AssertionError("tableau: the last row of _A must be the 6th order weights")
+if not all(row[0] for row in _A):
+    raise AssertionError("tableau: every stage sum must start with a nonzero weight")
 # Truncation-error weights: difference of the propagating and embedded rows.
 _TR = tuple(a - b for a, b in zip(_B6, _B5))
 
@@ -92,8 +94,11 @@ def integrate_unit_interval(
         h = min(h, 1.0 - s)
         k = [f(y)]
         for row in _A:
-            yi = y.copy()
-            for a_ij, kj in zip(row, k):
+            # every row's first weight is nonzero: the stage sum starts as
+            # y + its first term, the same bits as a copy of y plus it
+            np.multiply(k[0], h * row[0], out=tmp)
+            yi = y + tmp
+            for a_ij, kj in zip(row[1:], k[1:]):
                 if a_ij != 0.0:
                     np.multiply(kj, h * a_ij, out=tmp)
                     yi += tmp

@@ -106,13 +106,27 @@ def test_internal_fault_exit_code(capsys, monkeypatch, fault):
     assert "Traceback" in err and type(fault).__name__ in err
 
 
-def test_out_into_missing_directory_is_internal_fault(tmp_path, capsys):
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys,
+                                                   monkeypatch):
+    # the path is checked before any work: the command never runs
+    def never(args):
+        raise AssertionError("ran the command before checking --out")
+
+    monkeypatch.setattr(cli, "_cmd_certify", never)
     target = tmp_path / "missing" / "report.json"
     code = main(["--out", str(target), "certify", "--grid", "1024"])
     captured = capsys.readouterr()
-    assert code == 70 and captured.out == ""
-    assert "FileNotFoundError" in captured.err
+    assert code == 64 and captured.out == ""
+    assert captured.err.startswith("flowcutter: error: cannot write --out")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not target.exists()
+
+
+def test_out_onto_a_directory_is_usage_error(tmp_path, capsys):
+    code = main(["--out", str(tmp_path), "certify", "--grid", "1024"])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert "is a directory" in captured.err and "Traceback" not in captured.err
 
 
 def test_verify_lemmas(capsys):

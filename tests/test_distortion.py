@@ -10,6 +10,7 @@ from flowcutter.distortion import (_PointGrid, _compose_extras, _grid_extrema,
                                    _refine_extrema, _window_spread)
 from flowcutter import flow as flow_module
 from flowcutter.optimize import golden_max, golden_min
+from flowcutter.scaled import Locus, PointBatch
 from flowcutter.symbolic import word_levels
 
 
@@ -136,6 +137,78 @@ def test_padding_symbols_leave_a_word_untouched(cmap):
     mixed = _compose_extras(cmap, np.tile(padded, (s.size, 1)), s)
     assert np.array_equal(alone, mixed)
     assert np.any(alone != 0.0)
+
+
+def _masked_pull_back(cmap, symbols, b):
+    # one position as two masked inverse_batch calls, one per symbol
+    locus, n, u = b.locus.copy(), b.n.copy(), b.u.copy()
+    extra = np.zeros(b.u.shape)
+    for value in (0, 1):
+        m = symbols == value
+        if m.any():
+            child, extra[m] = cmap.inverse_batch(
+                value, PointBatch(b.locus[m], b.n[m], b.u[m]))
+            locus[m], n[m], u[m] = child.locus, child.n, child.u
+    return PointBatch(locus, n, u), extra
+
+
+def _compose_extras_by_masks(cmap, symbols, s):
+    # _compose_extras as it was, with two masked pull-backs per position
+    b = PointBatch.from_raw(s)
+    extra = np.zeros(s.shape)
+    for col in range(symbols.shape[1] - 1, -1, -1):
+        sym = symbols[:, col]
+        for value in (0, 1):
+            m = sym == value
+            if not m.any():
+                continue
+            sub = PointBatch(b.locus[m], b.n[m], b.u[m])
+            child, delta = cmap.inverse_batch(value, sub)
+            b.locus[m] = child.locus
+            b.n[m] = child.n
+            b.u[m] = child.u
+            extra[m] += delta
+    return extra
+
+
+def test_mixed_symbol_pull_back_matches_two_masked_calls(cmap):
+    rng = np.random.default_rng(29)
+    points = [ScaledPoint.zero(), ScaledPoint.from_raw(0.5),
+              ScaledPoint(Locus.HOLE, 0, 0.4), ScaledPoint(Locus.GAP, 1, 0.45),
+              ScaledPoint(Locus.GAP, 9, 0.6), ScaledPoint.in_window(0, 0.0),
+              ScaledPoint.in_window(0, 1.0), ScaledPoint.from_raw(0.8)]
+    for n in (1, 2, 3, 7, 40, 300):
+        points += [ScaledPoint.in_window(n, float(u))
+                   for u in (0.0, 1.0, *rng.uniform(0.0, 1.0, 4))]
+    b = PointBatch.from_points(points * 3)
+    assert set(b.locus.tolist()) == set(map(int, Locus))
+    symbols = np.repeat(np.array([-1, 0, 1], dtype=np.int8), len(points))
+    got = cmap.inverse_batch(symbols, b)
+    want = _masked_pull_back(cmap, symbols, b)
+    for x, y in zip((got[0].locus, got[0].n, got[0].u, got[1]),
+                    (want[0].locus, want[0].n, want[0].u, want[1])):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    # padding leaves its points as they were, with a zero increment
+    pad = symbols == -1
+    assert np.array_equal(got[0].u[pad], b.u[pad]) and not got[1][pad].any()
+
+    # whole compositions of mixed lengths, on a grid through every locus
+    s = np.concatenate([[0.0, 0.15, 0.25, 0.5, 0.7, 1.0],
+                        rng.uniform(0.0, 1.0, 60)])
+    words = rng.integers(-1, 2, (s.size, 6)).astype(np.int8)
+    words[:, :3] = np.where(words[:, :3] == 1, -1, words[:, :3])
+    got = _compose_extras(cmap, words, s)
+    assert got.tobytes() == _compose_extras_by_masks(cmap, words, s).tobytes()
+    assert np.any(got != 0.0)
+
+
+def test_inverse_batch_rejects_bad_symbol_arrays(cmap):
+    b = PointBatch.from_raw(np.array([0.1, 0.5, 0.8]))
+    for bad in ([0, 2, 1], [-2, 0, 0], [0.0, 1.0, 0.0]):
+        with pytest.raises(DomainError):
+            cmap.inverse_batch(np.array(bad), b)
+    with pytest.raises(DomainError):
+        cmap.inverse_batch(-1, b)
 
 
 # ----------------------------------------------------------------------

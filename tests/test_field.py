@@ -75,6 +75,14 @@ def test_internal_evaluator_tolerates_stray_points():
     assert np.all(speed == 0.0)
 
 
+def test_internal_evaluator_takes_a_zero_dimensional_point():
+    xs = np.array([0.3, 1.0, 0.001])
+    batch = _field_arrays(xs, 2)
+    for i, x in enumerate(xs):
+        point = _field_arrays(x, 2)
+        assert [c.tobytes() for c in point] == [c[i].tobytes() for c in batch]
+
+
 def test_field_difference_matches_plain_subtraction_when_safe():
     a = np.array([0.2, 0.4, 0.7])
     d = np.array([0.05, 0.1, 0.01])
@@ -119,6 +127,37 @@ def test_kernel_is_batch_independent_and_warning_free():
         assert comp.tobytes() == rev.tobytes() == one.tobytes()
         assert comp[~live].tobytes() == np.zeros(len(dead_x)).tobytes()
     assert np.all(whole[0][live] > 0.0)
+
+
+def test_difference_kernel_is_batch_independent_and_warning_free():
+    # smooth points, and each of the three ways to the plain difference:
+    # a dead anchor, a + d outside (0,1), and an exponent change above 1/2
+    x_c = 0.5 * (1.0 - math.sqrt(1.0 - 4.0 / 745.0))
+    pairs = [(0.3, 1e-13), (0.5, -0.2), (0.7, 0.01), (0.9, -1e-300),
+             (x_c * (1.0 + 1e-3), 1e-6), (0.2, 5e-324),
+             (0.0, 0.25), (1.0, -0.25), (0.001, 0.01), (-1e-12, 0.3),
+             (0.9, 0.2), (0.2, -0.3), (0.95, 0.05), (0.6, 1.0),
+             (0.3, -0.25), (0.9, 0.09), (x_c * (1.0 + 1e-3), 0.01)]
+    a, d = (np.array(c) for c in zip(*pairs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (xa,) = _field_arrays(a, 0)
+        (xb,) = _field_arrays(a + d, 0)
+        whole = _field_difference(a, d, xa)
+        backward = _field_difference(a[::-1], d[::-1], xa[::-1])[::-1]
+        single = np.concatenate([_field_difference(a[i:i + 1], d[i:i + 1],
+                                                   xa[i:i + 1])
+                                 for i in range(a.size)])
+    b = a + d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        de = -d * (2.0 * a + d - 1.0) / (a * (a - 1.0) * (b * (b - 1.0)))
+    assert whole.tobytes() == backward.tobytes() == single.tobytes()
+    dead, outside = xa == 0.0, (b <= 0.0) | (b >= 1.0)
+    large = ~dead & ~outside & (np.abs(de) > 0.5)
+    assert dead.any() and (outside & ~dead).any() and large.any()
+    plain = dead | outside | large
+    assert whole[plain].tobytes() == (xb - xa)[plain].tobytes()
+    assert np.all(whole[~plain] == xa[~plain] * np.expm1(de[~plain]))
 
 
 def _pow_kernel_d2(x):

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -425,3 +426,150 @@ def test_build_check_covers_both_end_cells(consts, monkeypatch, index):
     with pytest.raises(SolverError, match="cell midpoint"):
         engine.table_flow([consts.T], np.zeros(1, int), np.array([0.5]))
     assert engine._table_rows == {}
+
+
+# ----------------------------------------------------------------------
+# the right-hand sides against frozen copies of their np.where forms
+# ----------------------------------------------------------------------
+
+_QUIET = dict(divide="ignore", over="ignore", invalid="ignore")
+
+
+def _ref_exponent(x):
+    g = x * (x - 1.0)
+    e = 1.0 / g
+    return g, e, (e < 0.0) & (e > flow.UNDERFLOW_EXPONENT)
+
+
+def _ref_field_arrays(x, order):
+    # the kernel as it selected the dead points away with np.where
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(**_QUIET):
+        g, e, live = _ref_exponent(x)
+        speed = np.exp(np.where(live, e, -np.inf))
+        if order == 0:
+            return (speed,)
+        s = 2.0 * x - 1.0
+        h = -s / (g * g)
+        d1 = np.where(live, h * speed, 0.0)
+        if order == 1:
+            return (speed, d1)
+        hp = -2.0 / (g * g) + 2.0 * s ** 2 / (g * g * g)
+        d2 = np.where(live, (hp + h * h) * speed, 0.0)
+    return (speed, d1, d2)
+
+
+def _ref_exponent_change(x, d, gx, gy):
+    return -d * (2.0 * x + d - 1.0) / (gx * gy)
+
+
+def _ref_field_difference(a, d, xa):
+    # every term on every point, the exp of X(a + d) included
+    b = a + d
+    (xb,) = _ref_field_arrays(b, 0)
+    with np.errstate(**_QUIET):
+        gb = b * (b - 1.0)
+        de = _ref_exponent_change(a, d, a * (a - 1.0), gb)
+        smooth = (xa > 0.0) & (gb < 0.0) & (np.abs(de) <= 0.5)
+        return np.where(smooth, xa * np.expm1(de), xb - xa)
+
+
+def _ref_log_slope(x, d):
+    with np.errstate(**_QUIET):
+        g, _, live = _ref_exponent(x)
+        d = np.where(live, d, 0.0)
+        y = x + d
+        return d, np.where(live, _ref_exponent_change(x, d, g, y * (y - 1.0)),
+                           0.0)
+
+
+def _ref_solve(rhs, y0):
+    return flow.integrate_unit_interval(rhs, y0, atol=1e-13)[0]
+
+
+def _ref_table(t):
+    x = np.arange(flow.TABLE_CELLS + 1) / flow.TABLE_CELLS
+    (xa,) = _ref_field_arrays(x, 0)
+
+    def rhs(state):
+        out = np.empty_like(state)
+        np.add(xa, _ref_field_difference(x, state[0], xa), out=out[0])
+        out *= t
+        return out
+
+    knots = np.zeros((flow.TABLE_CELLS + 1, 2))
+    knots[:, 0], log_slope = _ref_log_slope(
+        x, _ref_solve(rhs, np.zeros((1, x.size)))[0])
+    knots[:, 1] = np.expm1(log_slope) / flow.TABLE_CELLS
+    return knots
+
+
+def _ref_evolve(t, x, order):
+    t = np.full(x.size, t)
+    y0 = np.zeros((order + 1, x.size))
+    y0[0] = x
+    y0[1:2] = 1.0
+
+    def rhs(state):
+        field = _ref_field_arrays(state[0], order)
+        out = np.empty_like(state)
+        np.multiply(t, field[0], out=out[0])
+        if order >= 1:
+            np.multiply(t, field[1], out=out[1])
+            out[1] *= state[1]
+        if order >= 2:
+            acc = field[2] * state[1] ** 2
+            acc += field[1] * state[2]
+            np.multiply(t, acc, out=out[2])
+        return out
+
+    yf = _ref_solve(rhs, y0)
+    yf[0] = np.clip(yf[0], 0.0, 1.0)
+    return yf
+
+
+def _ref_evolve_interval(t, x, w):
+    t = np.full(x.size, t)
+
+    def rhs(state):
+        (s,) = _ref_field_arrays(state[0], 0)
+        out = np.empty_like(state)
+        np.multiply(t, s, out=out[0])
+        np.multiply(t, _ref_field_difference(state[0], state[1], s),
+                    out=out[1])
+        return out
+
+    yf = _ref_solve(rhs, np.stack([x, w]))
+    return np.clip(yf[0], 0.0, 1.0), yf[1]
+
+
+def _same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_right_hand_sides_match_their_where_forms_bitwise(consts):
+    """Hoisted constants, shared g, scratch buffers and the fallback exp
+    taken only where it is read change no bit of any solve."""
+    engine = FlowEngine(tol=1e-13)
+    grid = np.linspace(0.0, 1.0, consts.grid_n + 1)
+    # underflow tails, endpoints and strays just outside [0, 1], with
+    # widths from subnormal to wide enough to leave the smooth branch
+    x = np.concatenate([[0.0, 1.0, -1e-12, 1.0 + 1e-12, 5e-324],
+                        np.linspace(0.0, 0.0016, 9),
+                        np.linspace(0.9984, 1.0, 9), np.linspace(0.1, 0.9, 9)])
+    w = np.concatenate([[1e-300, 1e-14, 1e-10, 1e-13, 0.3],
+                        np.geomspace(1e-300, 1e-3, 9),
+                        np.geomspace(1e-16, 1e-4, 9),
+                        np.geomspace(1e-12, 0.09, 9)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1.0, -1.0, 0.5, 1.0 / 64.0):
+            assert _same_bytes(engine._build_table(t), _ref_table(t)), t
+        for t in (1.0, -0.5):
+            assert _same_bytes(np.stack(engine.evolve(t, grid, order=2)),
+                               _ref_evolve(t, grid, 2)), t
+        for t in (1.0, -1.0, 0.125):
+            got = engine.evolve_interval(t, x, w)
+            want = _ref_evolve_interval(t, x, w)
+            assert all(map(_same_bytes, got, want)), t
