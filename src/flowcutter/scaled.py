@@ -31,6 +31,14 @@ from .errors import DomainError
 _LN3 = math.log(3.0)
 _MAX_INDEX = 600
 
+# 3^k correctly rounded, k = 0..646, and inf at 647 for every larger k
+# (3^647 overflows float64). Every raw <-> scaled conversion, scalar or
+# batch, reads its powers from here, so the two paths agree bitwise; a
+# libm pow is not correctly rounded (np.power(3.0, k) misses for 32
+# k <= 646, the first k = 41).
+_POW3_TOP = 647
+_POW3 = np.array([float(3 ** k) for k in range(_POW3_TOP)] + [math.inf])
+
 
 class Locus(IntEnum):
     ZERO = 0
@@ -98,9 +106,11 @@ class ScaledPoint:
 
 
 def _pow3(n: int) -> float:
-    # exact as a float for n <= 33; later powers round once, still fine
-    # for the derived raw view; 3^647 would overflow float64
-    return float(3 ** n) if n <= 646 else math.inf
+    return float(_POW3[min(n, _POW3_TOP)])
+
+
+def _pow3_batch(n: np.ndarray) -> np.ndarray:
+    return _POW3[np.minimum(n, _POW3_TOP)]
 
 
 def _classify_scalar(x: float) -> tuple[int, int, float]:
@@ -116,17 +126,17 @@ def _classify_scalar(x: float) -> tuple[int, int, float]:
     n = int(math.floor(-math.log(x) / _LN3))
     if n > _MAX_INDEX:
         raise DomainError(f"point {x!r} too deep to classify (n > {_MAX_INDEX})")
-    scaled = x * float(3 ** n)
+    scaled = x * _pow3(n)
     if scaled > 1.0:
         n -= 1
-        scaled = x * float(3 ** n)
+        scaled = x * _pow3(n)
     elif scaled <= 1.0 / 3.0:
         n += 1
-        scaled = x * float(3 ** n)
+        scaled = x * _pow3(n)
     if scaled >= 2.0 / 3.0:
         # x * 3^(n+1) lands in [2, 3], so subtracting 2 is exact; this
         # keeps the raw <-> scaled round trip within one ulp
-        u = x * float(3 ** (n + 1)) - 2.0
+        u = x * _pow3(n + 1) - 2.0
         return (int(Locus.INJ), n, min(max(u, 0.0), 1.0))
     return (int(Locus.GAP), n, scaled)
 
@@ -167,15 +177,15 @@ class PointBatch:
             if xl.min() < 3.0 ** (-_MAX_INDEX):
                 raise DomainError(f"points too deep to classify (n > {_MAX_INDEX})")
             nl = np.floor(-np.log(xl) / _LN3).astype(np.int64)
-            scaled = xl * np.power(3.0, nl)
+            scaled = xl * _pow3_batch(nl)
             over = scaled > 1.0
             nl[over] -= 1
-            under = xl * np.power(3.0, nl) <= 1.0 / 3.0
+            under = xl * _pow3_batch(nl) <= 1.0 / 3.0
             nl[under] += 1
-            scaled = xl * np.power(3.0, nl)
+            scaled = xl * _pow3_batch(nl)
             is_window = scaled >= 2.0 / 3.0
             # windows: x * 3^(n+1) is in [2, 3] where subtracting 2 is exact
-            uw = np.clip(xl * np.power(3.0, nl + 1) - 2.0, 0.0, 1.0)
+            uw = np.clip(xl * _pow3_batch(nl + 1) - 2.0, 0.0, 1.0)
             sub = np.flatnonzero(left)
             locus.flat[sub] = np.where(is_window, int(Locus.INJ), int(Locus.GAP))
             n.flat[sub] = nl
@@ -197,8 +207,8 @@ class PointBatch:
         out = np.array(self.u, copy=True)
         inj = self.locus == int(Locus.INJ)
         gap = self.locus == int(Locus.GAP)
-        out[inj] = (self.u[inj] + 2.0) / np.power(3.0, self.n[inj] + 1.0)
-        out[gap] = self.u[gap] / np.power(3.0, self.n[gap].astype(np.float64))
+        out[inj] = (self.u[inj] + 2.0) / _pow3_batch(self.n[inj] + 1)
+        out[gap] = self.u[gap] / _pow3_batch(self.n[gap])
         out[self.locus == int(Locus.ZERO)] = 0.0
         return out
 

@@ -80,6 +80,8 @@ def test_usage_errors(capsys):
     assert main(["dimension", "--method", "fancy"]) == 64
     assert main(["dimension", "--depth", "99"]) == 64
     assert main(["--tol", "0.5", "certify"]) == 64
+    code, out = run_cli(capsys, "sbd-profile", "--depth", "3", "--grid", "1")
+    assert code == 64 and out == ""
 
 
 @pytest.mark.parametrize("command", ["distortion", "sbd-profile"])

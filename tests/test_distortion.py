@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from flowcutter import (CookieMap, DomainError, FlowEngine, SizeBoundReport, Sca
                         distortion, audit_interval_sizes, sbd_profile, sbd_witness,
                         theoretical_bound)
 from flowcutter.distortion import (_PointGrid, _compose_extras, _grid_extrema,
-                                   _refine_extrema, _window_spread)
+                                   _refine_extrema, _window_spreads,
+                                   _SPREAD_BLOCK_ROWS)
 from flowcutter import flow as flow_module
 from flowcutter.optimize import golden_max, golden_min
 from flowcutter.scaled import Locus, PointBatch
@@ -326,7 +328,56 @@ def test_window_spread_matches_scipy_filters(cmap, size):
     levels = word_levels(_PointGrid.root(257), cmap, 6)
     rows.append(list(levels)[-1].extra)
     for extra in rows:
-        assert _window_spread(extra, size - 1) == _filter_spread(extra, size - 1)
+        assert (_window_spreads(extra, [size - 1])
+                == [_filter_spread(extra, size - 1)])
+
+
+def _single_span_spread(extra, window_cells):
+    # one doubling pyramid over the whole array per span, the form that
+    # _window_spreads replaced
+    size = min(window_cells + 1, extra.shape[1])
+    hi = lo = extra
+    span = 1
+    while 2 * span <= size:
+        hi = np.maximum(hi[:, :-span], hi[:, span:])
+        lo = np.minimum(lo[:, :-span], lo[:, span:])
+        span *= 2
+    shift = size - span
+    hi = np.maximum(hi[:, :hi.shape[1] - shift], hi[:, shift:])
+    lo = np.minimum(lo[:, :lo.shape[1] - shift], lo[:, shift:])
+    return float(np.max(hi - lo))
+
+
+def test_blocked_spreads_match_one_pyramid_per_span(cmap):
+    block = _SPREAD_BLOCK_ROWS
+    tall = 2 * block + 3
+    rng = np.random.default_rng(13)
+    level = list(word_levels(_PointGrid.root(257), cmap, 6))[-1].extra
+    sources = {
+        "random": rng.standard_normal((tall, 257)),
+        "integer": rng.integers(-3, 4, (tall, 257)).astype(np.float64),
+        "monotone": np.cumsum(rng.random((tall, 257)), axis=1),
+        "level": np.tile(level, (-(-tall // level.shape[0]), 1))[:tall],
+    }
+    # unsorted, with duplicates, and 299 longer than a row
+    spans = [85, 0, 299, 2, 28, 85, 256, 1, 0]
+    for name, source in sources.items():
+        for rows in (1, block - 1, block, block + 1, tall):
+            extra = source[:rows]
+            want = [_single_span_spread(extra, c) for c in spans]
+            assert _window_spreads(extra, spans) == want, (name, rows)
+
+
+def test_blocked_spreads_stay_below_one_copy_of_a_level():
+    extra = np.random.default_rng(5).standard_normal((2048, 257))
+    cells = [int(256 // r) for r in (1.0, 3.0, 9.0, 27.0, 81.0)]
+    tracemalloc.start()
+    try:
+        _window_spreads(extra, cells)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < extra.nbytes / 2
 
 
 def test_profile_unit_scale_equals_sweep_max(cmap):
@@ -356,6 +407,9 @@ def test_profile_monotone_in_scale(cmap):
 def test_profile_validation(cmap):
     with pytest.raises(DomainError):
         sbd_profile(cmap, 3, scales=(0.5,))
+    for grid in (0, 1, 32):
+        with pytest.raises(DomainError):
+            sbd_profile(cmap, 3, grid=grid)
 
 
 def test_profile_thread_count_does_not_change_bits(consts):

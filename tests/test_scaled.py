@@ -101,6 +101,34 @@ def test_batch_matches_scalar_classification():
     assert np.all(np.abs(b.raw() - xs) <= np.spacing(xs))
 
 
+def test_batch_raw_matches_scalar_raw_at_every_depth():
+    # the powers of three must be correctly rounded on both paths: a libm
+    # pow misses float(3**k) at 32 exponents k <= 646, the first k = 41
+    ns = np.arange(0, 601)
+    for u in (0.0, 0.37, 1.0):
+        b = PointBatch(np.full(ns.size, int(Locus.INJ), dtype=np.int8),
+                       ns.astype(np.int32), np.full(ns.size, u))
+        assert b.raw().tolist() == [ScaledPoint.in_window(int(n), u).raw
+                                    for n in ns]
+        assert [ScaledPoint.in_window(int(n), u).raw for n in ns] == [
+            (u + 2.0) / float(3 ** (int(n) + 1)) for n in ns]
+    gaps = ns[1:]
+    b = PointBatch(np.full(gaps.size, int(Locus.GAP), dtype=np.int8),
+                   gaps.astype(np.int32), np.full(gaps.size, 0.5))
+    assert b.raw().tolist() == [ScaledPoint(Locus.GAP, int(n), 0.5).raw
+                                for n in gaps]
+
+
+def test_batch_from_raw_matches_scalar_from_raw_down_to_depth_600():
+    rng = np.random.default_rng(7)
+    xs = np.exp(-rng.uniform(0.0, 600.0, 20000) * math.log(3.0))
+    b = PointBatch.from_raw(xs)
+    scalar = [ScaledPoint.from_raw(float(x)) for x in xs]
+    assert b.locus.tolist() == [int(p.locus) for p in scalar]
+    assert b.n.tolist() == [p.n for p in scalar]
+    assert b.u.tolist() == [p.u for p in scalar]
+
+
 def test_batch_point_accessor():
     b = PointBatch.from_raw(np.array([0.0, 0.9, 0.15]))
     assert b.point(0).locus is Locus.ZERO
