@@ -11,12 +11,14 @@ size shrinks like 3^(-2^k) while the distortion does not move, so the
 distortion bound cannot improve toward 1 at small image scales.
 
 All sweeps run on (words x grid) arrays, walked by symbolic.word_levels
-(level j+1 stacks both pullbacks of level j) from a suffix or single word
-seeded by symbolic.pull_back_word. The grid of a word is always the
-inverse image of one fixed uniform grid on [0,1], so the grid position of
-a sample IS its normalized image coordinate under F^k, which the profile
-search uses directly. Extrema are sharpened by one golden-section pass run
-in lockstep across every word of every depth of a shard.
+(level j+1 stacks both pullbacks of level j) from [0,1], and below a
+shallow level from each of its rows, one shard each. The grid of a word
+is always the inverse image of one fixed uniform grid on [0,1], so the
+grid position of a sample IS its normalized image coordinate under F^k,
+which the profile search uses directly. The walk keeps only each word's
+grid extrema; bd_sweep then sharpens them with one golden-section pass
+run in lockstep across every word of every depth, the same refine that
+distortion() runs for one word.
 
 Every pull-back goes through CookieMap.inverse_batch, whose window flows
 are lookups in per-time displacement tables, a pure function of each point.
@@ -27,7 +29,6 @@ threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -160,6 +161,12 @@ class _PointGrid:
         return cls(**{k: np.vstack([getattr(a, k), getattr(b, k)])
                       for k in cls.__slots__})
 
+    def rows(self) -> list["_PointGrid"]:
+        """Each row as a grid of its own, top to bottom."""
+        return [_PointGrid(*(getattr(self, k)[i:i + 1]
+                             for k in self.__slots__))
+                for i in range(self.extra.shape[0])]
+
 
 def _compose_extras(cmap: CookieMap, symbols: np.ndarray,
                     s: np.ndarray) -> np.ndarray:
@@ -200,7 +207,7 @@ def _refine_extrema(cmap: CookieMap, word_ints: np.ndarray,
     extrema (cells, values) from _grid_extrema. Brackets are the one-cell
     neighborhoods of the grid extrema in the normalized coordinate; one
     optimize.golden_max call searches them all in lockstep, so every word
-    of every depth of a shard shares one batched evaluation per iteration,
+    of every depth shares one batched evaluation per iteration,
     with shorter words left-padded so that each composes through exactly
     its own symbols. Maximum and minimum tasks ride in the same batch with
     opposite signs. The result is never below the grid value it refines.
@@ -231,6 +238,11 @@ def _refine_extrema(cmap: CookieMap, word_ints: np.ndarray,
 # ----------------------------------------------------------------------
 # the sweep core
 # ----------------------------------------------------------------------
+
+# Words per _refine_extrema call of bd_sweep: sweeps to depth 14 (2^15 - 2
+# words) refine in one call, and the chunks of deeper sweeps keep the
+# refine within the working set of the walk.
+_REFINE_CHUNK_WORDS = 1 << 15
 
 # Rows per block of _window_spreads, so that a block's rows and its max/min
 # pyramid stay in cache (128 x 257 floats is 257 KiB an array). On one
@@ -272,101 +284,61 @@ def _window_spreads(extra: np.ndarray, window_cells) -> list[float]:
     return best.tolist()
 
 
-def _sweep_shard(cmap: CookieMap, suffix: str, k_max: int, grid: int,
-                 refine_iters: int, scales) -> dict[int, dict]:
-    """Sweep every word ending in the given suffix, at every depth.
-
-    The tree is walked level by level, keeping only each row's grid
-    extrema and, when scales are requested, the windowed grid spreads for
-    the profile search: one _window_spreads call per level serves every
-    scale from one blocked max/min pyramid. One refine pass then covers
-    all rows of all depths. Returns per-depth shard results: refined
-    per-word ratios in prefix order, and the window spread per scale.
-    """
-    d = len(suffix)
-    suffix_int = int(suffix, 2) if suffix else 0
-    state = pull_back_word(_PointGrid.root(grid), cmap, suffix)
-    levels = word_levels(state, cmap, k_max - d)
-    if d:
-        levels = itertools.chain([state], levels)
-    out: dict[int, dict] = {}
-    word_ints, depths, cells, values = [], [], [], []
-    for depth, state in enumerate(levels, max(d, 1)):
-        rows = np.arange(state.u.shape[0], dtype=np.int64)
-        word_ints.append(rows * (1 << d) + suffix_int)
-        depths.append(np.full(rows.size, depth, dtype=np.int64))
-        level_cells, level_values = _grid_extrema(state.extra)
-        cells.append(level_cells)
-        values.append(level_values)
-        entry: dict = {}
-        if scales:
-            entry["window"] = dict(zip(
-                map(float, scales),
-                _window_spreads(state.extra,
-                                [int((grid - 1) // r) for r in scales])))
-        out[depth] = entry
-    hi, lo = _refine_extrema(cmap, np.concatenate(word_ints),
-                             np.concatenate(depths),
-                             np.concatenate(cells, axis=1),
-                             np.concatenate(values, axis=1), grid,
-                             refine_iters)
-    ratios = np.exp(hi - lo)
-    start = 0
-    for entry, level in zip(out.values(), word_ints):
-        entry["ratios"] = ratios[start:start + level.size]
-        start += level.size
-    return out
+def _level_extrema(state: _PointGrid, grid: int, scales) -> dict:
+    """What a sweep keeps of one level: each row's grid extrema and, per
+    scale, the largest windowed grid spread (one _window_spreads call
+    serves every scale from one blocked max/min pyramid)."""
+    cells, values = _grid_extrema(state.extra)
+    spreads = _window_spreads(state.extra,
+                              [int((grid - 1) // r) for r in scales])
+    return {"cells": cells, "values": values,
+            "window": dict(zip(scales, spreads))}
 
 
-def _run_shards(cmap: CookieMap, k_max: int, grid: int, refine_iters: int,
-                scales, threads: int, shard_depth: int) -> dict[int, dict]:
-    """Shard the word tree by suffix, sweep each shard, merge in lex order.
+def _run_shards(cmap: CookieMap, k_max: int, grid: int, scales,
+                threads: int) -> list[dict]:
+    """Walk the word tree once, keeping every level's _level_extrema.
 
-    Sharding bounds the working set (each shard holds 2^(k-shard_depth)
-    rows at depth k) and gives the thread pool independent units. Merging
-    is index placement plus elementwise maxima in a fixed order, so the
-    result is bit-identical for any thread count.
+    Depths 1..d (d = _default_shard_depth(k_max)) are walked from [0,1];
+    row i of depth d seeds shard i, which walks the depths below it: the
+    words that end in word i. Sharding bounds the working set (each shard
+    holds 2^(k-d) rows at depth k) and gives the thread pool independent
+    units. Merging is index placement ([i::2^d]) plus maxima in a fixed
+    order, so the result is bit-identical for any thread count. Returns
+    one entry per depth 1..k_max, its rows in lex word order.
     """
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
-    shard_depth = max(0, min(shard_depth, k_max))
-    suffixes = ([""] if shard_depth == 0 else
-                [format(i, f"0{shard_depth}b") for i in range(1 << shard_depth)])
-    jobs = [(sfx, k_max) for sfx in suffixes]
-    if shard_depth >= 2:
-        # depths below the shard seam, covered by one cheap unsharded pass
-        jobs.insert(0, ("", shard_depth - 1))
+    d = _default_shard_depth(k_max)
+    state = _PointGrid.root(grid)
+    levels = []
+    for state in word_levels(state, cmap, d):
+        levels.append(_level_extrema(state, grid, scales))
 
-    def run(job):
-        sfx, cap = job
-        return _sweep_shard(cmap, sfx, cap, grid, refine_iters, scales)
+    def run(seed):
+        return [_level_extrema(level, grid, scales)
+                for level in word_levels(seed, cmap, k_max - d)]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
+            shards = list(pool.map(run, state.rows()))
     else:
-        results = [run(j) for j in jobs]
+        shards = [run(seed) for seed in state.rows()]
 
-    merged: dict[int, dict] = {
-        k: {"ratios": np.full(1 << k, np.nan),
-            "window": {float(r): -np.inf for r in (scales or ())}}
-        for k in range(1, k_max + 1)
-    }
-    for (sfx, _cap), shard in zip(jobs, results):
-        d = len(sfx)
-        sfx_int = int(sfx, 2) if sfx else 0
-        for depth, entry in shard.items():
-            slot = merged[depth]
-            if d == 0:
-                slot["ratios"][:] = entry["ratios"]
-            else:
-                slot["ratios"][sfx_int::1 << d] = entry["ratios"]
-            for r, spread in entry.get("window", {}).items():
+    for depth in range(d + 1, k_max + 1):
+        levels.append({"cells": np.zeros((2, 1 << depth), dtype=np.intp),
+                       "values": np.full((2, 1 << depth), np.nan),
+                       "window": dict.fromkeys(scales, -np.inf)})
+    for i, shard in enumerate(shards):
+        for slot, entry in zip(levels[d:], shard):
+            slot["cells"][:, i::1 << d] = entry["cells"]
+            slot["values"][:, i::1 << d] = entry["values"]
+            for r, spread in entry["window"].items():
                 slot["window"][r] = max(slot["window"][r], spread)
-    for depth, slot in merged.items():
-        if np.isnan(slot["ratios"]).any():
+    for depth, slot in enumerate(levels, 1):
+        if np.isnan(slot["values"]).any():
             raise RuntimeError(f"sweep left depth {depth} incomplete (bug)")
-    return merged
+    return levels
 
 
 def _default_shard_depth(k_max: int) -> int:
@@ -398,8 +370,8 @@ def distortion(cmap: CookieMap, word: Word | str, grid: int = DEFAULT_GRID,
 
 
 def bd_sweep(cmap: CookieMap, k_max: int, grid: int = DEFAULT_GRID,
-             refine_iters: int = DEFAULT_REFINE_ITERS, threads: int = 1,
-             shard_depth: int | None = None) -> list[DistortionReport]:
+             refine_iters: int = DEFAULT_REFINE_ITERS,
+             threads: int = 1) -> list[DistortionReport]:
     """Exhaustive per-depth distortion maxima against the block bound.
 
     Computes C_k = max over all 2^k words of distortion(word) for every
@@ -415,14 +387,22 @@ def bd_sweep(cmap: CookieMap, k_max: int, grid: int = DEFAULT_GRID,
             f"exhaustive sweep capped at depth {EXHAUSTIVE_DEPTH_CAP}, got {k_max}")
     if grid < 33:
         raise DomainError(f"need at least 33 grid points, got {grid}")
-    if shard_depth is None:
-        shard_depth = _default_shard_depth(k_max)
     c_theory = theoretical_bound(cmap.constants.M)
-    merged = _run_shards(cmap, k_max, grid, refine_iters, None, threads,
-                         shard_depth)
+    levels = _run_shards(cmap, k_max, grid, (), threads)
+    sizes = [1 << depth for depth in range(1, k_max + 1)]
+    word_ints = np.concatenate([np.arange(n, dtype=np.int64) for n in sizes])
+    depths = np.repeat(np.arange(1, k_max + 1, dtype=np.int64), sizes)
+    cells = np.concatenate([level["cells"] for level in levels], axis=1)
+    values = np.concatenate([level["values"] for level in levels], axis=1)
+    hi, lo = np.empty(word_ints.size), np.empty(word_ints.size)
+    for start in range(0, word_ints.size, _REFINE_CHUNK_WORDS):
+        part = slice(start, start + _REFINE_CHUNK_WORDS)
+        hi[part], lo[part] = _refine_extrema(
+            cmap, word_ints[part], depths[part], cells[:, part],
+            values[:, part], grid, refine_iters)
+    per_depth = np.split(np.exp(hi - lo), np.cumsum(sizes)[:-1])
     reports = []
-    for depth in range(1, k_max + 1):
-        ratios = merged[depth]["ratios"]
+    for depth, ratios in enumerate(per_depth, 1):
         arg = int(np.argmax(ratios))
         c_k = float(ratios[arg])
         if c_k > c_theory:
@@ -481,9 +461,8 @@ def sbd_witness(cmap: CookieMap, k: int) -> SbdWitness:
 
 
 def sbd_profile(cmap: CookieMap, k_max: int, scales=DEFAULT_SCALES,
-                grid: int = DEFAULT_GRID, threads: int = 1,
-                shard_depth: int | None = None,
-                include_witness: bool = True) -> list[SbdProfile]:
+                grid: int = DEFAULT_GRID,
+                threads: int = 1) -> list[SbdProfile]:
     """Empirical sup of distortion over pairs with image size at most 1/r.
 
     Searches every sampled pair inside every word of depth <= k_max (the
@@ -502,38 +481,33 @@ def sbd_profile(cmap: CookieMap, k_max: int, scales=DEFAULT_SCALES,
         raise DepthCapError(
             f"profile search capped at depth {PROFILE_DEPTH_CAP}, got {k_max}")
     scales = tuple(float(r) for r in scales)
-    if any(r < 1.0 for r in scales):
+    if any(not r >= 1.0 for r in scales):
         raise DomainError("scales must be >= 1")
     if grid < 33:
         raise DomainError(f"need at least 33 grid points, got {grid}")
-    if shard_depth is None:
-        shard_depth = _default_shard_depth(k_max)
-    merged = _run_shards(cmap, k_max, grid, refine_iters=0, scales=scales,
-                         threads=threads, shard_depth=shard_depth)
-    spreads = {r: max(merged[depth]["window"][r]
-                      for depth in range(1, k_max + 1))
+    levels = _run_shards(cmap, k_max, grid, scales, threads)
+    spreads = {r: max(level["window"][r] for level in levels)
                for r in scales}
 
-    if include_witness:
-        axis = np.linspace(0.0, 1.0, grid)
-        pos, slope = cmap.engine.evolve(cmap.constants.T, axis, order=1)
-        vals = np.log(slope)
-        full = float(vals.max() - vals.min())
-        widest_step = float(np.max(np.diff(pos)))
-        for order in _WITNESS_ORDERS:
-            image_scale = 3.0 ** (-(1 << order))
-            windows = {}
-            for r in scales:
-                if (pos[-1] - pos[0]) * image_scale <= 1.0 / r:
-                    spreads[r] = max(spreads[r], full)
-                else:
-                    cells = int((1.0 / r) / (widest_step * image_scale))
-                    if cells >= 1:
-                        windows[r] = cells
-            if windows:
-                found = _window_spreads(vals[None, :], windows.values())
-                for r, spread in zip(windows, found):
-                    spreads[r] = max(spreads[r], spread)
+    axis = np.linspace(0.0, 1.0, grid)
+    pos, slope = cmap.engine.evolve(cmap.constants.T, axis, order=1)
+    vals = np.log(slope)
+    full = float(vals.max() - vals.min())
+    widest_step = float(np.max(np.diff(pos)))
+    for order in _WITNESS_ORDERS:
+        image_scale = 3.0 ** (-(1 << order))
+        windows = {}
+        for r in scales:
+            if (pos[-1] - pos[0]) * image_scale <= 1.0 / r:
+                spreads[r] = max(spreads[r], full)
+            else:
+                cells = int((1.0 / r) / (widest_step * image_scale))
+                if cells >= 1:
+                    windows[r] = cells
+        if windows:
+            found = _window_spreads(vals[None, :], windows.values())
+            for r, spread in zip(windows, found):
+                spreads[r] = max(spreads[r], spread)
     return [SbdProfile(r=r, beta_hat=float(np.exp(spreads[r]))) for r in scales]
 
 

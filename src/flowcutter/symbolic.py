@@ -31,7 +31,7 @@ import numpy as np
 
 from .cookie import LN3, CookieMap
 from .errors import DepthCapError, DomainError
-from .scaled import PointBatch, ScaledPoint
+from .scaled import PointBatch, ScaledPoint, _pow3_batch
 
 DEPTH_CAP = 20
 
@@ -244,15 +244,14 @@ class IntervalSet:
     def pull_back(self, cmap: CookieMap, symbol: int) -> "IntervalSet":
         """Apply one inverse branch to every interval in the family."""
         if symbol == 1:
-            # (x + 2)/3: widths scale by exactly 1/3; all rows land in J_0
-            raw_hi = (self.u_hi + 2.0) * np.power(3.0, -(self.n + 1.0))
-            d_new = np.where(
-                self.anchored,
-                raw_hi,                                   # left was 0
-                self.d * np.power(3.0, -self.n.astype(np.float64)) / 3.0,
-            )
-            u_lo_new = np.where(self.anchored, 0.0,
-                                (self.u_lo + 2.0) * np.power(3.0, -(self.n + 1.0)))
+            # (x + 2)/3: the new unit coordinate is the raw x, so all rows
+            # land in J_0; each divides by the correctly rounded 3^(n+1),
+            # as PointBatch.raw does
+            pow3 = _pow3_batch(self.n + 1)
+            raw_hi = (self.u_hi + 2.0) / pow3
+            d_new = np.where(self.anchored, raw_hi,      # left was 0
+                             self.d / pow3)
+            u_lo_new = np.where(self.anchored, 0.0, (self.u_lo + 2.0) / pow3)
             return IntervalSet(
                 anchored=np.zeros(self.size, dtype=bool),
                 n=np.zeros(self.size, dtype=np.int32),

@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -14,6 +15,9 @@ from flowcutter import flow as flow_module
 from flowcutter.optimize import golden_max, golden_min
 from flowcutter.scaled import Locus, PointBatch
 from flowcutter.symbolic import word_levels
+
+# the package re-exports the function distortion under the module's name
+distortion_module = importlib.import_module("flowcutter.distortion")
 
 
 def test_affine_words_have_unit_distortion(cmap):
@@ -81,9 +85,16 @@ def test_sweep_matches_single_word_evaluations(cmap):
             assert rep.per_word[i] == solo
 
 
-def test_sweep_thread_count_does_not_change_bits(cmap):
-    a = bd_sweep(cmap, 6, grid=65, refine_iters=8, threads=1, shard_depth=2)
-    b = bd_sweep(cmap, 6, grid=65, refine_iters=8, threads=3, shard_depth=2)
+def _shard_at(monkeypatch, depth):
+    """Make every sweep shard the word tree at the given depth."""
+    monkeypatch.setattr(distortion_module, "_default_shard_depth",
+                        lambda k_max: depth)
+
+
+def test_sweep_thread_count_does_not_change_bits(cmap, monkeypatch):
+    _shard_at(monkeypatch, 2)
+    a = bd_sweep(cmap, 6, grid=65, refine_iters=8, threads=1)
+    b = bd_sweep(cmap, 6, grid=65, refine_iters=8, threads=3)
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.per_word, rb.per_word)
         assert ra.c_k == rb.c_k
@@ -95,21 +106,45 @@ def test_sweep_rejects_nonpositive_threads(cmap, threads):
         bd_sweep(cmap, 2, grid=33, threads=threads)
 
 
-def test_sweep_sharding_covers_all_depths(cmap):
+def test_sweep_sharding_covers_all_depths(cmap, monkeypatch):
+    # shard depth k_max leaves the shards no levels to walk
+    k_max = 5
     for refine_iters in (0, 8):
-        plain = bd_sweep(cmap, 5, grid=65, refine_iters=refine_iters,
-                         shard_depth=0)
-        sharded = bd_sweep(cmap, 5, grid=65, refine_iters=refine_iters,
-                           shard_depth=2)
-        for ra, rb in zip(plain, sharded):
-            assert np.array_equal(ra.per_word, rb.per_word)
+        _shard_at(monkeypatch, 0)
+        plain = bd_sweep(cmap, k_max, grid=65, refine_iters=refine_iters)
+        for depth in range(1, k_max + 1):
+            _shard_at(monkeypatch, depth)
+            sharded = bd_sweep(cmap, k_max, grid=65,
+                               refine_iters=refine_iters)
+            for ra, rb in zip(plain, sharded):
+                assert np.array_equal(ra.per_word, rb.per_word), depth
+
+
+def test_sweep_refines_once(cmap, monkeypatch):
+    _shard_at(monkeypatch, 0)
+    plain = bd_sweep(cmap, 6, grid=65, refine_iters=8)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].size)
+        return _refine_extrema(*args, **kwargs)
+
+    _shard_at(monkeypatch, 3)
+    monkeypatch.setattr(distortion_module, "_refine_extrema", counted)
+    sharded = bd_sweep(cmap, 6, grid=65, refine_iters=8)
+    # one call over every word of every depth
+    assert calls == [2 ** 7 - 2]
+    for ra, rb in zip(plain, sharded):
+        assert np.array_equal(ra.per_word, rb.per_word)
 
 
 @pytest.mark.parametrize("shard_depth", [0, 2, 3])
-def test_single_word_distortion_is_its_sweep_entry(cmap, shard_depth):
+def test_single_word_distortion_is_its_sweep_entry(cmap, shard_depth,
+                                                   monkeypatch):
     # every result is a pure per-point function, so neither the batch nor
     # the shard a word is swept in moves a bit
-    reports = bd_sweep(cmap, 5, shard_depth=shard_depth)
+    _shard_at(monkeypatch, shard_depth)
+    reports = bd_sweep(cmap, 5)
     for rep in reports:
         for i in range(2 ** rep.depth):
             bits = format(i, f"0{rep.depth}b")
@@ -382,8 +417,7 @@ def test_blocked_spreads_stay_below_one_copy_of_a_level():
 
 def test_profile_unit_scale_equals_sweep_max(cmap):
     k_max = 5
-    prof = sbd_profile(cmap, k_max, scales=(1.0,), grid=129,
-                       include_witness=False)
+    prof = sbd_profile(cmap, k_max, scales=(1.0,), grid=129)
     sweep = bd_sweep(cmap, k_max, grid=129, refine_iters=0)
     assert prof[0].beta_hat == pytest.approx(sweep[-1].c_k, rel=1e-12)
 
@@ -405,19 +439,20 @@ def test_profile_monotone_in_scale(cmap):
 
 
 def test_profile_validation(cmap):
-    with pytest.raises(DomainError):
-        sbd_profile(cmap, 3, scales=(0.5,))
+    for r in (0.5, math.nan):
+        with pytest.raises(DomainError):
+            sbd_profile(cmap, 3, scales=(r,))
     for grid in (0, 1, 32):
         with pytest.raises(DomainError):
             sbd_profile(cmap, 3, grid=grid)
 
 
-def test_profile_thread_count_does_not_change_bits(consts):
+def test_profile_thread_count_does_not_change_bits(consts, monkeypatch):
     # each run on a fresh engine, so that the threads race to build the
     # flow tables on first use
+    _shard_at(monkeypatch, 2)
     runs = [sbd_profile(CookieMap(consts, FlowEngine(tol=consts.tol)), 6,
-                        scales=(1.0, 3.0, 27.0), grid=65, threads=threads,
-                        shard_depth=2)
+                        scales=(1.0, 3.0, 27.0), grid=65, threads=threads)
             for threads in (1, 3)]
     assert runs[0] == runs[1]
 

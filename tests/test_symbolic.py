@@ -325,3 +325,15 @@ def test_narrow_width_pull_back_is_batch_independent(cmap):
         one = _take(rows, slice(i, i + 1)).pull_back(cmap, 0)
         for key in ("u_lo", "d", "u_hi"):
             assert getattr(one, key)[0] == getattr(whole, key)[i]
+
+
+def test_right_pull_back_divides_by_rounded_powers_of_three(cmap):
+    # the interval table and the point path place a pulled-back endpoint
+    # on the same float: both divide by the correctly rounded 3^(n+1)
+    for n in range(601):
+        for u in (0.0, 0.37, 1.0):
+            row = _common_rows([n], [u], [0.0]).pull_back(cmap, 1)
+            raw = ScaledPoint.in_window(n, u).raw
+            assert row.u_lo[0] == raw and row.u_hi[0] == raw, (n, u)
+        width = _common_rows([n], [0.0], [0.37]).pull_back(cmap, 1).d[0]
+        assert width == 0.37 / float(3 ** (n + 1)), n
