@@ -15,10 +15,13 @@ All sweeps run on (words x grid) arrays, walked by symbolic.word_levels
 shallow level from each of its rows, one shard each. The grid of a word
 is always the inverse image of one fixed uniform grid on [0,1], so the
 grid position of a sample IS its normalized image coordinate under F^k,
-which the profile search uses directly. The walk keeps only each word's
-grid extrema; bd_sweep then sharpens them with one golden-section pass
-run in lockstep across every word of every depth, the same refine that
-distortion() runs for one word.
+which the profile search uses directly. The walk keeps of each level
+only what its caller reads: each word's grid extrema for bd_sweep, the
+level's windowed spreads for sbd_profile. bd_sweep then sharpens the
+extrema with one golden-section pass run in lockstep across every word of
+every depth, the same refine that distortion() runs for one word; words
+enter it as rows of symbols, right-aligned and padded with -1, so a word
+of any length composes through exactly its own symbols.
 
 Every pull-back goes through CookieMap.inverse_batch, whose window flows
 are lookups in per-time displacement tables, a pure function of each point.
@@ -197,32 +200,27 @@ def _grid_extrema(extra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cells, values
 
 
-def _refine_extrema(cmap: CookieMap, word_ints: np.ndarray,
-                    depths: np.ndarray, cells: np.ndarray,
+def _refine_extrema(cmap: CookieMap, symbols: np.ndarray, cells: np.ndarray,
                     values: np.ndarray, grid: int, iters: int
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section sharpening of per-word extra maxima and minima.
 
-    Row r is the word word_ints[r] of length depths[r], with its grid
-    extrema (cells, values) from _grid_extrema. Brackets are the one-cell
-    neighborhoods of the grid extrema in the normalized coordinate; one
-    optimize.golden_max call searches them all in lockstep, so every word
-    of every depth shares one batched evaluation per iteration,
-    with shorter words left-padded so that each composes through exactly
-    its own symbols. Maximum and minimum tasks ride in the same batch with
+    Row r of symbols is one word, right-aligned and left-padded with -1 as
+    _compose_extras reads it, with its grid extrema (cells, values) from
+    _grid_extrema. Brackets are the one-cell neighborhoods of the grid
+    extrema in the normalized coordinate; one optimize.golden_max call
+    searches them all in lockstep, so words of every length share one
+    batched evaluation per iteration, each composing through exactly its
+    own symbols. Maximum and minimum tasks ride in the same batch with
     opposite signs. The result is never below the grid value it refines.
     """
     grid_hi, grid_lo = values
     if iters <= 0:
         return grid_hi, grid_lo
-    rows = word_ints.size
+    rows = symbols.shape[0]
     s_axis = np.linspace(0.0, 1.0, grid)
     cells = cells.ravel()
     sign = np.concatenate([np.ones(rows), -np.ones(rows)])
-
-    shifts = np.arange(int(depths.max()) - 1, -1, -1, dtype=np.int64)
-    symbols = ((word_ints[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-    symbols[shifts[None, :] >= depths[:, None]] = -1
     # column-major: each position's symbols, one per task, are contiguous
     symbols = np.asfortranarray(np.vstack([symbols, symbols]))
 
@@ -284,28 +282,22 @@ def _window_spreads(extra: np.ndarray, window_cells) -> list[float]:
     return best.tolist()
 
 
-def _level_extrema(state: _PointGrid, grid: int, scales) -> dict:
-    """What a sweep keeps of one level: each row's grid extrema and, per
-    scale, the largest windowed grid spread (one _window_spreads call
-    serves every scale from one blocked max/min pyramid)."""
-    cells, values = _grid_extrema(state.extra)
-    spreads = _window_spreads(state.extra,
-                              [int((grid - 1) // r) for r in scales])
-    return {"cells": cells, "values": values,
-            "window": dict(zip(scales, spreads))}
+def _run_shards(cmap: CookieMap, k_max: int, grid: int, keep,
+                threads: int) -> tuple[np.ndarray, ...]:
+    """Walk the word tree once, keeping keep(extra) of every level.
 
-
-def _run_shards(cmap: CookieMap, k_max: int, grid: int, scales,
-                threads: int) -> list[dict]:
-    """Walk the word tree once, keeping every level's _level_extrema.
-
-    Depths 1..d (d = _default_shard_depth(k_max)) are walked from [0,1];
-    row i of depth d seeds shard i, which walks the depths below it: the
-    words that end in word i. Sharding bounds the working set (each shard
-    holds 2^(k-d) rows at depth k) and gives the thread pool independent
-    units. Merging is index placement ([i::2^d]) plus maxima in a fixed
-    order, so the result is bit-identical for any thread count. Returns
-    one entry per depth 1..k_max, its rows in lex word order.
+    keep maps a level's (rows x grid) extras to a tuple of arrays whose
+    last axis runs over the level's rows (bd_sweep: _grid_extrema) or
+    holds one column (sbd_profile: the level's window spreads). Depths
+    1..d (d = _default_shard_depth(k_max)) are walked from [0,1]; row i of
+    depth d seeds shard i, which walks the depths below it: the words that
+    end in word i. Sharding bounds the working set (each shard holds
+    2^(k-d) rows at depth k) and gives the thread pool independent units.
+    The merge interleaves the shards' last axes, so row j of shard i lands
+    at j 2^d + i, the row of its word in lex order; a shard that returns
+    a wrong number of levels or rows raises. Nothing depends on the thread
+    count, so the result is bit-identical for any. Returns keep's arrays,
+    each concatenated along its last axis over depths 1..k_max.
     """
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
@@ -313,10 +305,10 @@ def _run_shards(cmap: CookieMap, k_max: int, grid: int, scales,
     state = _PointGrid.root(grid)
     levels = []
     for state in word_levels(state, cmap, d):
-        levels.append(_level_extrema(state, grid, scales))
+        levels.append(keep(state.extra))
 
     def run(seed):
-        return [_level_extrema(level, grid, scales)
+        return [keep(level.extra)
                 for level in word_levels(seed, cmap, k_max - d)]
 
     if threads > 1:
@@ -325,20 +317,13 @@ def _run_shards(cmap: CookieMap, k_max: int, grid: int, scales,
     else:
         shards = [run(seed) for seed in state.rows()]
 
-    for depth in range(d + 1, k_max + 1):
-        levels.append({"cells": np.zeros((2, 1 << depth), dtype=np.intp),
-                       "values": np.full((2, 1 << depth), np.nan),
-                       "window": dict.fromkeys(scales, -np.inf)})
-    for i, shard in enumerate(shards):
-        for slot, entry in zip(levels[d:], shard):
-            slot["cells"][:, i::1 << d] = entry["cells"]
-            slot["values"][:, i::1 << d] = entry["values"]
-            for r, spread in entry["window"].items():
-                slot["window"][r] = max(slot["window"][r], spread)
-    for depth, slot in enumerate(levels, 1):
-        if np.isnan(slot["values"]).any():
-            raise RuntimeError(f"sweep left depth {depth} incomplete (bug)")
-    return levels
+    for _, *parts in zip(range(d + 1, k_max + 1), *shards, strict=True):
+        levels.append(tuple(
+            np.stack(arrays, axis=-1).reshape(*arrays[0].shape[:-1],
+                                              arrays[0].shape[-1] << d)
+            for arrays in zip(*parts, strict=True)))
+    return tuple(np.concatenate(arrays, axis=-1)
+                 for arrays in zip(*levels, strict=True))
 
 
 def _default_shard_depth(k_max: int) -> int:
@@ -363,9 +348,8 @@ def distortion(cmap: CookieMap, word: Word | str, grid: int = DEFAULT_GRID,
     word = Word.of(word)
     state = pull_back_word(_PointGrid.root(grid), cmap, word.bits)
     cells, values = _grid_extrema(state.extra)
-    hi, lo = _refine_extrema(cmap, np.array([word.index], dtype=np.int64),
-                             np.array([len(word)], dtype=np.int64), cells,
-                             values, grid, refine_iters)
+    hi, lo = _refine_extrema(cmap, np.array([list(word)], dtype=np.int8),
+                             cells, values, grid, refine_iters)
     return float(np.exp(hi[0] - lo[0]))
 
 
@@ -388,18 +372,21 @@ def bd_sweep(cmap: CookieMap, k_max: int, grid: int = DEFAULT_GRID,
     if grid < 33:
         raise DomainError(f"need at least 33 grid points, got {grid}")
     c_theory = theoretical_bound(cmap.constants.M)
-    levels = _run_shards(cmap, k_max, grid, (), threads)
+    cells, values = _run_shards(cmap, k_max, grid, _grid_extrema, threads)
     sizes = [1 << depth for depth in range(1, k_max + 1)]
-    word_ints = np.concatenate([np.arange(n, dtype=np.int64) for n in sizes])
-    depths = np.repeat(np.arange(1, k_max + 1, dtype=np.int64), sizes)
-    cells = np.concatenate([level["cells"] for level in levels], axis=1)
-    values = np.concatenate([level["values"] for level in levels], axis=1)
-    hi, lo = np.empty(word_ints.size), np.empty(word_ints.size)
-    for start in range(0, word_ints.size, _REFINE_CHUNK_WORDS):
+    # every word of every depth in lex order, right-aligned in k_max
+    # columns: bit j of a word's index is its symbol j places from the end
+    index = np.concatenate([np.arange(n) for n in sizes])
+    depths = np.repeat(np.arange(1, k_max + 1), sizes)
+    shifts = np.arange(k_max - 1, -1, -1)
+    symbols = ((index[:, None] >> shifts) & 1).astype(np.int8)
+    symbols[shifts >= depths[:, None]] = -1
+    hi, lo = np.empty(index.size), np.empty(index.size)
+    for start in range(0, index.size, _REFINE_CHUNK_WORDS):
         part = slice(start, start + _REFINE_CHUNK_WORDS)
         hi[part], lo[part] = _refine_extrema(
-            cmap, word_ints[part], depths[part], cells[:, part],
-            values[:, part], grid, refine_iters)
+            cmap, symbols[part], cells[:, part], values[:, part], grid,
+            refine_iters)
     per_depth = np.split(np.exp(hi - lo), np.cumsum(sizes)[:-1])
     reports = []
     for depth, ratios in enumerate(per_depth, 1):
@@ -485,9 +472,12 @@ def sbd_profile(cmap: CookieMap, k_max: int, scales=DEFAULT_SCALES,
         raise DomainError("scales must be >= 1")
     if grid < 33:
         raise DomainError(f"need at least 33 grid points, got {grid}")
-    levels = _run_shards(cmap, k_max, grid, scales, threads)
-    spreads = {r: max(level["window"][r] for level in levels)
-               for r in scales}
+    window_cells = [int((grid - 1) // r) for r in scales]
+    found, = _run_shards(
+        cmap, k_max, grid,
+        lambda extra: (np.array(_window_spreads(extra, window_cells))[:, None],),
+        threads)
+    spreads = dict(zip(scales, found.max(axis=1).tolist()))
 
     axis = np.linspace(0.0, 1.0, grid)
     pos, slope = cmap.engine.evolve(cmap.constants.T, axis, order=1)
@@ -523,6 +513,8 @@ def audit_interval_sizes(cmap: CookieMap, n_max: int, k_max: int,
     """
     if n_max < 0 or k_max < 0:
         raise DomainError("n_max and k_max must be >= 0")
+    if combined_cap is not None and combined_cap < 1:
+        raise DomainError(f"combined_cap must be >= 1, got {combined_cap}")
     cap = n_max + 1 + k_max
     if combined_cap is not None:
         cap = min(cap, combined_cap)

@@ -15,7 +15,10 @@ GAP(n, v)   x = v / 3^n, v in (1/3, 2/3); the open gap just below J_n
 HOLE(v)     x = v in (1/3, 2/3); outside the two-branch domain
 
 Boundary points always classify into their neighboring window, so GAP and
-HOLE stay open. Supported depth: n <= 600 (far past the raw-float floor).
+HOLE stay open. Supported depth: n <= 600 (far past the raw-float floor);
+a raw value whose window or gap index exceeds 600 raises DomainError.
+There is one classifier, PointBatch.from_raw; ScaledPoint.from_raw is a
+batch of one over it.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ _LN3 = math.log(3.0)
 _MAX_INDEX = 600
 
 # 3^k correctly rounded, k = 0..646, and inf at 647 for every larger k
-# (3^647 overflows float64). Every raw <-> scaled conversion, scalar or
-# batch, reads its powers from here, so the two paths agree bitwise; a
+# (3^647 overflows float64). Every raw <-> scaled conversion reads its
+# powers from here, so ScaledPoint.raw and PointBatch.raw agree bitwise; a
 # libm pow is not correctly rounded (np.power(3.0, k) misses for 32
 # k <= 646, the first k = 41).
 _POW3_TOP = 647
@@ -93,8 +96,8 @@ class ScaledPoint:
 
     @classmethod
     def from_raw(cls, x: float) -> "ScaledPoint":
-        locus, n, u = _classify_scalar(float(x))
-        return cls(Locus(locus), int(n), float(u))
+        """Classify one raw value: a batch of one over PointBatch.from_raw."""
+        return PointBatch.from_raw(np.array([x], dtype=np.float64)).point(0)
 
     @classmethod
     def zero(cls) -> "ScaledPoint":
@@ -111,34 +114,6 @@ def _pow3(n: int) -> float:
 
 def _pow3_batch(n: np.ndarray) -> np.ndarray:
     return _POW3[np.minimum(n, _POW3_TOP)]
-
-
-def _classify_scalar(x: float) -> tuple[int, int, float]:
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"point {x!r} outside [0,1]")
-    if x == 0.0:
-        return (int(Locus.ZERO), 0, 0.0)
-    if x >= 2.0 / 3.0:
-        return (int(Locus.INJ), 0, min(max(3.0 * x - 2.0, 0.0), 1.0))
-    if x > 1.0 / 3.0:
-        return (int(Locus.HOLE), 0, x)
-    # x in (0, 1/3]: find n with x * 3^n in (1/3, 1]
-    n = int(math.floor(-math.log(x) / _LN3))
-    if n > _MAX_INDEX:
-        raise DomainError(f"point {x!r} too deep to classify (n > {_MAX_INDEX})")
-    scaled = x * _pow3(n)
-    if scaled > 1.0:
-        n -= 1
-        scaled = x * _pow3(n)
-    elif scaled <= 1.0 / 3.0:
-        n += 1
-        scaled = x * _pow3(n)
-    if scaled >= 2.0 / 3.0:
-        # x * 3^(n+1) lands in [2, 3], so subtracting 2 is exact; this
-        # keeps the raw <-> scaled round trip within one ulp
-        u = x * _pow3(n + 1) - 2.0
-        return (int(Locus.INJ), n, min(max(u, 0.0), 1.0))
-    return (int(Locus.GAP), n, scaled)
 
 
 class PointBatch:
@@ -158,7 +133,7 @@ class PointBatch:
     @classmethod
     def from_raw(cls, x: np.ndarray) -> "PointBatch":
         x = np.asarray(x, dtype=np.float64)
-        if x.size and (x.min() < 0.0 or x.max() > 1.0):
+        if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
             raise DomainError("points outside [0,1]")
         locus = np.full(x.shape, int(Locus.HOLE), dtype=np.int8)
         n = np.zeros(x.shape, dtype=np.int32)
@@ -174,14 +149,12 @@ class PointBatch:
         left = (x > 0.0) & (x <= 1.0 / 3.0)
         if left.any():
             xl = x[left]
-            if xl.min() < 3.0 ** (-_MAX_INDEX):
-                raise DomainError(f"points too deep to classify (n > {_MAX_INDEX})")
+            # n with x 3^n in (1/3, 1]: the log estimate, corrected by one
             nl = np.floor(-np.log(xl) / _LN3).astype(np.int64)
-            scaled = xl * _pow3_batch(nl)
-            over = scaled > 1.0
-            nl[over] -= 1
-            under = xl * _pow3_batch(nl) <= 1.0 / 3.0
-            nl[under] += 1
+            nl[xl * _pow3_batch(nl) > 1.0] -= 1
+            nl[xl * _pow3_batch(nl) <= 1.0 / 3.0] += 1
+            if nl.max() > _MAX_INDEX:
+                raise DomainError(f"points too deep to classify (n > {_MAX_INDEX})")
             scaled = xl * _pow3_batch(nl)
             is_window = scaled >= 2.0 / 3.0
             # windows: x * 3^(n+1) is in [2, 3] where subtracting 2 is exact

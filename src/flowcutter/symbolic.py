@@ -76,14 +76,6 @@ class Word:
         return w if isinstance(w, Word) else Word(w)
 
     @staticmethod
-    def zeros(n: int) -> "Word":
-        return Word("0" * n)
-
-    @staticmethod
-    def ones(n: int) -> "Word":
-        return Word("1" * n)
-
-    @staticmethod
     def from_index(index: int, length: int) -> "Word":
         """The index-th word of the given length in lexicographic order."""
         return Word(format(index, f"0{length}b") if length else "")

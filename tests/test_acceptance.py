@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from flowcutter import (ScaledPoint, basic_interval, bd_sweep,
-                        bowen_dimension, certified_bracket,
+                        bowen_dimension, certified_bracket, distortion,
                         dimension_estimate, inverse_branch, audit_interval_sizes,
                         sbd_profile, sbd_witness, vector_field)
 from flowcutter.cookie import LN3
@@ -225,6 +225,15 @@ def test_criterion_7_distortion_plateau(sweep14, plateau_rate, record_criterion)
         f"plateau ratio (C14-C12)/(C12-C10) = {ratio:.10f} deviates from the "
         f"contraction rate 1/(9 phi_T'(u*)) = {plateau_rate:.10f} by "
         f"{dev:.2e} relative (bound {PLATEAU_REL_TOL:.0e})")
+
+
+def test_long_alternating_word_lies_between_c14_and_the_ceiling(cmap, sweep14):
+    # 80 symbols: far past the depth of any sweep, near the alternating
+    # family's limit C_inf ~ 1.2178098436 from the geometric tail
+    reports, _ = sweep14
+    value = distortion(cmap, "10" * 40)
+    print(f"distortion(10^40) = {value!r}")
+    assert reports[-1].c_k <= value <= reports[-1].c_theory
 
 
 def test_criterion_8_sbd_failure(cmap, profile14, record_criterion):

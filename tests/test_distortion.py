@@ -14,7 +14,7 @@ from flowcutter.distortion import (_PointGrid, _compose_extras, _grid_extrema,
 from flowcutter import flow as flow_module
 from flowcutter.optimize import golden_max, golden_min
 from flowcutter.scaled import Locus, PointBatch
-from flowcutter.symbolic import word_levels
+from flowcutter.symbolic import Word, word_levels
 
 # the package re-exports the function distortion under the module's name
 distortion_module = importlib.import_module("flowcutter.distortion")
@@ -126,7 +126,7 @@ def test_sweep_refines_once(cmap, monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[1].size)
+        calls.append(args[1].shape[0])
         return _refine_extrema(*args, **kwargs)
 
     _shard_at(monkeypatch, 3)
@@ -136,6 +136,39 @@ def test_sweep_refines_once(cmap, monkeypatch):
     assert calls == [2 ** 7 - 2]
     for ra, rb in zip(plain, sharded):
         assert np.array_equal(ra.per_word, rb.per_word)
+
+
+@pytest.mark.parametrize("short", ["one shard a level", "every shard a level",
+                                   "one shard a row"])
+def test_merge_rejects_a_short_shard(cmap, monkeypatch, short):
+    # the top walk is the first word_levels call, the shards the next four
+    _shard_at(monkeypatch, 2)
+    calls = []
+
+    def shortened(state, cmap, levels):
+        calls.append(levels)
+        out = list(word_levels(state, cmap, levels))
+        if len(calls) == 1 or (short.startswith("one") and len(calls) != 3):
+            return out
+        if short.endswith("level"):
+            return out[:-1]
+        return out[:-1] + [_PointGrid(*(getattr(out[-1], k)[:-1]
+                                        for k in _PointGrid.__slots__))]
+
+    monkeypatch.setattr(distortion_module, "word_levels", shortened)
+    with pytest.raises(ValueError):
+        bd_sweep(cmap, 5, grid=33, refine_iters=0)
+    # the merge raises, after the top walk and all four shards
+    assert calls == [2, 3, 3, 3, 3]
+
+
+def test_long_words_compose_through_every_symbol(cmap):
+    # the affine prefix 1^m adds exactly 0.0 to every extra, at any length;
+    # the words are the benchmark's fixed lemmas words
+    for w in ("0001", "0000000001", "1010101010", "0110100110"):
+        alone = distortion(cmap, w)
+        assert distortion(cmap, "1" * 64 + w) == alone, w
+        assert distortion(cmap, "1" * 300 + w) == alone, w
 
 
 @pytest.mark.parametrize("shard_depth", [0, 2, 3])
@@ -157,11 +190,10 @@ def test_mixed_depth_refine_matches_per_depth_refine(cmap):
     reports = bd_sweep(cmap, 7, grid=grid, refine_iters=iters)
     levels = word_levels(_PointGrid.root(grid), cmap, 7)
     for rep, state in zip(reports, levels):
-        words = np.arange(2 ** rep.depth, dtype=np.int64)
-        depths = np.full(words.size, rep.depth, dtype=np.int64)
+        symbols = np.array([list(Word.from_index(i, rep.depth))
+                            for i in range(2 ** rep.depth)], dtype=np.int8)
         cells, values = _grid_extrema(state.extra)
-        hi, lo = _refine_extrema(cmap, words, depths, cells, values, grid,
-                                 iters)
+        hi, lo = _refine_extrema(cmap, symbols, cells, values, grid, iters)
         assert np.array_equal(rep.per_word, np.exp(hi - lo))
         assert np.all(rep.per_word >= np.exp(values[0] - values[1]))
 
@@ -488,6 +520,13 @@ def test_size_bound_combined_cap(cmap):
     assert audit.ok
     assert audit.checked == sum(2 ** k for n in range(11) for k in range(11)
                                 if n + 1 + k <= 8)
+
+
+@pytest.mark.parametrize("cap", [0, -2])
+def test_size_bound_rejects_a_cap_below_one(cmap, cap):
+    # a cap below 1 leaves no family to check, which must not read as a pass
+    with pytest.raises(DomainError):
+        audit_interval_sizes(cmap, 3, 3, combined_cap=cap)
 
 
 def test_size_bound_cap_guard(cmap):

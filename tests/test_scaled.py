@@ -120,13 +120,34 @@ def test_batch_raw_matches_scalar_raw_at_every_depth():
 
 
 def test_batch_from_raw_matches_scalar_from_raw_down_to_depth_600():
+    # log-uniform down to 3^-601, the lower end of the gap below J_600
     rng = np.random.default_rng(7)
-    xs = np.exp(-rng.uniform(0.0, 600.0, 20000) * math.log(3.0))
+    xs = np.exp(-rng.uniform(0.0, 601.0, 20000) * math.log(3.0))
     b = PointBatch.from_raw(xs)
+    assert np.all(np.abs(b.raw() - xs) <= np.spacing(xs))
+    assert b.n.max() == 600
     scalar = [ScaledPoint.from_raw(float(x)) for x in xs]
     assert b.locus.tolist() == [int(p.locus) for p in scalar]
     assert b.n.tolist() == [p.n for p in scalar]
     assert b.u.tolist() == [p.u for p in scalar]
+
+
+def test_depth_600_classifies_and_601_raises():
+    for p in (ScaledPoint.in_window(600, 0.5), ScaledPoint(Locus.GAP, 600, 0.5)):
+        assert ScaledPoint.from_raw(p.raw) == p
+        assert PointBatch.from_raw(np.array([p.raw, 0.5])).point(0) == p
+    for p in (ScaledPoint.in_window(601, 0.5), ScaledPoint(Locus.GAP, 601, 0.5)):
+        with pytest.raises(DomainError):
+            ScaledPoint.from_raw(p.raw)
+        with pytest.raises(DomainError):
+            PointBatch.from_raw(np.array([0.5, p.raw]))
+
+
+def test_nan_is_outside_the_unit_interval():
+    with pytest.raises(DomainError):
+        PointBatch.from_raw(np.array([0.5, math.nan]))
+    with pytest.raises(DomainError):
+        ScaledPoint.from_raw(math.nan)
 
 
 def test_batch_point_accessor():
