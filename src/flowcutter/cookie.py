@@ -159,44 +159,41 @@ class CookieMap:
 
     def apply(self, p: ScaledPoint) -> ScaledPoint:
         """One step of F in scaled coordinates."""
+        return self._step(p)[0]
+
+    def derivative(self, p: ScaledPoint) -> float:
+        """F'(p): exactly 3 off the deep windows, 3 phi_{t_n}'(u) on them,
+        read from the forward table as in iterate."""
+        return 3.0 * math.exp(self._step(p)[1])
+
+    def _step(self, p: ScaledPoint) -> tuple[ScaledPoint, float]:
+        """F(p) and log F'(p) - ln 3, the one forward step.
+
+        A window J_n (n >= 1) reads phi_{t_n} and its log slope from the
+        forward table of its block (block_flow); every other branch is
+        affine, with increment exactly 0.0.
+        """
         if p.locus is Locus.HOLE:
             raise DomainError("point in the central hole is outside the domain of F")
         if p.locus is Locus.ZERO:
-            return p
+            return p, 0.0
         if p.locus is Locus.GAP:
             if p.n == 1:
-                return ScaledPoint(Locus.HOLE, 0, p.u)
-            return ScaledPoint(Locus.GAP, p.n - 1, p.u)
+                return ScaledPoint(Locus.HOLE, 0, p.u), 0.0
+            return ScaledPoint(Locus.GAP, p.n - 1, p.u), 0.0
         if p.n == 0:
-            return ScaledPoint.from_raw(p.u)
-        t = self.schedule.flow_time(p.n)
-        y = self.engine.flow_position(t, p.u)
-        return ScaledPoint.in_window(p.n - 1, y)
-
-    def derivative(self, p: ScaledPoint) -> float:
-        """F'(p): exactly 3 off the deep windows, 3 phi_{t_n}'(u) on them."""
-        if p.locus is Locus.HOLE:
-            raise DomainError("point in the central hole is outside the domain of F")
-        if p.locus is Locus.INJ and p.n >= 1:
-            t = self.schedule.flow_time(p.n)
-            return 3.0 * self.engine.flow_derivative(t, p.u)
-        return 3.0
-
-    def log_derivative(self, p: ScaledPoint) -> float:
-        """ln F'(p), split so the ln 3 part stays exact."""
-        if p.locus is Locus.HOLE:
-            raise DomainError("point in the central hole is outside the domain of F")
-        if p.locus is Locus.INJ and p.n >= 1:
-            t = self.schedule.flow_time(p.n)
-            return LN3 + math.log(self.engine.flow_derivative(t, p.u))
-        return LN3
+            return ScaledPoint.from_raw(p.u), 0.0
+        y, log_slope = self.block_flow(
+            1.0, self.schedule.blocks(np.array([p.n])), np.array([p.u]))
+        return ScaledPoint.in_window(p.n - 1, float(y[0])), float(log_slope[0])
 
     def iterate(self, p: ScaledPoint, k: int,
                 hole_slack: float = 0.0) -> IterateResult:
         """F^k(p) and log (F^k)'(p), accumulated in log space.
 
-        Window steps read phi_{t_n} and its log slope from the forward
-        table of their block (block_flow): no ODE solve once it exists.
+        Each step is the forward step of apply and derivative, whose
+        window branch reads the forward table of its block (block_flow): no
+        ODE solve once it exists.
 
         Raises EscapeError at the first j < k for which F^j(p) leaves the
         domain (enters the hole); the final point may land anywhere.
@@ -219,13 +216,8 @@ class CookieMap:
                     q = ScaledPoint.in_window(0, 0.0)
                 else:
                     raise EscapeError(j)
-            if q.locus is Locus.INJ and q.n >= 1:
-                y, log_slope = self.block_flow(
-                    1.0, self.schedule.blocks(np.array([q.n])), np.array([q.u]))
-                extra += float(log_slope[0])
-                q = ScaledPoint.in_window(q.n - 1, float(y[0]))
-            else:
-                q = self.apply(q)
+            q, increment = self._step(q)
+            extra += increment
         return IterateResult(point=q, steps=k, log_extra=extra)
 
     def apply_raw(self, x: float) -> float:
@@ -357,7 +349,8 @@ class CookieMap:
             h /= 10.0
 
         # right of 0 at the raw step h: a gap, or a window point to flow
-        probes = [ScaledPoint.from_raw(h) for h in steps]
+        batch = PointBatch.from_raw(np.array(steps))
+        probes = [batch.point(i) for i in range(batch.size)]
         deep = [p for p in probes if p.locus is Locus.INJ and p.n >= 1]
         u0 = np.array([p.u for p in deep])
         y = self.engine.evolve(self.schedule.flow_times(

@@ -8,7 +8,10 @@ The negative experiment (sbd_witness / sbd_profile): the windows
 J_{2^(k+1)-1} map onto J_{2^k-1} under F^(2^k) with every affine factor
 cancelling, leaving exactly the distortion of the time-T flow. The image
 size shrinks like 3^(-2^k) while the distortion does not move, so the
-distortion bound cannot improve toward 1 at small image scales.
+distortion bound cannot improve toward 1 at small image scales. For odd k
+the flow runs for time -T, whose distortion is the same, since the field
+is symmetric about 1/2. sbd_profile takes one such pair as one more row of
+its search: a uniform grid on J_{2^k-1} pulled back through 0^(2^k).
 
 All sweeps run on (words x grid) arrays, walked by symbolic.word_levels
 (level j+1 stacks both pullbacks of level j) from [0,1], and below a
@@ -41,7 +44,7 @@ import numpy as np
 from .cookie import LN3, CookieMap, interval_J
 from .errors import BoundViolationError, DepthCapError, DomainError
 from .optimize import golden_max
-from .scaled import PointBatch, ScaledPoint
+from .scaled import Locus, PointBatch, ScaledPoint
 from .symbolic import IntervalSet, Word, pull_back_word, word_levels
 
 LN2 = math.log(2.0)
@@ -53,7 +56,8 @@ PROFILE_DEPTH_CAP = 14
 SIZE_AUDIT_CAP = 20
 DEFAULT_SCALES = (1.0, 3.0, 9.0, 27.0, 81.0)
 
-_WITNESS_ORDERS = (2, 4, 6)
+# the deepest block whose window pair can serve as sbd_profile's witness row
+_WITNESS_BLOCK_MAX = 6
 # golden-section steps on the witness's two-cell brackets (width 2/4096):
 # they shrink to 1.2e-13, the resolution of a tol-1e-13 search
 _WITNESS_GOLDEN_STEPS = 46
@@ -152,6 +156,13 @@ class _PointGrid:
         b = PointBatch.from_raw(s)
         return cls(b.locus[None, :].copy(), b.n[None, :].copy(),
                    b.u[None, :].copy(), np.zeros((1, grid)))
+
+    @classmethod
+    def window(cls, n: int, grid: int) -> "_PointGrid":
+        """One row: a uniform grid on the window J_n."""
+        return cls(np.full((1, grid), int(Locus.INJ), dtype=np.int8),
+                   np.full((1, grid), n, dtype=np.int32),
+                   np.linspace(0.0, 1.0, grid)[None, :], np.zeros((1, grid)))
 
     def pull_back(self, cmap: CookieMap, symbol: int) -> "_PointGrid":
         batch = PointBatch(self.locus, self.n, self.u)
@@ -454,13 +465,14 @@ def sbd_profile(cmap: CookieMap, k_max: int, scales=DEFAULT_SCALES,
 
     Searches every sampled pair inside every word of depth <= k_max (the
     uniform grid makes image sizes exact index distances; each level's
-    spreads at all scales come from one _window_spreads call), then widens
-    the search with the witness windows, whose pairs qualify at any scale
-    that their 3^(-2^k) image size clears: a scale that the whole witness
-    image clears takes the full spread of log phi_T' (computed once), and
-    the rest take windowed spreads, one _window_spreads call per witness
-    order. beta_hat is a lower estimate of the true supremum; the point is
-    that it refuses to decay toward 1. The grid needs at least 33 points.
+    spreads at all scales come from one _window_spreads call), plus the
+    witness row: a uniform grid on J_m, m = 2^k - 1, pulled back through
+    0^(m+1). Its image J_m is 3^-(m+1) of [0,1], so one more call, with
+    windows 3^(m+1) times as wide, serves every scale; k is the shallowest
+    block (at most 6) whose whole image clears every scale. Every value is
+    a table lookup, so no ODE is solved once the tables exist. beta_hat is
+    a lower estimate of the true supremum; the point is that it refuses to
+    decay toward 1. The grid needs at least 33 points.
     """
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
@@ -477,28 +489,17 @@ def sbd_profile(cmap: CookieMap, k_max: int, scales=DEFAULT_SCALES,
         cmap, k_max, grid,
         lambda extra: (np.array(_window_spreads(extra, window_cells))[:, None],),
         threads)
-    spreads = dict(zip(scales, found.max(axis=1).tolist()))
 
-    axis = np.linspace(0.0, 1.0, grid)
-    pos, slope = cmap.engine.evolve(cmap.constants.T, axis, order=1)
-    vals = np.log(slope)
-    full = float(vals.max() - vals.min())
-    widest_step = float(np.max(np.diff(pos)))
-    for order in _WITNESS_ORDERS:
-        image_scale = 3.0 ** (-(1 << order))
-        windows = {}
-        for r in scales:
-            if (pos[-1] - pos[0]) * image_scale <= 1.0 / r:
-                spreads[r] = max(spreads[r], full)
-            else:
-                cells = int((1.0 / r) / (widest_step * image_scale))
-                if cells >= 1:
-                    windows[r] = cells
-        if windows:
-            found = _window_spreads(vals[None, :], windows.values())
-            for r, spread in zip(windows, found):
-                spreads[r] = max(spreads[r], spread)
-    return [SbdProfile(r=r, beta_hat=float(np.exp(spreads[r]))) for r in scales]
+    k = next((k for k in range(_WITNESS_BLOCK_MAX)
+              if 3.0 ** (1 << k) >= max(scales, default=1.0)),
+             _WITNESS_BLOCK_MAX)
+    m = (1 << k) - 1
+    row = pull_back_word(_PointGrid.window(m, grid), cmap, "0" * (m + 1))
+    witness = _window_spreads(
+        row.extra, [(grid - 1) * 3.0 ** (m + 1) // r for r in scales])
+    return [SbdProfile(r=r, beta_hat=float(np.exp(max(searched, spread))))
+            for r, searched, spread in zip(scales, found.max(axis=1).tolist(),
+                                           witness)]
 
 
 def audit_interval_sizes(cmap: CookieMap, n_max: int, k_max: int,

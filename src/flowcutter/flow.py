@@ -12,8 +12,8 @@ Three evaluation routes are provided:
 
 * the table route (FlowEngine.table_flow), the hot path of every pull-back
   of points, interval endpoints and (by the mean-value rule) narrow widths,
-  and of the forward window orbits (CookieMap.iterate) and the strong-bound
-  witness: a cubic Hermite table of the displacement
+  and of the forward map (CookieMap.apply, derivative and iterate) and the
+  strong-bound witness: a cubic Hermite table of the displacement
   delta_t(x) = phi_t(x) - x on a uniform grid, built once per flow time
   from the displacement ODE delta' = t X(x + delta) and checked against
   that ODE at every cell midpoint when it is built. A lookup gathers its
@@ -25,9 +25,8 @@ Three evaluation routes are provided:
   (evolve) or one column at a time (flow). It serves certification, the
   junction check (CookieMap.check_c1_boundary, three positions-only
   batches per report), the few interval widths too wide for the
-  mean-value rule (evolve_interval) and the scalar lookups that
-  CookieMap.apply and its derivatives keep as cross-route checks, and is
-  the oracle the tables are measured against;
+  mean-value rule (evolve_interval) and the raw-coordinate cross-check
+  CookieMap.apply_raw, and is the oracle the tables are measured against;
 * the rectified-time route: tau(x) = integral_{1/2}^x du / X(u) by adaptive
   quadrature, inverted by bracketed root finding, which turns the flow into
   a shift tau^{-1}(tau(x) + t). It is the package's only use of scipy

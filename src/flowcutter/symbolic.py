@@ -80,10 +80,6 @@ class Word:
         """The index-th word of the given length in lexicographic order."""
         return Word(format(index, f"0{length}b") if length else "")
 
-    @property
-    def index(self) -> int:
-        return int(self.bits, 2) if self.bits else 0
-
 
 @dataclass(frozen=True)
 class BlockDecomposition:

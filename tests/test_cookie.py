@@ -10,6 +10,7 @@ from flowcutter import (DomainError, EscapeError, Locus, PointBatch,
                         ScaledPoint, TimeSchedule, affine_A, affine_B,
                         interval_J)
 from flowcutter.cookie import LN3
+from flowcutter.flow import TABLE_CHECK
 
 
 # ----------------------------------------------------------------------
@@ -194,11 +195,30 @@ def test_expansion_floor(cmap):
 
 
 def test_derivative_on_deep_window(cmap):
+    # the table step, exactly; the ODE derivative as a cross-route check
     p = ScaledPoint.in_window(1, 0.5)
+    _, log_slope = cmap.block_flow(1.0, np.array([0]), np.array([0.5]))
+    assert cmap.derivative(p) == 3.0 * math.exp(float(log_slope[0]))
     t = cmap.schedule.flow_time(1)
-    want = 3.0 * cmap.engine.flow_derivative(t, 0.5)
-    assert cmap.derivative(p) == want
-    assert cmap.log_derivative(p) == pytest.approx(math.log(want), rel=1e-15)
+    assert cmap.derivative(p) == pytest.approx(
+        3.0 * cmap.engine.flow_derivative(t, 0.5), rel=TABLE_CHECK)
+
+
+def test_apply_and_derivative_are_one_iterate_step(cmap):
+    # apply, derivative and iterate take the same forward step, in every
+    # locus: bitwise
+    rng = np.random.default_rng(13)
+    pts = [ScaledPoint.zero(), ScaledPoint.from_raw(0.15),
+           ScaledPoint.from_raw(0.05), ScaledPoint.from_raw(0.7),
+           ScaledPoint.from_raw(1.0), ScaledPoint.in_window(0, 0.3)]
+    assert [p.locus for p in pts[1:3]] == [Locus.GAP, Locus.GAP]
+    assert [p.n for p in pts[1:3]] == [1, 2]
+    pts += [ScaledPoint.in_window(n, u) for n in range(1, 41)
+            for u in (0.0, 1.0, *rng.uniform(0.0, 1.0, 4))]
+    for p in pts:
+        step = cmap.iterate(p, 1)
+        assert cmap.apply(p) == step.point
+        assert cmap.derivative(p) == 3.0 * math.exp(step.log_extra)
 
 
 # ----------------------------------------------------------------------

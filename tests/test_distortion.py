@@ -455,13 +455,25 @@ def test_profile_unit_scale_equals_sweep_max(cmap):
 
 
 def test_profile_does_not_decay(cmap):
-    prof = sbd_profile(cmap, 6, scales=(1.0, 3.0, 9.0, 81.0), grid=129)
+    # only the witness row reaches image scale 3^-40
+    prof = sbd_profile(cmap, 6, scales=(1.0, 3.0, 9.0, 81.0, 3.0 ** 40),
+                       grid=129)
     w = sbd_witness(cmap, 2)
     floor = 1.0 + w.margin / 2.0
     for entry in prof:
         assert entry.beta_hat >= floor
     by_r = {p.r: p.beta_hat for p in prof}
     assert by_r[81.0] >= w.measured_ratio * (1.0 - 1e-4)
+
+
+def test_profile_solves_no_ode_once_its_tables_exist(cmap, monkeypatch):
+    warm = sbd_profile(cmap, 4, grid=65)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("ODE solve in the profile")
+
+    monkeypatch.setattr(flow_module, "integrate_unit_interval", no_solve)
+    assert sbd_profile(cmap, 4, grid=65) == warm
 
 
 def test_profile_monotone_in_scale(cmap):

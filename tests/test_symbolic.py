@@ -24,7 +24,6 @@ def test_word_basics():
     assert len(w) == 4 and list(w) == [0, 0, 1, 0]
     assert Word("0") < Word("1")
     assert Word.from_index(5, 4) == Word("0101")
-    assert Word("0101").index == 5
     with pytest.raises(Exception):
         Word("012")
 
