@@ -340,8 +340,8 @@ class CookieMap:
         ns = list(ns)
         if any(n < 0 for n in ns):
             raise DomainError(f"window index must be >= 0, got {min(ns)}")
-        if h_min <= 0.0:
-            raise DomainError("h_min must be positive")
+        if not 0.0 < h_min <= 1e-2:
+            raise DomainError(f"h_min must lie in (0, 1e-2], got {h_min}")
         steps = []
         h = 1e-2
         while h >= h_min * (1.0 - 1e-12):

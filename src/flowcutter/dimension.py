@@ -56,13 +56,18 @@ def pressure_sum(log_sizes: np.ndarray, s: float) -> float:
 
 
 def pressure_root(log_sizes: np.ndarray, tol: float = 1e-10) -> float:
-    """Unique root of sum_w |I_w|^s = 1 by bisection on [0, 1]."""
+    """Unique root of sum_w |I_w|^s = 1 by bisection on [0, 1], to a
+    bracket of width tol or until its ends are adjacent floats."""
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
     lo, hi = 0.0, 1.0
     if pressure_sum(log_sizes, lo) <= 0.0 or pressure_sum(log_sizes, hi) >= 0.0:
         raise BoundViolationError(
             "pressure root not bracketed by [0,1]; interval sizes are wrong")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if pressure_sum(log_sizes, mid) > 0.0:
             lo = mid
         else:

@@ -427,10 +427,10 @@ def sbd_witness(cmap: CookieMap, k: int) -> SbdWitness:
         raise DomainError(f"witness order must be even (odd orders flow by -T), got {k}")
     if not 2 <= k <= 6:
         raise DomainError(f"witness order must be in [2, 6], got {k}")
-    T = cmap.constants.T
 
     def log_slope(z):
-        return cmap.engine.table_flow([T], np.zeros(z.shape, np.intp), z)[1]
+        # the time-T table is forward block 0 (t_1 = T)
+        return cmap.block_flow(1.0, np.zeros(z.shape, np.intp), z)[1]
 
     axis = np.linspace(0.0, 1.0, 4097)
     scan = log_slope(axis)

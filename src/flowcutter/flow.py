@@ -186,7 +186,7 @@ class _FieldDifference:
         self.two_a = 2.0 * a
         self.neg_ga = -ga
         # xa > 0 puts a inside (0,1)
-        self.anchored = xa > 0.0
+        self.a_live = xa > 0.0
         self._b, self._gb, self._de = (np.empty(a.shape) for _ in range(3))
         self._smooth, self._inside = (np.empty(a.shape, bool) for _ in range(2))
 
@@ -200,7 +200,7 @@ class _FieldDifference:
         # gb < 0 puts a + d inside (0,1)
         smooth = np.less_equal(np.abs(de, out=out), 0.5, out=self._smooth)
         smooth &= np.less(gb, 0.0, out=self._inside)
-        smooth &= self.anchored
+        smooth &= self.a_live
         np.expm1(de, out=out)
         out *= self.xa
         if not smooth.all():

@@ -8,11 +8,12 @@ intervals.
 
 Interval endpoints are built by composing exact inverse branches from the
 inside out, never by root finding; the flow half of the 0-branch reads the
-engine's displacement tables. Widths ride along as their own variable,
-never recomputed by subtraction: a narrow width by the mean-value rule on
-the tables, a wide one by the cancellation-free pair flow, so log sizes
-keep full relative precision at depths where raw endpoint subtraction
-would return garbage.
+engine's displacement tables. Each interval is one row (n, u_lo, d) in
+the chart x = (u + 2)/3^(n+1), the word 0^j being the row [-2, 1]. Widths
+ride along as their own variable: a narrow width by the mean-value rule
+on the tables, a wide one by the cancellation-free pair flow, so log
+sizes keep full relative precision at depths where raw endpoint
+subtraction would return garbage.
 
 Every analysis walks the word tree with word_levels, the one breadth-first
 level walker, or pull_back_word, one word inside out; both take any state
@@ -187,37 +188,30 @@ def _mean_value_width(cmap: CookieMap, k: np.ndarray, x: np.ndarray,
 
 
 class IntervalSet:
-    """Vectorized endpoints-plus-width state for families of basic intervals.
+    """Chart state (n, u_lo, d) for families of basic intervals.
 
-    Two row shapes occur. Words of the form 0^j keep their left endpoint
-    pinned at 0 ("anchored" rows; the width is the raw right endpoint,
-    carried in scaled form). Every other word has both endpoints in one
-    common window INJ(n, .), and the width d = u_right - u_left is carried
-    as its own variable, never recomputed by subtraction. The 0-branch
-    takes every endpoint from the displacement tables; it pulls a width
-    d <= WIDTH_RULE_MAX back by the mean-value rule on the tables and a
-    wider one through the pair flow FlowEngine.evolve_interval.
+    Row i is the raw interval (u + 2)/3^(n+1), u in [u_lo, min(u_lo + d, 1)]:
+    chart index n, left chart coordinate u_lo and width d, never recomputed
+    by subtraction. Chart n on [0, 1] is the window J_n and u = -2 is the
+    point 0, so the word 0^j is the row [-2, 1] of chart j, [0, 3^-j]; every
+    other word lies in one window. The 0-branch moves only the rows inside
+    their window: the left end by the tables, a width d <= WIDTH_RULE_MAX by
+    the mean-value rule on the tables, a wider one by the pair flow
+    FlowEngine.evolve_interval.
     """
 
-    __slots__ = ("anchored", "n", "u_lo", "u_hi", "d")
+    __slots__ = ("n", "u_lo", "d")
 
-    def __init__(self, anchored, n, u_lo, u_hi, d):
-        self.anchored = anchored      # bool array
-        self.n = n                    # int32: window index (right endpoint for anchored rows)
-        self.u_lo = u_lo              # float64: left unit coordinate (nan when anchored)
-        self.u_hi = u_hi              # float64: right unit coordinate
-        self.d = d                    # float64: u_hi - u_lo (nan when anchored)
+    def __init__(self, n, u_lo, d):
+        self.n = n                    # int32: chart (window) index
+        self.u_lo = u_lo              # float64: left chart coordinate
+        self.d = d                    # float64: width in chart coordinates
 
     @classmethod
     def root(cls) -> "IntervalSet":
         """The seed interval [0,1] = I_(empty word)."""
-        return cls(
-            anchored=np.array([True]),
-            n=np.array([0], dtype=np.int32),
-            u_lo=np.array([math.nan]),
-            u_hi=np.array([1.0]),
-            d=np.array([math.nan]),
-        )
+        return cls(n=np.array([0], dtype=np.int32), u_lo=np.array([-2.0]),
+                   d=np.array([3.0]))
 
     @classmethod
     def stack(cls, a: "IntervalSet", b: "IntervalSet") -> "IntervalSet":
@@ -227,71 +221,49 @@ class IntervalSet:
 
     @property
     def size(self) -> int:
-        return self.u_hi.size
+        return self.n.size
 
     def pull_back(self, cmap: CookieMap, symbol: int) -> "IntervalSet":
         """Apply one inverse branch to every interval in the family."""
         if symbol == 1:
-            # (x + 2)/3: the new unit coordinate is the raw x, so all rows
-            # land in J_0; each divides by the correctly rounded 3^(n+1),
-            # as PointBatch.raw does
+            # (x + 2)/3: the new chart coordinate is the raw x, so all rows
+            # land in chart 0; each divides by the correctly rounded
+            # 3^(n+1), as PointBatch.raw does
             pow3 = _pow3_batch(self.n + 1)
-            raw_hi = (self.u_hi + 2.0) / pow3
-            d_new = np.where(self.anchored, raw_hi,      # left was 0
-                             self.d / pow3)
-            u_lo_new = np.where(self.anchored, 0.0, (self.u_lo + 2.0) / pow3)
-            return IntervalSet(
-                anchored=np.zeros(self.size, dtype=bool),
-                n=np.zeros(self.size, dtype=np.int32),
-                u_lo=u_lo_new,
-                u_hi=raw_hi,
-                d=d_new,
-            )
+            return IntervalSet(n=np.zeros(self.size, dtype=np.int32),
+                               u_lo=(self.u_lo + 2.0) / pow3,
+                               d=self.d / pow3)
         if symbol != 0:
             raise DomainError(f"branch symbol must be 0 or 1, got {symbol!r}")
-        anch = self.anchored
-        common = ~anch
+        # the rows 0^j (u_lo = -2) only take n + 1: the 0-branch maps
+        # [0, 3^-n] onto [0, 3^-(n+1)]
+        inside = self.u_lo >= 0.0
         k = cmap.schedule.blocks(self.n + 1)
-        # anchored rows move their right endpoint, the others their left
-        y, _ = cmap.block_flow(-1.0, k, np.where(anch, self.u_hi, self.u_lo))
-        u_lo_new = np.where(anch, self.u_lo, y)
-        d_new = np.array(self.d, copy=True)
-        narrow = common & (self.d <= WIDTH_RULE_MAX)
+        u_lo, d = self.u_lo.copy(), self.d.copy()
+        if inside.any():
+            u_lo[inside] = cmap.block_flow(-1.0, k[inside],
+                                           self.u_lo[inside])[0]
+        narrow = inside & (self.d <= WIDTH_RULE_MAX)
         if narrow.any():
-            d_new[narrow] = _mean_value_width(cmap, k[narrow],
-                                              self.u_lo[narrow], self.d[narrow])
-        wide = common & ~narrow
+            d[narrow] = _mean_value_width(cmap, k[narrow], self.u_lo[narrow],
+                                          self.d[narrow])
+        wide = inside & ~narrow
         if wide.any():
             t = -cmap.schedule.flow_times(self.n[wide] + 1)
-            _, d_new[wide] = cmap.engine.evolve_interval(
-                t, self.u_lo[wide], self.d[wide])
-        return IntervalSet(
-            anchored=anch.copy(),
-            n=(self.n + 1).astype(np.int32),
-            u_lo=u_lo_new,
-            u_hi=np.where(anch, y, np.minimum(y + d_new, 1.0)),
-            d=d_new,
-        )
+            _, d[wide] = cmap.engine.evolve_interval(t, self.u_lo[wide],
+                                                     self.d[wide])
+        return IntervalSet(n=(self.n + 1).astype(np.int32), u_lo=u_lo, d=d)
 
     def log_sizes(self) -> np.ndarray:
         """ln |I_w| per row, full relative precision."""
-        scale = -(self.n + 1.0) * LN3
-        return np.where(
-            self.anchored,
-            np.log(self.u_hi + 2.0) + scale,
-            np.log(self.d) + scale,
-        )
+        return np.log(self.d) + -(self.n + 1.0) * LN3
 
     def endpoints(self, i: int) -> tuple[ScaledPoint, ScaledPoint]:
-        hi = ScaledPoint.in_window(int(self.n[i]), float(self.u_hi[i]))
-        if self.anchored[i]:
-            return ScaledPoint.zero(), hi
-        return ScaledPoint.in_window(int(self.n[i]), float(self.u_lo[i])), hi
-
-    def interval(self, i: int, word: Word) -> BasicInterval:
-        left, right = self.endpoints(i)
-        return BasicInterval(word=word, left=left, right=right,
-                             log_size=float(self.log_sizes()[i]))
+        n, u_lo = int(self.n[i]), float(self.u_lo[i])
+        right = ScaledPoint.in_window(n, min(u_lo + float(self.d[i]), 1.0))
+        if u_lo < 0.0:
+            return ScaledPoint.zero(), right
+        return ScaledPoint.in_window(n, u_lo), right
 
 
 def interval_table(cmap: CookieMap, depth: int) -> IntervalSet:
@@ -307,10 +279,19 @@ def interval_table(cmap: CookieMap, depth: int) -> IntervalSet:
     return table
 
 
+def _basic_interval(table: IntervalSet, logs: np.ndarray, i: int,
+                    word: Word) -> BasicInterval:
+    """Row i of table, whose log sizes are logs, as the BasicInterval I_word."""
+    left, right = table.endpoints(i)
+    return BasicInterval(word=word, left=left, right=right,
+                         log_size=float(logs[i]))
+
+
 def basic_interval(cmap: CookieMap, word: Word | str) -> BasicInterval:
     """I_w from inside-out composition of inverse branches."""
     word = Word.of(word)
-    return pull_back_word(IntervalSet.root(), cmap, word.bits).interval(0, word)
+    table = pull_back_word(IntervalSet.root(), cmap, word.bits)
+    return _basic_interval(table, table.log_sizes(), 0, word)
 
 
 def enumerate_intervals(cmap: CookieMap, depth: int,
@@ -325,7 +306,4 @@ def enumerate_intervals(cmap: CookieMap, depth: int,
     table = interval_table(cmap, depth)
     logs = table.log_sizes()
     for i in range(table.size):
-        word = Word.from_index(i, depth)
-        left, right = table.endpoints(i)
-        yield BasicInterval(word=word, left=left, right=right,
-                            log_size=float(logs[i]))
+        yield _basic_interval(table, logs, i, Word.from_index(i, depth))

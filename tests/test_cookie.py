@@ -318,6 +318,24 @@ def test_gap_side_quotients_are_exact(cmap):
     assert gap_rows and all(r.quotient == 3.0 for r in gap_rows)
 
 
+@pytest.mark.parametrize("h_min", [math.nan, math.inf, 0.5, 0.02, 0.0, -1e-9])
+def test_junction_check_rejects_steps_that_check_nothing(cmap, h_min):
+    # above the first step 1e-2 (or nan) the step list would be empty:
+    # no junction rows and a residual of 0.0, a pass that checked nothing
+    with pytest.raises(DomainError):
+        cmap.check_c1_boundary(2, h_min)
+    with pytest.raises(DomainError):
+        cmap.check_c1_boundaries([0, 2], h_min)
+
+
+def test_junction_check_at_the_first_step(cmap):
+    rep = cmap.check_c1_boundary(2, 1e-2)
+    assert [(r.location, r.side, r.step) for r in rep.rows] == [
+        ("1/3^2", "left", 1e-2), ("1/3^2", "right", 1e-2),
+        ("2/3^3", "right", 1e-2), ("2/3^3", "left", 1e-2),
+        ("0", "right", 1e-2)]
+
+
 def test_midpoint_family_converges_slowly(cmap):
     rep = cmap.check_c1_boundary(0)
     res = [r.residual for r in rep.midpoint_rows]

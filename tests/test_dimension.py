@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import flowcutter.dimension as dimension_module
 from flowcutter import (DepthCapError, DomainError, bowen_dimension,
                         box_dimension, certified_bracket, dimension_estimate,
                         interval_table, pressure_sum)
+from flowcutter.dimension import pressure_root
 
 MIDDLE_THIRDS = math.log(2.0) / math.log(3.0)
 
@@ -71,6 +73,44 @@ def test_box_estimate_agrees_roughly(cmap):
     bowen = bowen_dimension(cmap, 10)
     box = box_dimension(cmap, 10)
     assert abs(bowen - box) <= 0.05
+
+
+@pytest.fixture
+def counted_pressure(monkeypatch):
+    """pressure_sum with a call counter that raises past 5 000 calls, so a
+    bisection that never stops fails instead of hanging."""
+    calls = []
+    real = dimension_module.pressure_sum
+
+    def counted(log_sizes, s):
+        calls.append(s)
+        if len(calls) > 5000:
+            raise RuntimeError("the bisection does not stop")
+        return real(log_sizes, s)
+
+    monkeypatch.setattr(dimension_module, "pressure_sum", counted)
+    return calls
+
+
+# the middle-thirds cover of depth 1, whose pressure root is log 2 / log 3
+THIRDS_COVER = np.full(2, -math.log(3.0))
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10])
+def test_pressure_root_rejects_tolerances_it_cannot_meet(counted_pressure,
+                                                         tol):
+    with pytest.raises(DomainError):
+        pressure_root(THIRDS_COVER, tol)
+
+
+def test_pressure_root_stops_at_the_float_spacing(counted_pressure):
+    # a tol below the float spacing at the root: the bisection must stop
+    # once the midpoint of its bracket is one of the ends
+    s = pressure_root(THIRDS_COVER, 1e-20)
+    assert len(counted_pressure) < 100
+    assert s == pytest.approx(MIDDLE_THIRDS, rel=1e-15)
+    assert pressure_root(THIRDS_COVER) == pytest.approx(MIDDLE_THIRDS,
+                                                       abs=1e-10)
 
 
 def test_validation(cmap):

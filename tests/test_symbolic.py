@@ -10,7 +10,7 @@ from flowcutter import (CookieMap, DepthCapError, DomainError, FlowEngine,
                         decompose_blocks, enumerate_intervals, interval_J,
                         interval_table, inverse_branch)
 from flowcutter.cookie import LN3
-from flowcutter.symbolic import WIDTH_RULE_MAX, IntervalSet
+from flowcutter.symbolic import WIDTH_RULE_MAX, IntervalSet, word_levels
 
 words = st.text(alphabet="01", min_size=0, max_size=40)
 
@@ -149,9 +149,17 @@ def test_address_01_is_second_window(cmap):
 
 
 def test_all_zero_words(cmap):
-    iv = basic_interval(cmap, "0" * 9)
-    assert iv.left.locus is Locus.ZERO
-    assert iv.log_size == pytest.approx(-9 * LN3, rel=1e-14)
+    # I_(0^k) = [0, 3^-k] is the chart row (k, -2, 3): exact endpoints, and
+    # the log size is log(3) - (k + 1) ln 3 as log_sizes computes it.
+    # Level k of the walk is interval_table(cmap, k), and its row 0 is 0^k.
+    walk = word_levels(IntervalSet.root(), cmap, 20)
+    for k, table in enumerate(walk, 1):
+        want = (ScaledPoint.zero(), ScaledPoint.in_window(k, 1.0))
+        log_size = math.log(3.0) + -(k + 1.0) * LN3
+        iv = basic_interval(cmap, "0" * k)
+        assert table.endpoints(0) == want and (iv.left, iv.right) == want
+        assert table.log_sizes()[0] == log_size == iv.log_size, k
+        assert log_size == pytest.approx(-k * LN3, rel=1e-14)
 
 
 def test_enumeration_depth_two(cmap):
@@ -246,32 +254,21 @@ def test_table_row_order_matches_words(cmap):
 # ----------------------------------------------------------------------
 
 def _ode_pull_back(state, cmap):
-    """The 0-branch pull-back with every row on the ODE: anchored right
-    endpoints by evolve, common rows by the pair flow evolve_interval."""
+    """The 0-branch pull-back with every row inside its window on the pair
+    flow evolve_interval; the rows 0^j only take n + 1."""
     t = -cmap.schedule.flow_times(state.n + 1)
-    anch = state.anchored
-    u_lo = np.array(state.u_lo, copy=True)
-    u_hi = np.empty_like(state.u_hi)
-    d = np.array(state.d, copy=True)
-    if anch.any():
-        (u_hi[anch],) = cmap.engine.evolve(t[anch], state.u_hi[anch], order=0)
-    common = ~anch
-    if common.any():
-        y_lo, w = cmap.engine.evolve_interval(t[common], state.u_lo[common],
-                                              state.d[common])
-        u_lo[common] = y_lo
-        d[common] = w
-        u_hi[common] = np.minimum(y_lo + w, 1.0)
-    return IntervalSet(anch.copy(), (state.n + 1).astype(np.int32),
-                       u_lo, u_hi, d)
+    u_lo, d = state.u_lo.copy(), state.d.copy()
+    inside = state.u_lo >= 0.0
+    if inside.any():
+        u_lo[inside], d[inside] = cmap.engine.evolve_interval(
+            t[inside], state.u_lo[inside], state.d[inside])
+    return IntervalSet((state.n + 1).astype(np.int32), u_lo, d)
 
 
 def _common_rows(n, u_lo, d):
-    n = np.asarray(n, dtype=np.int32)
-    u_lo = np.asarray(u_lo, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    return IntervalSet(np.zeros(n.size, dtype=bool), n, u_lo,
-                       np.minimum(u_lo + d, 1.0), d)
+    return IntervalSet(np.asarray(n, dtype=np.int32),
+                       np.asarray(u_lo, dtype=np.float64),
+                       np.asarray(d, dtype=np.float64))
 
 
 def _take(state, index):
@@ -318,11 +315,11 @@ def test_narrow_width_pull_back_is_batch_independent(cmap):
     whole = rows.pull_back(cmap, 0)
     back = slice(None, None, -1)
     rev = _take(rows, back).pull_back(cmap, 0)
-    for key in ("u_lo", "d", "u_hi"):
+    for key in ("u_lo", "d"):
         assert np.array_equal(getattr(whole, key), getattr(rev, key)[back])
     for i in range(size):
         one = _take(rows, slice(i, i + 1)).pull_back(cmap, 0)
-        for key in ("u_lo", "d", "u_hi"):
+        for key in ("u_lo", "d"):
             assert getattr(one, key)[0] == getattr(whole, key)[i]
 
 
@@ -333,6 +330,7 @@ def test_right_pull_back_divides_by_rounded_powers_of_three(cmap):
         for u in (0.0, 0.37, 1.0):
             row = _common_rows([n], [u], [0.0]).pull_back(cmap, 1)
             raw = ScaledPoint.in_window(n, u).raw
-            assert row.u_lo[0] == raw and row.u_hi[0] == raw, (n, u)
+            _, right = row.endpoints(0)
+            assert row.u_lo[0] == raw and right.u == raw, (n, u)
         width = _common_rows([n], [0.0], [0.37]).pull_back(cmap, 1).d[0]
         assert width == 0.37 / float(3 ** (n + 1)), n
