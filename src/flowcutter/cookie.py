@@ -82,12 +82,23 @@ class TimeSchedule:
 
     @staticmethod
     def blocks(n: np.ndarray) -> np.ndarray:
-        """The block index k = floor(log2 n) of each schedule index n >= 1."""
+        """The block index k = floor(log2 n) of each schedule index n.
+
+        Every n must be >= 1, which is not checked: this is on the path of
+        every table lookup. n = 0 gives k = -1, which block_flow would read
+        as its last listed table.
+        """
         # frexp is exact for integers below 2^53: n = m * 2^e with m in [0.5,1)
         _, e = np.frexp(np.asarray(n).astype(np.float64))
         return e - 1
 
     def flow_times(self, n: np.ndarray) -> np.ndarray:
+        """flow_time(n) for each n of an array, bitwise; DomainError unless
+        every n >= 1."""
+        n = np.asarray(n)
+        if n.size and n.min() < 1:
+            raise DomainError(
+                f"schedule index must be >= 1, got {int(n.min())}")
         k = self.blocks(n)
         mag = np.ldexp(np.full(k.shape, self.T), -k)
         return np.where(k % 2 == 0, mag, -mag)
@@ -301,7 +312,9 @@ class CookieMap:
         0-branch pull-back from J_n into J_(n+1), k = blocks(n + 1). The
         values come from the engine's displacement tables
         (FlowEngine.table_flow), one per direction and block index, so each
-        is a pure function of its own (k, u). k must be nonempty.
+        is a pure function of its own (k, u). k must be nonempty with every
+        k >= 0, as TimeSchedule.blocks gives for n >= 1; this is not
+        checked, and k = -1 would read the last listed table.
         """
         times = [direction * self.schedule.flow_time(1 << j)
                  for j in range(int(k.max()) + 1)]

@@ -16,10 +16,15 @@ Three evaluation routes are provided:
   strong-bound witness: a cubic Hermite table of the displacement
   delta_t(x) = phi_t(x) - x on a uniform grid, built once per flow time
   from the displacement ODE delta' = t X(x + delta) and checked against
-  that ODE at every cell midpoint when it is built. A lookup gathers its
-  cell's four floats at once from a window view of the stacked tables. The
-  log slope log phi_t'(x) follows from delta in closed form, so each result
-  is a pure function of (t, x), whatever batch it is computed in;
+  that ODE at every cell midpoint when it is built. One kernel,
+  _table_lookup, serves every lookup and the build's check. It runs in
+  blocks of _BLOCK points that stay in cache: each block gathers its
+  cells' four floats at once from a window view of the stacked tables,
+  evaluates the Hermite cubic, and takes the log slope log phi_t'(x) from
+  delta in closed form (_log_slope), and its results are copied into the
+  outputs. A lookup's memory is its outputs plus one block's temporaries,
+  and each result is a pure function of (t, x), whatever batch or block
+  it is computed in;
 * the variational route: integrate y' = X(y) jointly with v' = X'(y) v and
   w' = X''(y) v^2 + X'(y) w using the adaptive stepper, in batches
   (evolve) or one column at a time (flow). It serves certification, the
@@ -73,7 +78,7 @@ _MAX_SPEED = math.exp(-4.0)  # X(1/2), the global maximum of the field
 # own error.
 TABLE_CELLS = 1 << 14
 # A table must reproduce the displacement ODE at every cell midpoint to this
-# bound, in the displacement and in the log slope.
+# bound, in phi_t and in the log slope.
 TABLE_CHECK = 1e-14
 # One table cell's four floats, (delta, h delta') at its two knots, as one
 # opaque item: numpy gathers a one-dimensional array of these about three
@@ -85,6 +90,13 @@ _B1_GOLDEN_STEPS = 52
 # np.errstate for the field kernels: 1/g is +-inf at the endpoints, and
 # dead points may overflow or make NaNs, which are overwritten
 _QUIET = dict(divide="ignore", over="ignore", invalid="ignore")
+# Points per block of a table lookup. A block's temporaries, about 80
+# bytes a point (0.6 MiB), fit a core's 2 MiB L2 cache: on 2^19 random
+# points (2-core Xeon VM, medians of 8 rounds) 2^13 took 46 ns a point,
+# 2^12 and 2^14 to 2^16 49-58, 2^11 73 and 2^17 94; the unblocked lookup
+# took about 100. A lookup peaks at its outputs plus one block's
+# temporaries.
+_BLOCK = 1 << 13
 
 
 def _exponent(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -218,13 +230,16 @@ def _field_difference(a: np.ndarray, d: np.ndarray, xa: np.ndarray) -> np.ndarra
         return _FieldDifference(a, xa, a * (a - 1.0))(d, np.empty(a.shape))
 
 
-def _log_slope(x: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The displacement d = phi_t(x) - x and log phi_t'(x), dead x masked.
+def _log_slope(x: np.ndarray, d: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi_t(x), the displacement d = phi_t(x) - x and log phi_t'(x), dead
+    x masked.
 
     phi_t'(x) = X(phi_t x) / X(x), so the log slope is the exponent change
     e(x + d) - e(x), which keeps the relative precision of d, tiny as d is
     in the flat tails. Where X(x) underflows (and at the endpoints) the
-    flow is the identity: d and the log slope are returned as 0.
+    flow is the identity: d and the log slope are returned as 0, and
+    phi_t(x) as x.
     """
     with np.errstate(**_QUIET):
         g, e, live = _exponent(x)
@@ -232,13 +247,12 @@ def _log_slope(x: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d = np.where(live, d, 0.0)
         y = x + d
         gy = y * (y - 1.0)
-        del y
-        # the temporaries are overwritten in place: a large lookup's peak
-        # memory is set here
+        # the temporaries are overwritten in place, which keeps a block's
+        # working set small
         two_x = 2.0 * x
         change = _exponent_change(two_x, d, np.negative(g, out=g), gy,
                                   out=two_x, den=gy)
-        return d, np.where(live, change, 0.0)
+        return y, d, np.where(live, change, 0.0)
 
 
 def _cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,7 +262,9 @@ def _cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     last cell.
     """
     s = x * TABLE_CELLS
-    cell = np.clip(np.floor(s), 0.0, TABLE_CELLS - 1.0)
+    # np.maximum and np.minimum, not np.clip: its dispatch costs a
+    # one-point lookup 2 us
+    cell = np.minimum(np.maximum(np.floor(s), 0.0), TABLE_CELLS - 1.0)
     return cell.astype(np.intp), s - cell
 
 
@@ -266,10 +282,48 @@ def _hermite(knots: np.ndarray, theta) -> np.ndarray:
 
 
 def _cell_windows(knots: np.ndarray) -> np.ndarray:
-    """Window i = knots i and i + 1 of the flattened stack, as a read-only
-    (2, 2) view: cell c of table r is window r (TABLE_CELLS + 1) + c."""
-    return np.lib.stride_tricks.sliding_window_view(
+    """Cell c of table r of the (tables x knots x 2) stack as the _WINDOW
+    item r (TABLE_CELLS + 1) + c: its two knots, a read-only view."""
+    pairs = np.lib.stride_tricks.sliding_window_view(
         knots.reshape(-1, 2), 2, axis=0).swapaxes(1, 2)
+    return pairs.reshape(-1, 4).view(_WINDOW)[:, 0]
+
+
+def _lookup_block(windows: np.ndarray, starts: np.ndarray, which, x
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """phi_t(x) and log phi_t'(x) for one block of points: point i reads
+    window starts[which[i]] + its cell (_cell_windows). Shaped like x."""
+    cell, theta = _cells(x)
+    knots = windows[np.ravel(cell + starts[which])].view(np.float64)
+    d = _hermite(knots.reshape(cell.shape + (2, 2)), theta)
+    # free the gathered knots before _log_slope, whose temporaries set a
+    # block's peak memory
+    del knots, cell, theta
+    y, _, log_slope = _log_slope(x, d)
+    return y, log_slope
+
+
+def _table_lookup(windows: np.ndarray, starts: np.ndarray, which, x
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """_lookup_block over blocks of at most _BLOCK points, each written
+    into its slice of the two outputs. Shaped like x.
+
+    A batch of one block is one call, so a small lookup costs what one
+    block does. Each block's temporaries are freed before the next one, so
+    a large lookup peaks at its outputs plus one block's working set. Every
+    formula is pointwise, so each point's bits are the same whatever block
+    it falls in.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.size <= _BLOCK:
+        return _lookup_block(windows, starts, which, x)
+    flat, which = x.ravel(), np.ravel(which)
+    y, log_slope = np.empty(flat.size), np.empty(flat.size)
+    for lo in range(0, flat.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        y[block], log_slope[block] = _lookup_block(
+            windows, starts, which[block], flat[block])
+    return y.reshape(x.shape), log_slope.reshape(x.shape)
 
 
 def _flatten(x, t) -> tuple[np.ndarray, np.ndarray]:
@@ -339,13 +393,15 @@ class FlowEngine:
 
     table_flow, the pull-back hot path, reads phi_t and log phi_t' from a
     displacement table per flow time, built lazily and thread-safely once
-    per engine, via the window view of the table stack; each point's result
-    is a pure function of (t, x). The ODE methods take numpy arrays for the
-    position, broadcast the time against it and integrate the whole batch
-    with one shared adaptive step sequence. evolve and the scalar lookups
-    share one variational solve (_solve); a scalar lookup is a batch of one
-    at order 2, solved afresh on every call. The tables are the engine's
-    only state. A tolerance outside [1e-14, 1e-6] raises DomainError.
+    per engine, through the blocked kernel _table_lookup on the window view
+    of the table stack; each point's result is a pure function of (t, x).
+    The ODE methods take numpy arrays for the position, broadcast the time
+    against it and integrate the whole batch with one shared adaptive step
+    sequence. evolve and the scalar lookups share one variational solve
+    (_solve); a scalar lookup is a batch of one at order 2, solved afresh
+    on every call. The tables are the engine's only state: every call makes
+    its own scratch, so threads may share an engine. A tolerance outside
+    [1e-14, 1e-6] raises DomainError.
     """
 
     def __init__(self, tol: float = 1e-13):
@@ -367,13 +423,18 @@ class FlowEngine:
         """phi_t(x) and log phi_t'(x) with t = times[which], from the tables.
 
         times is a short sequence of flow times, which an integer array of
-        indices into it (one per point) and x the positions in [0,1]. A
-        time's table is built the first time a point reads it; a listed
-        time that no point reads gets none. Each point costs one gather of
-        its cell's knots, window row (TABLE_CELLS + 1) + cell of _windows,
-        the Hermite cubic in the exact cell offset, and the closed-form log
-        slope; no step controller is shared, so the results are bitwise the
-        same whatever batch a point is evaluated in.
+        indices into it (one per point, shaped like x) and x the positions
+        in [0,1]; both results are shaped like x. A time's table is built
+        the first time a point reads it; a listed time that no point reads
+        gets none. The lookup is _table_lookup: blocks of at most _BLOCK
+        points, each one gather of its cells' knots (window row
+        (TABLE_CELLS + 1) + cell of _windows), the Hermite cubic in the
+        exact cell offset and the closed-form log slope, copied into the
+        outputs. Its temporaries are one block's, made per call, so a
+        2^20-point lookup peaks at its 16 MiB of outputs plus under 1 MiB,
+        and a lookup of one block is a single pass. No step controller is
+        shared, so the results are bitwise the same whatever batch or block
+        a point is evaluated in.
         """
         rows = [self._table_rows.get(float(t)) for t in times]
         if None in rows:
@@ -381,15 +442,7 @@ class FlowEngine:
             rows = [self._table_row(float(t)) if r else 0
                     for t, r in zip(times, read)]
         starts = np.array(rows, dtype=np.intp) * (TABLE_CELLS + 1)
-        x = np.asarray(x, dtype=np.float64)
-        cell, theta = _cells(x)
-        knots = self._windows[np.ravel(cell + starts[which])].view(np.float64)
-        d = _hermite(knots.reshape(cell.shape + (2, 2)), theta)
-        # free the gathered knots before _log_slope, whose temporaries set
-        # a large lookup's peak memory: the peak is a third lower
-        del knots, cell, theta
-        d, log_slope = _log_slope(x, d)
-        return x + d, log_slope
+        return _table_lookup(self._windows, starts, which, x)
 
     def _table_row(self, t: float) -> int:
         """The row of time t in _tables, building it on first use.
@@ -406,8 +459,7 @@ class FlowEngine:
                     knots = self._build_table(t)
                     self._tables = np.concatenate([self._tables, knots[None]])
                     # the stack's cell windows, one _WINDOW item each
-                    self._windows = _cell_windows(self._tables).reshape(
-                        -1, 4).view(_WINDOW)[:, 0]
+                    self._windows = _cell_windows(self._tables)
                     row = self._table_rows[t] = len(self._table_rows)
         return row
 
@@ -416,22 +468,26 @@ class FlowEngine:
 
         Row i holds delta_t and h delta_t' at x_i = i h, h = 1/TABLE_CELLS.
         delta comes from _displacement, and delta' = phi_t' - 1 from the
-        closed-form log slope. The table is then evaluated at every cell
-        midpoint, through a window view of the knots, and must reproduce a
-        second displacement solve there, in delta and in the log slope, to
-        TABLE_CHECK, else SolverError. Time 0 is the zero table, no solve.
+        closed-form log slope. The table is then read at every cell
+        midpoint by the lookup kernel, through a window view of the knots,
+        and must reproduce a second displacement solve there, in phi_t and
+        in the log slope, to TABLE_CHECK, else SolverError. Time 0 is the
+        zero table, no solve.
         """
         knots = np.zeros((TABLE_CELLS + 1, 2))
         if t == 0.0:
             return knots
         x = np.arange(TABLE_CELLS + 1) / TABLE_CELLS
-        knots[:, 0], log_slope = _log_slope(x, self._displacement(t, x))
+        # [1:]: phi_t at the knots is not kept through the second solve
+        knots[:, 0], log_slope = _log_slope(x, self._displacement(t, x))[1:]
         knots[:, 1] = np.expm1(log_slope) / TABLE_CELLS
 
         mid = (x[:-1] + x[1:]) / 2.0
-        got = _log_slope(mid, _hermite(_cell_windows(knots), 0.5))
-        want = _log_slope(mid, self._displacement(t, mid))
-        miss = max(float(np.max(np.abs(g - w))) for g, w in zip(got, want))
+        got = _table_lookup(_cell_windows(knots), np.zeros(1, np.intp),
+                            np.zeros(mid.size, np.intp), mid)
+        y, _, log_slope = _log_slope(mid, self._displacement(t, mid))
+        miss = max(float(np.max(np.abs(g - w)))
+                   for g, w in zip(got, (y, log_slope)))
         if not miss <= TABLE_CHECK:
             raise SolverError(
                 f"flow table at t={t:g} misses its ODE by {miss:.3e} at a "

@@ -78,7 +78,11 @@ class Word:
 
     @staticmethod
     def from_index(index: int, length: int) -> "Word":
-        """The index-th word of the given length in lexicographic order."""
+        """The index-th word of the given length in lexicographic order;
+        DomainError unless 0 <= index < 2^length."""
+        if not 0 <= index < 1 << length:
+            raise DomainError(
+                f"word index {index!r} outside [0, 2^{length})")
         return Word(format(index, f"0{length}b") if length else "")
 
 

@@ -4,7 +4,8 @@ Runs bench/worker.py WORKLOAD 7 0, one repetition of each workload declared
 in BENCHMARK.json, in a fresh process set up as bench/run.py sets up its
 children: src/ on PYTHONPATH and the BLAS and OpenMP thread counts pinned
 to 1. A change that moves a benchmark output beyond the reference's
-tolerance fails here, before a benchmark run reports it. Nothing is
+tolerance, or max_rel_err above the 1e-14 every workload meets, fails
+here, before a benchmark run reports it. Nothing is
 written under bench/ (the run is untraced and writes no bytecode).
 """
 
@@ -36,3 +37,6 @@ def test_workload_checks_pass(workload):
     print(f"{workload}: max_rel_err = {result['max_rel_err']}")
     failed = [name for name, ok in result["checks"] if not ok]
     assert result["checks"] and not failed, (failed, proc.stderr)
+    # every workload reproduces its reference to 1e-14 relative, far inside
+    # the checks' 1e-9: a rise in max_rel_err shows here first
+    assert result["max_rel_err"] <= 1e-14

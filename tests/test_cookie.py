@@ -67,6 +67,23 @@ def test_flow_times_vectorized_matches_scalar(consts):
         assert vec[n - 1] == sched.flow_time(n)
 
 
+@pytest.mark.parametrize("n", [0, -1, -3])
+def test_flow_times_reject_indices_below_one(consts, n):
+    sched = TimeSchedule(consts.T)
+    with pytest.raises(DomainError):
+        sched.flow_time(n)
+    for ns in ([n], [5, n, 2]):
+        with pytest.raises(DomainError):
+            sched.flow_times(np.array(ns))
+
+
+def test_flow_times_of_one_index_is_flow_time(consts):
+    sched = TimeSchedule(consts.T)
+    for n in range(1, 65):
+        got = sched.flow_times(np.array([n]))
+        assert got.tobytes() == np.array([sched.flow_time(n)]).tobytes(), n
+
+
 def test_cumulative_time_examples(consts):
     sched = TimeSchedule(consts.T)
     assert sched.cumulative_time(1) == consts.T

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -350,38 +351,109 @@ def test_perturbed_table_nodes_fail_the_build_check(consts, monkeypatch):
     assert engine._table_rows == {}
 
 
+def _ref_cells(x):
+    # the cell and offset formulas of the unblocked lookup, frozen
+    s = x * flow.TABLE_CELLS
+    cell = np.clip(np.floor(s), 0.0, flow.TABLE_CELLS - 1.0)
+    return cell.astype(np.intp), s - cell
+
+
+def _ref_hermite(knots, theta):
+    d0, m0 = knots[..., 0, 0], knots[..., 0, 1]
+    d1, m1 = knots[..., 1, 0], knots[..., 1, 1]
+    c2 = 3.0 * (d1 - d0) - 2.0 * m0 - m1
+    c3 = 2.0 * (d0 - d1) + m0 + m1
+    return d0 + theta * (m0 + theta * (c2 + theta * c3))
+
+
 def _gather_table_flow(engine, times, which, x):
     """table_flow as a two-index gather of each point's 2 x 2 knot block
-    from the (times x knots x 2) stack; the tables must already exist."""
+    from the (times x knots x 2) stack and the frozen formulas, all points
+    at once; the tables must already exist."""
     rows = np.array([engine._table_rows[float(t)] for t in times])
-    cell, theta = flow._cells(x)
+    cell, theta = _ref_cells(x)
     knots = engine._tables[rows[which][..., None],
                            cell[..., None] + np.array([0, 1])]
-    d, log_slope = flow._log_slope(x, flow._hermite(knots, theta))
+    d, log_slope = _ref_log_slope(x, _ref_hermite(knots, theta))
     return x + d, log_slope
+
+
+def _lookup_cases(n_times, rng):
+    """(which, x) batches across the block seams, on knots, in the flat
+    tails and at 0 and 1, with mixed tables."""
+    block = flow._BLOCK
+    knots = np.arange(0, flow.TABLE_CELLS + 1, 97) / flow.TABLE_CELLS
+    tails = np.concatenate([np.linspace(0.0, 0.0016, 301),
+                            np.linspace(0.9984, 1.0, 301)])
+    cases = [(rng.integers(0, n_times, n), rng.uniform(0.0, 1.0, n))
+             for n in (1, 5, block - 1, block, block + 1, 3 * block + 7)]
+    edges = np.concatenate([knots, tails, [0.0, 1.0, 0.0, 1.0]])
+    return cases + [
+        (np.full(knots.size, 3), knots),
+        (np.array([0, n_times - 1, 2, 5]), np.array([0.0, 1.0, 1.0, 0.0])),
+        (rng.integers(0, n_times, tails.size), tails),
+        (rng.integers(0, n_times, edges.size), edges),
+        (rng.integers(0, n_times, (6, 257)),
+         np.broadcast_to(np.linspace(0.0, 1.0, 257), (6, 257))),
+    ]
 
 
 def test_window_gather_matches_two_index_gather(cmap):
     engine, times = cmap.engine, _pull_back_times(cmap.constants.T)
-    rng = np.random.default_rng(11)
-    knots = np.arange(0, flow.TABLE_CELLS + 1, 97) / flow.TABLE_CELLS
-    tails = np.concatenate([np.linspace(0.0, 0.0016, 301),
-                            np.linspace(0.9984, 1.0, 301)])
-    cases = [
-        (rng.integers(0, len(times), 3000), rng.uniform(0.0, 1.0, 3000)),
-        (np.full(knots.size, 3), knots),
-        (np.array([0, len(times) - 1, 2, 5]), np.array([0.0, 1.0, 1.0, 0.0])),
-        (rng.integers(0, len(times), tails.size), tails),
-        (rng.integers(0, len(times), (6, 257)),
-         np.broadcast_to(np.linspace(0.0, 1.0, 257), (6, 257))),
-    ]
     engine.table_flow(times, np.arange(len(times)), np.full(len(times), 0.5))
-    for which, x in cases:
+    for which, x in _lookup_cases(len(times), np.random.default_rng(11)):
         got = engine.table_flow(times, which, x)
         want = _gather_table_flow(engine, times, which, x)
-        assert got[0].shape == x.shape
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        assert got[0].shape == got[1].shape == x.shape
+        assert _same_bytes(got[0], want[0]), x.size
+        assert _same_bytes(got[1], want[1]), x.size
+
+
+def test_large_lookup_peaks_at_its_outputs(cmap):
+    engine, times = cmap.engine, _pull_back_times(cmap.constants.T)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, 1 << 20)
+    which = rng.integers(0, len(times), x.size)
+    engine.table_flow(times, np.arange(len(times)), np.full(len(times), 0.5))
+    tracemalloc.start()
+    try:
+        engine.table_flow(times, which, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two float64 outputs are 16 MiB; the unblocked lookup peaked at 72
+    assert peak < 2 * x.nbytes + 4 * 2 ** 20
+
+
+def test_threads_share_a_fresh_engine_bitwise(cmap):
+    """Four threads (more than the cores) look up disjoint slices of one
+    batch on one fresh engine, racing to build its tables and then looking
+    up again and again, with the interpreter switching threads as often as
+    it can: scratch shared between calls would mix their results. Each
+    slice spans three blocks, the last one partial."""
+    times = _pull_back_times(cmap.constants.T)[:4]
+    rng = np.random.default_rng(9)
+    x = rng.uniform(0.0, 1.0, 4 * (2 * flow._BLOCK + 7))
+    which = rng.integers(0, len(times), x.size)
+    parts = [slice(i, None, 4) for i in range(4)]
+    engine = FlowEngine(tol=cmap.constants.tol)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(
+                lambda p: [engine.table_flow(times, which[p], x[p])
+                           for _ in range(10)], p) for p in parts]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    want = cmap.engine.table_flow(times, which, x)
+    for runs, p in zip(got, parts):
+        for y, log_slope in runs:
+            assert _same_bytes(y, want[0][p])
+            assert _same_bytes(log_slope, want[1][p])
+    # each time was built once: a lost update would add a row
+    assert len(engine._table_rows) == engine._tables.shape[0] == len(times)
 
 
 def test_one_point_lookup_copies_no_table(cmap):

@@ -28,6 +28,20 @@ def test_word_basics():
         Word("012")
 
 
+@pytest.mark.parametrize("index,length", [(4, 2), (1, 0), (-1, 3), (8, 3)])
+def test_word_from_index_rejects_indices_outside_its_length(index, length):
+    with pytest.raises(DomainError, match="word index"):
+        Word.from_index(index, length)
+
+
+def test_word_from_index_enumerates_every_word_of_a_length():
+    assert Word.from_index(0, 0) == Word("")
+    for length in range(1, 6):
+        words = [Word.from_index(i, length) for i in range(1 << length)]
+        assert all(len(w) == length for w in words)
+        assert words == sorted(set(words))
+
+
 def test_block_examples():
     d = decompose_blocks("001101")
     assert d.blocks == ((2, 2), (1, 1))
