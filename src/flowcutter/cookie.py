@@ -4,9 +4,10 @@ The left branch piece [0, 1/3] is tiled by windows J_n = [2/3^(n+1), 1/3^n]
 accumulating at 0. On J_n (n >= 1) the map conjugates the flow at a dyadic
 time t_n into the window, F = B_n o phi_{t_n} o A_n, where A_n and B_n are
 the affine charts; on the gaps between windows F is plain 3x, and on the
-right piece [2/3, 1] it is 3x - 2. The time schedule t_n = (-1/2)^k T for
-2^k <= n < 2^(k+1) makes consecutive blocks cancel, which keeps every
-cumulative time inside [0, T] while letting a full block of times pile up
+right piece [2/3, 1] it is 3x - 2. The time schedule gives every n of the
+block 2^k <= n < 2^(k+1) one time, TimeSchedule.block_time(k). The
+paper's law, (-1/2)^k T, makes consecutive blocks cancel: under it every
+cumulative time stays inside [0, T] while a full block of times piles up
 to +-T. That tension (cumulative times bounded, block sums not vanishing)
 is what the distortion analyzers downstream quantify.
 
@@ -65,8 +66,10 @@ def affine_B(n: int, u: float) -> float:
 
 @dataclass(frozen=True)
 class TimeSchedule:
-    """Flow times t_n = (-1/2)^k T for 2^k <= n < 2^(k+1), n >= 1.
+    """Flow times t_n = block_time(k) for 2^k <= n < 2^(k+1), n >= 1.
 
+    block_time is the one statement of the law, here the paper's
+    (-1/2)^k T; every other time, sum and table list derives from it.
     The exponent k = floor(log2 n) is always taken from integer bit
     arithmetic (bit_length, or exact frexp on the vectorized path);
     floating log2 is off by one at powers of two.
@@ -74,11 +77,14 @@ class TimeSchedule:
 
     T: float
 
+    def block_time(self, k: int) -> float:
+        """The flow time of every n in block k: (-1/2)^k T."""
+        return (-0.5) ** k * self.T
+
     def flow_time(self, n: int) -> float:
         if n < 1:
             raise DomainError(f"schedule index must be >= 1, got {n}")
-        k = n.bit_length() - 1
-        return (-0.5) ** k * self.T
+        return self.block_time(n.bit_length() - 1)
 
     @staticmethod
     def blocks(n: np.ndarray) -> np.ndarray:
@@ -100,25 +106,26 @@ class TimeSchedule:
             raise DomainError(
                 f"schedule index must be >= 1, got {int(n.min())}")
         k = self.blocks(n)
-        mag = np.ldexp(np.full(k.shape, self.T), -k)
-        return np.where(k % 2 == 0, mag, -mag)
+        return np.array([self.block_time(j)
+                         for j in range(int(k.max(initial=-1)) + 1)])[k]
 
     def cumulative_time(self, n: int) -> float:
-        """Closed form for t_1 + ... + t_n; always lands in [0, T].
+        """t_1 + ... + t_n: the block sums before n's block, plus the
+        n - 2^k + 1 times of its own block k.
 
-        Complete blocks alternate between +T and -T and cancel in pairs,
-        so only the block containing n contributes: (n - 2^k + 1)/2^k of
-        +-T, measured from 0 for even k and down from T for odd k.
+        For this law the complete blocks alternate between +T and -T and
+        cancel in pairs, so the sum lands in [0, T].
         """
         if n < 1:
             raise DomainError(f"schedule index must be >= 1, got {n}")
         k = n.bit_length() - 1
-        r = (n - (1 << k) + 1) / (1 << k)   # dyadic, exact in float64
-        return r * self.T if k % 2 == 0 else (1.0 - r) * self.T
+        lead = sum(self.block_sum(j) for j in range(k))
+        return lead + (n - (1 << k) + 1) * self.block_time(k)
 
     def block_sum(self, k: int) -> float:
-        """Sum of t_n over the full block 2^k <= n < 2^(k+1): exactly (-1)^k T."""
-        return self.T if k % 2 == 0 else -self.T
+        """Sum of t_n over the full block 2^k <= n < 2^(k+1), 2^k times
+        block_time(k); for this law exactly (-1)^k T."""
+        return (1 << k) * self.block_time(k)
 
 
 # ----------------------------------------------------------------------
@@ -304,8 +311,8 @@ class CookieMap:
 
     def block_flow(self, direction: float, k: np.ndarray, u: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
-        """phi_t(u) and log phi_t'(u) with t = direction (-1/2)^k T, from
-        the tables.
+        """phi_t(u) and log phi_t'(u) with t = direction block_time(k),
+        from the tables.
 
         direction +1 is the flow half of F on a window J_n, whose block
         index is k = TimeSchedule.blocks(n); direction -1 that of the
@@ -316,7 +323,7 @@ class CookieMap:
         k >= 0, as TimeSchedule.blocks gives for n >= 1; this is not
         checked, and k = -1 would read the last listed table.
         """
-        times = [direction * self.schedule.flow_time(1 << j)
+        times = [direction * self.schedule.block_time(j)
                  for j in range(int(k.max()) + 1)]
         return self.engine.table_flow(times, k, u)
 
@@ -384,12 +391,13 @@ class CookieMap:
         """The report for window n, given the n-free quotients."""
         # seam points of J_n: x - h at u = 1 - du, x + h at u = du
         du = np.array(steps) * float(3 ** (n + 1))
-        seam = du[du <= 1.0] if n >= 1 else du[:0]
-        t_n = self.schedule.flow_time(n) if n >= 1 else 0.0
-        y = self.engine.evolve(t_n, np.concatenate([1.0 - seam, seam]),
-                               order=0)[0]
-        left = iter((3.0 * (1.0 - y[:seam.size]) / seam).tolist())
-        right = iter((3.0 * y[seam.size:] / seam).tolist())
+        if n >= 1:
+            seam = du[du <= 1.0]
+            y = self.engine.evolve(self.schedule.flow_time(n),
+                                   np.concatenate([1.0 - seam, seam]),
+                                   order=0)[0]
+            left = iter((3.0 * (1.0 - y[:seam.size]) / seam).tolist())
+            right = iter((3.0 * y[seam.size:] / seam).tolist())
 
         zero = iter(zero_quotients)
         rows: list[C1Quotient] = []

@@ -75,9 +75,20 @@ def pressure_root(log_sizes: np.ndarray, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def bowen_dimension(cmap: CookieMap, depth: int, tol: float = 1e-10) -> float:
-    table = interval_table(cmap, depth)
-    return pressure_root(table.log_sizes(), tol=tol)
+def _check_depth(depth: int, least: int) -> None:
+    """DomainError below least, DepthCapError above DIMENSION_DEPTH_CAP."""
+    if depth < least:
+        raise DomainError(f"depth must be >= {least}, got {depth}")
+    if depth > DIMENSION_DEPTH_CAP:
+        raise DepthCapError(
+            f"dimension estimate capped at depth {DIMENSION_DEPTH_CAP}, got {depth}")
+
+
+def bowen_dimension(cmap: CookieMap, depth: int) -> float:
+    """The pressure root of the 2^depth basic intervals, 1 <= depth <=
+    DIMENSION_DEPTH_CAP."""
+    _check_depth(depth, 1)
+    return pressure_root(interval_table(cmap, depth).log_sizes())
 
 
 def box_dimension(cmap: CookieMap, depth: int) -> float:
@@ -86,10 +97,9 @@ def box_dimension(cmap: CookieMap, depth: int) -> float:
     The depth-j cover uses all 2^j basic intervals at mesh eps_j = their
     largest width; convergence is only first order in depth, so this is a
     cross-check, not the headline number. A line needs two covers, so depth
-    must be at least 2.
+    must be at least 2; it is capped at DIMENSION_DEPTH_CAP.
     """
-    if depth < 2:
-        raise DomainError(f"box dimension needs depth >= 2, got {depth}")
+    _check_depth(depth, 2)
     log_n = []
     log_inv_eps = []
     for j, table in enumerate(word_levels(IntervalSet.root(), cmap, depth), 1):
@@ -102,11 +112,6 @@ def box_dimension(cmap: CookieMap, depth: int) -> float:
 def dimension_estimate(cmap: CookieMap, depth: int,
                        method: str = "bowen") -> DimensionEstimate:
     """Finite-depth dimension of the repeller, with its certified bracket."""
-    if depth < 1:
-        raise DomainError(f"depth must be >= 1, got {depth}")
-    if depth > DIMENSION_DEPTH_CAP:
-        raise DepthCapError(
-            f"dimension estimate capped at depth {DIMENSION_DEPTH_CAP}, got {depth}")
     if method == "bowen":
         value = bowen_dimension(cmap, depth)
     elif method == "box":

@@ -120,7 +120,10 @@ class SizeBoundReport:
 
 
 def theoretical_bound(M: float) -> float:
-    """The convergent block product prod_i (1 + 27 M 2^(-i-2))."""
+    """The convergent block product prod_i (1 + 27 M 2^(-i-2));
+    DomainError unless M is finite and >= 0."""
+    if not (math.isfinite(M) and M >= 0.0):
+        raise DomainError(f"curvature bound must be finite and >= 0, got {M}")
     out = 1.0
     i = 0
     while True:

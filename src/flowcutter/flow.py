@@ -14,17 +14,19 @@ Three evaluation routes are provided:
   of points, interval endpoints and (by the mean-value rule) narrow widths,
   and of the forward map (CookieMap.apply, derivative and iterate) and the
   strong-bound witness: a cubic Hermite table of the displacement
-  delta_t(x) = phi_t(x) - x on a uniform grid, built once per flow time
-  from the displacement ODE delta' = t X(x + delta) and checked against
-  that ODE at every cell midpoint when it is built. One kernel,
-  _table_lookup, serves every lookup and the build's check. It runs in
-  blocks of _BLOCK points that stay in cache: each block gathers its
-  cells' four floats at once from a window view of the stacked tables,
-  evaluates the Hermite cubic, and takes the log slope log phi_t'(x) from
-  delta in closed form (_log_slope), and its results are copied into the
-  outputs. A lookup's memory is its outputs plus one block's temporaries,
-  and each result is a pure function of (t, x), whatever batch or block
-  it is computed in;
+  delta_t(x) = phi_t(x) - x on a uniform grid, built once per flow time and
+  engine, lazily on the first read and under a lock, from the displacement
+  ODE delta' = t X(x + delta), and checked against that ODE at every cell
+  midpoint when it is built. One kernel, _table_lookup, serves every
+  lookup and the build's check. It runs in blocks of _BLOCK points that
+  stay in cache: each block gathers its cells' four floats at once from a
+  window view of the stacked tables, evaluates the Hermite cubic in the
+  exact cell offset, and takes the log slope log phi_t'(x) from delta in
+  closed form (_log_slope), and its results are copied into the outputs.
+  A lookup's memory is its outputs plus one block's temporaries (a
+  2^20-point lookup peaks at its 16 MiB of outputs plus under 1 MiB), a
+  lookup of one block is a single pass, and each result is a pure
+  function of (t, x), whatever batch or block it is computed in;
 * the variational route: integrate y' = X(y) jointly with v' = X'(y) v and
   w' = X''(y) v^2 + X'(y) w using the adaptive stepper, in batches
   (evolve) or one column at a time (flow). It serves certification, the
@@ -306,13 +308,8 @@ def _lookup_block(windows: np.ndarray, starts: np.ndarray, which, x
 def _table_lookup(windows: np.ndarray, starts: np.ndarray, which, x
                   ) -> tuple[np.ndarray, np.ndarray]:
     """_lookup_block over blocks of at most _BLOCK points, each written
-    into its slice of the two outputs. Shaped like x.
-
-    A batch of one block is one call, so a small lookup costs what one
-    block does. Each block's temporaries are freed before the next one, so
-    a large lookup peaks at its outputs plus one block's working set. Every
-    formula is pointwise, so each point's bits are the same whatever block
-    it falls in.
+    into its slice of the two outputs (the table route of the module
+    docstring). Shaped like x; a batch of one block is one call.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size <= _BLOCK:
@@ -391,15 +388,13 @@ class FlowSample:
 class FlowEngine:
     """Evaluates phi_t and its first two spatial derivatives.
 
-    table_flow, the pull-back hot path, reads phi_t and log phi_t' from a
-    displacement table per flow time, built lazily and thread-safely once
-    per engine, through the blocked kernel _table_lookup on the window view
-    of the table stack; each point's result is a pure function of (t, x).
-    The ODE methods take numpy arrays for the position, broadcast the time
-    against it and integrate the whole batch with one shared adaptive step
-    sequence. evolve and the scalar lookups share one variational solve
-    (_solve); a scalar lookup is a batch of one at order 2, solved afresh
-    on every call. The tables are the engine's only state: every call makes
+    table_flow is the table route of the module docstring. The ODE methods
+    take numpy arrays for the position, broadcast the time against it and
+    integrate the whole batch with one shared adaptive step sequence. A zero
+    time needs no special case: its right-hand side is zero, so the solve
+    takes one exact step and returns the identity bitwise. evolve and the
+    scalar lookups share one variational solve (_solve); a scalar lookup is
+    a batch of one at order 2, solved afresh on every call. The tables are the engine's only state: every call makes
     its own scratch, so threads may share an engine. A tolerance outside
     [1e-14, 1e-6] raises DomainError.
     """
@@ -426,15 +421,7 @@ class FlowEngine:
         indices into it (one per point, shaped like x) and x the positions
         in [0,1]; both results are shaped like x. A time's table is built
         the first time a point reads it; a listed time that no point reads
-        gets none. The lookup is _table_lookup: blocks of at most _BLOCK
-        points, each one gather of its cells' knots (window row
-        (TABLE_CELLS + 1) + cell of _windows), the Hermite cubic in the
-        exact cell offset and the closed-form log slope, copied into the
-        outputs. Its temporaries are one block's, made per call, so a
-        2^20-point lookup peaks at its 16 MiB of outputs plus under 1 MiB,
-        and a lookup of one block is a single pass. No step controller is
-        shared, so the results are bitwise the same whatever batch or block
-        a point is evaluated in.
+        gets none. The lookup is the table route of the module docstring.
         """
         rows = [self._table_rows.get(float(t)) for t in times]
         if None in rows:
@@ -471,12 +458,9 @@ class FlowEngine:
         closed-form log slope. The table is then read at every cell
         midpoint by the lookup kernel, through a window view of the knots,
         and must reproduce a second displacement solve there, in phi_t and
-        in the log slope, to TABLE_CHECK, else SolverError. Time 0 is the
-        zero table, no solve.
+        in the log slope, to TABLE_CHECK, else SolverError.
         """
         knots = np.zeros((TABLE_CELLS + 1, 2))
-        if t == 0.0:
-            return knots
         x = np.arange(TABLE_CELLS + 1) / TABLE_CELLS
         # [1:]: phi_t at the knots is not kept through the second solve
         knots[:, 0], log_slope = _log_slope(x, self._displacement(t, x))[1:]
@@ -565,9 +549,6 @@ class FlowEngine:
             0 returns (y,); 1 returns (y, d1); 2 returns (y, d1, d2).
         """
         x, flat_t = _flatten(x, t)
-        if not np.any(flat_t):
-            return (np.array(x, copy=True), np.ones_like(x),
-                    np.zeros_like(x))[:order + 1]
         yf, _ = self._solve(flat_t, np.ravel(x), order)
         return tuple(row.reshape(x.shape) for row in yf)
 
@@ -584,8 +565,6 @@ class FlowEngine:
         """
         x_lo, flat_t = _flatten(x_lo, t)
         width = np.asarray(width, dtype=np.float64)
-        if not np.any(flat_t):
-            return np.array(x_lo, copy=True), np.array(width, copy=True)
 
         def rhs(state):
             out = np.empty_like(state)
@@ -615,8 +594,6 @@ class FlowEngine:
         """phi_t(x), both variations and the error proxy: one uncached solve."""
         self._check_args(t, x)
         t, x = float(t), float(x)
-        if t == 0.0:
-            return FlowSample(t=t, x=x, y=x, d1=1.0, d2=0.0, err=0.0)
         yf, err = self._solve(np.array([t]), np.array([x]), 2)
         return FlowSample(t=t, x=x, y=float(yf[0, 0]), d1=float(yf[1, 0]),
                           d2=float(yf[2, 0]), err=err)

@@ -177,7 +177,7 @@ class BasicInterval:
 
 def _mean_value_width(cmap: CookieMap, k: np.ndarray, x: np.ndarray,
                       w: np.ndarray) -> np.ndarray:
-    """The width phi_t(x + w) - phi_t(x), t = -(-1/2)^k T, as w times the
+    """The width phi_t(x + w) - phi_t(x), t = -block_time(k), as w times the
     Gauss-Legendre mean of phi_t' = exp(log slope) over [x, x + w].
 
     Every node is a table lookup, one node at a time over all rows (a
@@ -273,10 +273,14 @@ class IntervalSet:
 def interval_table(cmap: CookieMap, depth: int) -> IntervalSet:
     """All 2^depth basic intervals, rows indexed by word in lex order.
 
-    The last level of the breadth-first walk word_levels from [0,1].
+    The last level of the breadth-first walk word_levels from [0,1]. Full
+    enumeration is capped at DEPTH_CAP (2^20 intervals is about the
+    desk-scale limit); deeper studies should target explicit word lists.
     """
     if depth < 0:
         raise DomainError(f"depth must be >= 0, got {depth}")
+    if depth > DEPTH_CAP:
+        raise DepthCapError(f"depth {depth} exceeds cap {DEPTH_CAP}")
     table = IntervalSet.root()
     for table in word_levels(table, cmap, depth):
         pass
@@ -298,15 +302,10 @@ def basic_interval(cmap: CookieMap, word: Word | str) -> BasicInterval:
     return _basic_interval(table, table.log_sizes(), 0, word)
 
 
-def enumerate_intervals(cmap: CookieMap, depth: int,
-                        cap: int = DEPTH_CAP) -> Iterator[BasicInterval]:
-    """Yield every I_w of the given depth, left to right.
-
-    Full enumeration is capped (2^20 intervals is about the desk-scale
-    limit); deeper studies should target explicit word lists instead.
-    """
-    if depth > cap:
-        raise DepthCapError(f"depth {depth} exceeds cap {cap}")
+def enumerate_intervals(cmap: CookieMap, depth: int
+                        ) -> Iterator[BasicInterval]:
+    """Yield every I_w of the given depth, left to right (interval_table,
+    capped at DEPTH_CAP)."""
     table = interval_table(cmap, depth)
     logs = table.log_sizes()
     for i in range(table.size):

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowcutter.flow as flow_module
-from flowcutter import (DomainError, EscapeError, Locus, PointBatch,
-                        ScaledPoint, TimeSchedule, affine_A, affine_B,
-                        interval_J)
+from flowcutter import (CookieMap, DomainError, EscapeError, FlowEngine,
+                        Locus, PointBatch, ScaledPoint, TimeSchedule,
+                        affine_A, affine_B, interval_J, interval_table)
 from flowcutter.cookie import LN3
 from flowcutter.flow import TABLE_CHECK
+from flowcutter.symbolic import IntervalSet
 
 
 # ----------------------------------------------------------------------
@@ -126,6 +127,68 @@ def test_block_sums(consts):
 def test_schedule_index_validation(consts):
     with pytest.raises(DomainError):
         TimeSchedule(consts.T).flow_time(0)
+
+
+class _SameSignSchedule(TimeSchedule):
+    """The same-sign law with theta = 1/2, t_n = T / 4^k: only block_time
+    is overridden."""
+
+    def block_time(self, k):
+        return self.T * 0.25 ** k
+
+
+def test_block_time_is_the_one_statement_of_the_law(consts, monkeypatch):
+    def law(k):
+        return 0.25 ** k
+
+    sched = _SameSignSchedule(1.0)
+    ns = np.arange(1, 4097)
+    want = np.array([law(int(n).bit_length() - 1) for n in ns])
+    assert sched.flow_times(ns).tobytes() == want.tobytes()
+    assert all(sched.flow_time(int(n)).hex() == w.hex()
+               for n, w in zip(ns, want.tolist()))
+    # dyadic times: the direct sums are exact
+    for k in range(12):
+        block = sum(law(k) for _ in range(1 << k))
+        assert sched.block_sum(k) == block
+    acc = 0.0
+    for n, t in zip(ns.tolist(), want.tolist()):
+        acc += t
+        assert sched.cumulative_time(n) == acc, n
+
+    # a fresh map on that law builds its tables at exactly its times
+    T = consts.T
+    cmap = CookieMap(consts, FlowEngine(tol=consts.tol))
+    cmap.schedule = _SameSignSchedule(T)
+    u = np.linspace(0.0, 1.0, 41)
+    n = np.arange(u.size, dtype=np.int32) + 1          # blocks(n + 1): 1..5
+    cmap.inverse_batch(0, PointBatch(np.full(u.size, int(Locus.INJ),
+                                             dtype=np.int8), n, u))
+    assert set(cmap.engine._table_rows) == {-T * law(k) for k in range(1, 6)}
+    interval_table(cmap, 4)                             # adds block 0
+    assert set(cmap.engine._table_rows) == {-T * law(k) for k in range(6)}
+
+    # the wide rows hand evolve_interval those same times
+    handed = []
+    flow_interval = cmap.engine.evolve_interval
+
+    def recorded(t, x_lo, width):
+        handed.append(np.asarray(t).copy())
+        return flow_interval(t, x_lo, width)
+
+    monkeypatch.setattr(cmap.engine, "evolve_interval", recorded)
+    n = np.array([0, 1, 2, 3, 6, 9], dtype=np.int32)
+    rows = IntervalSet(n=n, u_lo=np.full(n.shape, 0.25),
+                       d=np.full(n.shape, 0.5))
+    child = rows.pull_back(cmap, 0)
+    k = [int(m + 1).bit_length() - 1 for m in n]
+    assert len(handed) == 1
+    assert handed[0].tobytes() == np.array([-T * law(j) for j in k]).tobytes()
+    # and the left ends flow at them too
+    for m, j, u_lo in zip(n, k, child.u_lo):
+        y, _ = cmap.engine.table_flow([-T * law(j)], np.zeros(1, int),
+                                      np.array([0.25]))
+        assert u_lo == y[0], m
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import flowcutter.dimension as dimension_module
+import flowcutter.symbolic as symbolic_module
 from flowcutter import (DepthCapError, DomainError, bowen_dimension,
                         box_dimension, certified_bracket, dimension_estimate,
-                        interval_table, pressure_sum)
-from flowcutter.dimension import pressure_root
+                        enumerate_intervals, interval_table, pressure_sum)
+from flowcutter.dimension import DIMENSION_DEPTH_CAP, pressure_root
+from flowcutter.symbolic import DEPTH_CAP
 
 MIDDLE_THIRDS = math.log(2.0) / math.log(3.0)
 
@@ -120,3 +122,30 @@ def test_validation(cmap):
         dimension_estimate(cmap, 17)
     with pytest.raises(DomainError):
         dimension_estimate(cmap, 0)
+
+
+@pytest.mark.parametrize("walk,depth,error", [
+    (interval_table, -1, DomainError),
+    (interval_table, DEPTH_CAP + 1, DepthCapError),
+    (lambda cmap, depth: list(enumerate_intervals(cmap, depth)),
+     DEPTH_CAP + 1, DepthCapError),
+    (bowen_dimension, 0, DomainError),
+    (bowen_dimension, DIMENSION_DEPTH_CAP + 1, DepthCapError),
+    (box_dimension, 1, DomainError),
+    (box_dimension, DIMENSION_DEPTH_CAP + 1, DepthCapError),
+    (dimension_estimate, 0, DomainError),
+    (dimension_estimate, DIMENSION_DEPTH_CAP + 1, DepthCapError),
+    (lambda cmap, depth: dimension_estimate(cmap, depth, "box"), 1,
+     DomainError),
+])
+def test_depth_checks_run_before_any_walk(cmap, monkeypatch, walk, depth,
+                                          error):
+    # a 2^depth walk past the cap would exhaust memory: the checks must
+    # come first, and a usage error must not read as a geometry failure
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the word tree was walked")
+
+    monkeypatch.setattr(symbolic_module, "word_levels", no_walk)
+    monkeypatch.setattr(dimension_module, "word_levels", no_walk)
+    with pytest.raises(error):
+        walk(cmap, depth)

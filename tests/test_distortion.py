@@ -1,5 +1,6 @@
 import importlib
 import math
+import signal
 import tracemalloc
 
 import numpy as np
@@ -62,6 +63,24 @@ def test_theoretical_bound_is_finite_product():
         direct *= 1.0 + 27.0 * m * 2.0 ** (-i - 2)
     assert theoretical_bound(m) == pytest.approx(direct, rel=1e-12)
     assert theoretical_bound(1.0) > theoretical_bound(0.5) > 1.0
+    assert theoretical_bound(0.0) == 1.0
+
+
+@pytest.mark.parametrize("m", [math.nan, math.inf, -1.0])
+def test_theoretical_bound_rejects_bad_curvature(m):
+    # the product loop never ends for nan or inf: an alarm turns a hang
+    # into a failure
+    def hang(signum, frame):
+        raise AssertionError(f"theoretical_bound({m}) did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(DomainError):
+            theoretical_bound(m)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_sweep_small_depth(cmap):

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 import flowcutter.flow as flow
-from flowcutter import DomainError, FlowEngine, SolverError, vector_field
+from flowcutter import (CookieMap, DomainError, FlowEngine, SolverError,
+                        vector_field)
 from flowcutter.scaled import Locus, PointBatch
 
 PHI_1_05 = 0.5182829661743497
@@ -319,11 +320,41 @@ def test_underflow_points_stay_fixed(cmap):
         assert np.all(log_slope == 0.0)
 
 
-def test_calibration_table_is_exact_identity(calibration_map, monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a zero flow time needs no solve")
+@pytest.mark.parametrize("t", [0.0, -0.0])
+def test_zero_time_is_the_identity_bitwise(consts, t):
+    # no zero-time branch: the general solve and table build give the
+    # identity, whose log slope is zero
+    engine = FlowEngine(tol=consts.tol)
+    xs = np.concatenate([np.linspace(0.0, 1.0, 65), [1e-300, 0.001344]])
+    for order in range(3):
+        got = engine.evolve(t, xs, order=order)
+        want = (xs, np.ones_like(xs), np.zeros_like(xs))[:order + 1]
+        assert len(got) == order + 1
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), order
+    widths = np.full(xs.shape, 1e-3)
+    y_lo, w_out = engine.evolve_interval(t, xs, widths)
+    assert y_lo.tobytes() == xs.tobytes()
+    assert w_out.tobytes() == widths.tobytes()
+    y, log_slope = engine.table_flow([t], np.zeros(xs.size, int), xs)
+    assert y.tobytes() == xs.tobytes()
+    assert np.all(log_slope == 0.0)
+    s = engine.flow(t, 0.3)
+    assert (s.y, s.d1, s.d2, s.err) == (0.3, 1.0, 0.0, 0.0)
 
-    monkeypatch.setattr(flow, "integrate_unit_interval", no_solve)
+
+def test_calibration_table_is_exact_identity(monkeypatch):
+    # a fresh map, so that its zero-time tables are built here
+    calibration_map = CookieMap.calibration()
+    solve = flow.integrate_unit_interval
+
+    def one_step(f, y0, **kwargs):
+        y, err, steps = solve(f, y0, **kwargs)
+        # a zero flow time is the general solve: one exact step
+        assert steps == 1 and err == 0.0
+        return y, err, steps
+
+    monkeypatch.setattr(flow, "integrate_unit_interval", one_step)
     u = np.linspace(0.0, 1.0, 257)
     n = np.arange(u.size, dtype=np.int32) % 40 + 1
     batch = PointBatch(np.full(u.size, int(Locus.INJ), dtype=np.int8), n, u)
