@@ -1,10 +1,11 @@
 """The scale-cancelling witness: distortion that refuses to fade.
 
 Under F^(2^k), the window J_(2^(k+1)-1) maps onto J_(2^k-1) and every
-affine factor of 3 cancels, leaving exactly the distortion of the time-T
-flow. The image window shrinks like 3^(-2^k); the distortion does not
-budge. So the distortion bound cannot improve to 1 as image sizes shrink,
-even though a single uniform bound holds at every depth.
+affine factor of 3 cancels, leaving exactly the distortion of the flow at
+block k's sum of times, +-T. The image window shrinks like 3^(-2^k); the
+distortion does not budge. So the distortion bound cannot improve to 1 as
+image sizes shrink, even though a single uniform bound holds at every
+depth.
 """
 
 import math
@@ -13,8 +14,8 @@ from flowcutter import CookieMap, sbd_profile, sbd_witness
 
 cmap = CookieMap.certified()
 
-print("witness records (even orders; odd orders flow by -T instead):")
-for k in (2, 4, 6):
+print("witness records:")
+for k in range(7):
     w = sbd_witness(cmap, k)
     print(f"  k={k}: F^{2 ** k:2d} maps J_{2 ** (k + 1) - 1:3d} onto "
           f"J_{2 ** k - 1:3d}, image size 3^{-2 ** k:d} "

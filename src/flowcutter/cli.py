@@ -27,7 +27,7 @@ from .distortion import (DEFAULT_GRID, bd_sweep, audit_interval_sizes, sbd_profi
 from .errors import (BoundViolationError, CertificationError, DepthCapError,
                      DomainError, EscapeError)
 from .flow import FlowEngine
-from .symbolic import basic_interval, enumerate_intervals
+from .symbolic import IntervalSet, basic_interval, enumerate_intervals
 
 USAGE_ERROR = 64
 INTERNAL_ERROR = 70
@@ -138,12 +138,14 @@ def _cmd_verify_lemmas(args) -> int:
     rows.append({"check": "junction-smoothness", "residual": residual,
                  "pass": residual <= 1e-5})
 
+    # I_{0^n 1} for n = 1, 2, ...: one walk, each level one more 0-pullback
     addr = 0.0
+    family = IntervalSet.root().pull_back(cmap, 1)
     for n in range(1, min(args.depth, 12) + 1):
-        iv = basic_interval(cmap, "0" * n + "1")
-        ok = (iv.left.n == n and iv.right.n == n)
-        addr = max(addr, abs(iv.left.u), abs(iv.right.u - 1.0),
-                   0.0 if ok else 1.0)
+        family = family.pull_back(cmap, 0)
+        left, right = family.endpoints(0)
+        ok = (left.n == n and right.n == n)
+        addr = max(addr, abs(left.u), abs(right.u - 1.0), 0.0 if ok else 1.0)
     rng = random.Random(20240817)
     slope_res = 0.0
     for n in range(1, min(args.depth, 12) + 1):

@@ -18,6 +18,7 @@ raw float evaluation exists only as a cross-check (apply_raw).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, EscapeError
 from .flow import FlowConstants, FlowEngine
-from .scaled import Locus, PointBatch, ScaledPoint
+from .scaled import Locus, PointBatch, ScaledPoint, _pow3
 
 LN3 = math.log(3.0)
 
@@ -64,6 +65,19 @@ def affine_B(n: int, u: float) -> float:
 # the dyadic time schedule
 # ----------------------------------------------------------------------
 
+def _schedule_index(n) -> int:
+    """n as a Python int, numpy integers included; DomainError unless n is
+    an integer >= 1."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"schedule index must be an integer, got {n!r}"
+                          ) from None
+    if n < 1:
+        raise DomainError(f"schedule index must be >= 1, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class TimeSchedule:
     """Flow times t_n = block_time(k) for 2^k <= n < 2^(k+1), n >= 1.
@@ -82,9 +96,7 @@ class TimeSchedule:
         return (-0.5) ** k * self.T
 
     def flow_time(self, n: int) -> float:
-        if n < 1:
-            raise DomainError(f"schedule index must be >= 1, got {n}")
-        return self.block_time(n.bit_length() - 1)
+        return self.block_time(_schedule_index(n).bit_length() - 1)
 
     @staticmethod
     def blocks(n: np.ndarray) -> np.ndarray:
@@ -116,8 +128,7 @@ class TimeSchedule:
         For this law the complete blocks alternate between +T and -T and
         cancel in pairs, so the sum lands in [0, T].
         """
-        if n < 1:
-            raise DomainError(f"schedule index must be >= 1, got {n}")
+        n = _schedule_index(n)
         k = n.bit_length() - 1
         lead = sum(self.block_sum(j) for j in range(k))
         return lead + (n - (1 << k) + 1) * self.block_time(k)
@@ -367,6 +378,13 @@ class CookieMap:
         while h >= h_min * (1.0 - 1e-12):
             steps.append(h)
             h /= 10.0
+        # the seam steps in chart units, du = h 3^(n+1); the rows of J_n
+        # keep du <= 1, so a window no step fits in would check nothing
+        dus = [np.array(steps) * _pow3(n + 1) for n in ns]
+        for n, du in zip(ns, dus):
+            if n >= 1 and du[-1] > 1.0:
+                raise DomainError(
+                    f"no step down to h_min = {h_min} fits in window {n}")
 
         # right of 0 at the raw step h: a gap, or a window point to flow
         batch = PointBatch.from_raw(np.array(steps))
@@ -383,14 +401,14 @@ class CookieMap:
         y = self.engine.evolve(self.schedule.flow_times(m),
                                np.full(m.shape, 0.5), order=0)[0]
         midpoints = list(zip(m.tolist(), (3.0 * (y + 2.0) / 2.5).tolist()))
-        return [self._c1_report(n, steps, probes, zero_quotients, midpoints)
-                for n in ns]
+        return [self._c1_report(n, steps, du, probes, zero_quotients,
+                                midpoints) for n, du in zip(ns, dus)]
 
-    def _c1_report(self, n, steps, probes, zero_quotients, midpoints
+    def _c1_report(self, n, steps, du, probes, zero_quotients, midpoints
                    ) -> "C1BoundaryReport":
-        """The report for window n, given the n-free quotients."""
+        """The report for window n, given its seam steps du and the n-free
+        quotients."""
         # seam points of J_n: x - h at u = 1 - du, x + h at u = du
-        du = np.array(steps) * float(3 ** (n + 1))
         if n >= 1:
             seam = du[du <= 1.0]
             y = self.engine.evolve(self.schedule.flow_time(n),

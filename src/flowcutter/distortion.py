@@ -6,12 +6,12 @@ certified curvature constant M, at every depth, with shrinking increments.
 
 The negative experiment (sbd_witness / sbd_profile): the windows
 J_{2^(k+1)-1} map onto J_{2^k-1} under F^(2^k) with every affine factor
-cancelling, leaving exactly the distortion of the time-T flow. The image
-size shrinks like 3^(-2^k) while the distortion does not move, so the
-distortion bound cannot improve toward 1 at small image scales. For odd k
-the flow runs for time -T, whose distortion is the same, since the field
-is symmetric about 1/2. sbd_profile takes one such pair as one more row of
-its search: a uniform grid on J_{2^k-1} pulled back through 0^(2^k).
+cancelling, leaving exactly the distortion of the flow at block k's sum
+of times, TimeSchedule.block_sum(k). The image size shrinks like
+3^(-2^k) while that sum, and so the distortion, does not move, so the
+distortion bound cannot improve toward 1 at small image scales.
+sbd_profile takes one such pair as one more row of its search: a uniform
+grid on J_{2^k-1} pulled back through 0^(2^k).
 
 All sweeps run on (words x grid) arrays, walked by symbolic.word_levels
 (level j+1 stacks both pullbacks of level j) from [0,1], and below a
@@ -56,7 +56,7 @@ PROFILE_DEPTH_CAP = 14
 SIZE_AUDIT_CAP = 20
 DEFAULT_SCALES = (1.0, 3.0, 9.0, 27.0, 81.0)
 
-# the deepest block whose window pair can serve as sbd_profile's witness row
+# the deepest block of sbd_witness and of sbd_profile's witness row
 _WITNESS_BLOCK_MAX = 6
 # golden-section steps on the witness's two-cell brackets (width 2/4096):
 # they shrink to 1.2e-13, the resolution of a tol-1e-13 search
@@ -418,22 +418,20 @@ def bd_sweep(cmap: CookieMap, k_max: int, grid: int = DEFAULT_GRID,
 def sbd_witness(cmap: CookieMap, k: int) -> SbdWitness:
     """The window pair showing the distortion floor at vanishing image size.
 
-    For even k, F^(2^k) maps J_{2^(k+1)-1} onto J_{2^k-1} as an affine
-    conjugate of the time-T flow, so its distortion equals the distortion
-    of phi_T on [0,1] no matter how small the image window is. alpha and
-    beta are canonicalized as the extremizers of log phi_T' on the time-T
-    table: a grid scan brackets each, and one golden_max call refines both,
-    the minimum as the maximum of -log phi_T'. The orbits run on the
-    forward tables (CookieMap.iterate), so no ODE solve once they exist.
+    F^(2^k) maps J_{2^(k+1)-1} onto J_{2^k-1} as an affine conjugate of
+    phi_t, t = block_sum(k), so its distortion is that of phi_t on [0,1]
+    however small the image. alpha and beta, the extremizers of log phi_t'
+    on the time-t table, are bracketed by a grid scan and refined by one
+    golden_max call, the minimum as the maximum of -log phi_t'. The orbits
+    run on the forward tables (CookieMap.iterate): no ODE solve once they
+    exist.
     """
-    if k % 2 != 0:
-        raise DomainError(f"witness order must be even (odd orders flow by -T), got {k}")
-    if not 2 <= k <= 6:
-        raise DomainError(f"witness order must be in [2, 6], got {k}")
+    if not 0 <= k <= _WITNESS_BLOCK_MAX:
+        raise DomainError(f"need 0 <= k <= {_WITNESS_BLOCK_MAX}, got {k}")
+    times = [cmap.schedule.block_sum(k)]
 
     def log_slope(z):
-        # the time-T table is forward block 0 (t_1 = T)
-        return cmap.block_flow(1.0, np.zeros(z.shape, np.intp), z)[1]
+        return cmap.engine.table_flow(times, np.zeros(z.shape, np.intp), z)[1]
 
     axis = np.linspace(0.0, 1.0, 4097)
     scan = log_slope(axis)
@@ -455,7 +453,7 @@ def sbd_witness(cmap: CookieMap, k: int) -> SbdWitness:
         image=interval_J(steps - 1),
         image_log_size=-steps * LN3,
         measured_ratio=measured,
-        limit_ratio=math.exp(v[0] + v[1]),     # v[1] = -log phi_T'(beta)
+        limit_ratio=math.exp(v[0] + v[1]),     # v[1] = -log phi_t'(beta)
         alpha=alpha,
         beta=beta,
     )

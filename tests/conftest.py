@@ -1,7 +1,7 @@
 import pytest
 from scipy.optimize import brentq
 
-from flowcutter import CookieMap, FlowEngine
+from flowcutter import CookieMap, FlowEngine, TimeSchedule
 
 _CRITERION_LINES: list[str] = []
 
@@ -37,6 +37,21 @@ def plateau_rate(cmap):
     u = brentq(lambda v: engine.flow_position(T, v) - (v + 2.0) / 9.0,
                0.2, 0.3, xtol=1e-15, rtol=8.9e-16, maxiter=200)
     return 1.0 / (9.0 * engine.flow_derivative(T, u))
+
+
+class _SameSignSchedule(TimeSchedule):
+    """The same-sign law with theta = 1/2, t_n = T / 4^k: only block_time
+    is overridden."""
+
+    def block_time(self, k):
+        return self.T * 0.25 ** k
+
+
+@pytest.fixture(scope="session")
+def same_sign_schedule():
+    """A TimeSchedule subclass on a second law, for tests that every time,
+    sum and witness follows block_time."""
+    return _SameSignSchedule
 
 
 @pytest.fixture(scope="session")

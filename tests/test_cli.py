@@ -169,9 +169,14 @@ def test_sbd_witness_record(capsys):
     assert doc["limit_ratio"] == pytest.approx(doc["ratio"], rel=1e-8)
 
 
-def test_sbd_odd_order_is_usage_error(capsys):
-    code, _ = run_cli(capsys, "sbd", "--k", "3")
+def test_sbd_block_out_of_range_is_usage_error(capsys):
+    code, _ = run_cli(capsys, "sbd", "--k", "7")
     assert code == 64
+    # an odd block is a witness too: F^8 flows J_15 onto J_7 by -T
+    code, out = run_cli(capsys, "sbd", "--k", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ratio"] == pytest.approx(doc["limit_ratio"], rel=1e-12)
 
 
 def test_sbd_profile(capsys):

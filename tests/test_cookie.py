@@ -129,19 +129,27 @@ def test_schedule_index_validation(consts):
         TimeSchedule(consts.T).flow_time(0)
 
 
-class _SameSignSchedule(TimeSchedule):
-    """The same-sign law with theta = 1/2, t_n = T / 4^k: only block_time
-    is overridden."""
+def test_schedule_takes_numpy_integers(consts):
+    # an element of a PointBatch.n array indexes the schedule as its int
+    sched = TimeSchedule(consts.T)
+    for n in (1, 5, 4096, 12345):
+        for cast in (np.int64, np.int32):
+            assert sched.flow_time(cast(n)).hex() == sched.flow_time(n).hex()
+            assert (sched.cumulative_time(cast(n)).hex()
+                    == sched.cumulative_time(n).hex())
+    for bad in (5.0, np.float64(5.0), np.int64(0)):
+        with pytest.raises(DomainError):
+            sched.flow_time(bad)
+        with pytest.raises(DomainError):
+            sched.cumulative_time(bad)
 
-    def block_time(self, k):
-        return self.T * 0.25 ** k
 
-
-def test_block_time_is_the_one_statement_of_the_law(consts, monkeypatch):
+def test_block_time_is_the_one_statement_of_the_law(consts, monkeypatch,
+                                                    same_sign_schedule):
     def law(k):
         return 0.25 ** k
 
-    sched = _SameSignSchedule(1.0)
+    sched = same_sign_schedule(1.0)
     ns = np.arange(1, 4097)
     want = np.array([law(int(n).bit_length() - 1) for n in ns])
     assert sched.flow_times(ns).tobytes() == want.tobytes()
@@ -159,7 +167,7 @@ def test_block_time_is_the_one_statement_of_the_law(consts, monkeypatch):
     # a fresh map on that law builds its tables at exactly its times
     T = consts.T
     cmap = CookieMap(consts, FlowEngine(tol=consts.tol))
-    cmap.schedule = _SameSignSchedule(T)
+    cmap.schedule = same_sign_schedule(T)
     u = np.linspace(0.0, 1.0, 41)
     n = np.arange(u.size, dtype=np.int32) + 1          # blocks(n + 1): 1..5
     cmap.inverse_batch(0, PointBatch(np.full(u.size, int(Locus.INJ),
@@ -406,6 +414,29 @@ def test_junction_check_rejects_steps_that_check_nothing(cmap, h_min):
         cmap.check_c1_boundary(2, h_min)
     with pytest.raises(DomainError):
         cmap.check_c1_boundaries([0, 2], h_min)
+
+
+def test_junction_check_rejects_windows_no_step_fits(cmap, monkeypatch):
+    # at h_min = 1e-9 the smallest seam step du = 1e-9 3^(n+1) exceeds 1
+    # from n = 18 on: J_n would get no seam rows and a residual of 0.0
+    def no_solve(*args, **kwargs):
+        raise AssertionError("ODE solve before the window check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flow_module, "integrate_unit_interval", no_solve)
+        for n in (18, 25, np.int64(40)):
+            with pytest.raises(DomainError):
+                cmap.check_c1_boundary(n)
+            with pytest.raises(DomainError):
+                cmap.check_c1_boundaries([2, n])
+    # J_17 still fits the smallest step, and only it
+    rep = cmap.check_c1_boundary(17)
+    seam = [r for r in rep.rows if r.location != "0"]
+    assert [(r.location, r.side) for r in seam] == [
+        ("1/3^17", "left"), ("1/3^17", "right"),
+        ("2/3^18", "right"), ("2/3^18", "left")]
+    assert len({r.step for r in seam}) == 1
+    assert 1e-3 < rep.max_final_residual < 1e-2
 
 
 def test_junction_check_at_the_first_step(cmap):

@@ -317,6 +317,26 @@ def test_witness_scale_invariance(cmap):
     w4 = sbd_witness(cmap, 4)
     assert w4.measured_ratio == pytest.approx(w2.measured_ratio, rel=1e-8)
     assert w4.image_log_size == -16 * math.log(3.0)
+    # every block, odd ones flowing by -T, pins the same limit: the field
+    # is symmetric about 1/2
+    for k in range(7):
+        w = sbd_witness(cmap, k)
+        assert abs(w.measured_ratio - w.limit_ratio) <= 1e-12, k
+        assert abs(w.limit_ratio - w2.limit_ratio) <= 1e-14, k
+
+
+def test_witness_flows_at_the_block_sum(cmap, same_sign_schedule):
+    # on a second law the witness limit is the distortion of phi at the
+    # block sum (T/4^k 2^k = T/2^k), not at t_1 = T
+    law = CookieMap(cmap.constants)
+    law.schedule = same_sign_schedule(cmap.constants.T)
+    for k in (2, 4):
+        w = sbd_witness(law, k)
+        t = law.schedule.block_sum(k)
+        want = (law.engine.flow_derivative(t, w.alpha)
+                / law.engine.flow_derivative(t, w.beta))
+        assert abs(w.limit_ratio - want) <= 1e-12, k
+        assert abs(w.measured_ratio - w.limit_ratio) <= 1e-12, k
 
 
 def test_witness_extremizers(cmap):
@@ -337,13 +357,14 @@ def test_iterate_and_witness_are_pure(cmap, monkeypatch):
     p = ScaledPoint.in_window(20, 0.37)
 
     def run(m):
-        return sbd_witness(m, 2), sbd_witness(m, 4), m.iterate(p, 20)
+        return (*(sbd_witness(m, k) for k in (1, 2, 3, 4)),
+                m.iterate(p, 20))
 
     fresh_first = run(CookieMap(cmap.constants))
     warm = run(cmap)
     fresh_last = run(CookieMap(cmap.constants))
     assert fresh_first == warm == fresh_last
-    for w in warm[:2]:
+    for w in warm[:4]:
         assert type(w.alpha) is float and type(w.beta) is float
     # once their tables exist, neither starts an ODE solve
     def no_solve(*args, **kwargs):
@@ -355,12 +376,18 @@ def test_iterate_and_witness_are_pure(cmap, monkeypatch):
 
 def test_witness_builds_only_the_tables_it_reads(cmap):
     # the order-6 orbit reads the forward table of block 6 (t = T/64) and
-    # the witness scan that of t = T; block 5 (t = -T/32) is never read
+    # the witness scan that of the block sum t = T; block 5 (t = -T/32) is
+    # never read
     T = cmap.constants.T
     fresh = CookieMap(cmap.constants)
     got = sbd_witness(fresh, 6)
     assert -T / 32 not in fresh.engine._table_rows
     assert got == sbd_witness(cmap, 6)
+    # an odd block flows by its sum -T: the order-5 witness reads only the
+    # -T table and its orbit's -T/32, never +T
+    odd = CookieMap(cmap.constants)
+    assert sbd_witness(odd, 5) == sbd_witness(cmap, 5)
+    assert set(odd.engine._table_rows) == {-T, -T / 32}
     # a sparse set of block indices builds only its own tables and reads
     # the same values as on a map that holds every table
     k = np.array([6, 2, 6, 0, 2])
@@ -374,10 +401,10 @@ def test_witness_builds_only_the_tables_it_reads(cmap):
 
 
 def test_witness_validation(cmap):
-    with pytest.raises(DomainError):
-        sbd_witness(cmap, 3)
-    with pytest.raises(DomainError):
-        sbd_witness(cmap, 8)
+    for k in (-1, 7, 8):
+        with pytest.raises(DomainError):
+            sbd_witness(cmap, k)
+    assert sbd_witness(cmap, 3).k == 3
 
 
 def test_scale_cancellation_identity(cmap):
