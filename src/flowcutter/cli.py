@@ -20,14 +20,15 @@ import random
 import sys
 import traceback
 
-from .cookie import CookieMap
+from .cookie import CookieMap, interval_J
 from .dimension import dimension_estimate
 from .distortion import (DEFAULT_GRID, bd_sweep, audit_interval_sizes, sbd_profile,
                          sbd_witness)
 from .errors import (BoundViolationError, CertificationError, DepthCapError,
                      DomainError, EscapeError)
 from .flow import FlowEngine
-from .symbolic import IntervalSet, basic_interval, enumerate_intervals
+from .scaled import PointBatch, ScaledPoint
+from .symbolic import enumerate_intervals, inverse_branch
 
 USAGE_ERROR = 64
 INTERNAL_ERROR = 70
@@ -138,20 +139,23 @@ def _cmd_verify_lemmas(args) -> int:
     rows.append({"check": "junction-smoothness", "residual": residual,
                  "pass": residual <= 1e-5})
 
-    # I_{0^n 1} for n = 1, 2, ...: one walk, each level one more 0-pullback
+    # I_{0^n 1} = J_n for n = 1, 2, ...: the ends of I_1 = J_0, pulled back
+    # by 0 once per level, are the ends of I_{0^n 1}
     addr = 0.0
-    family = IntervalSet.root().pull_back(cmap, 1)
+    ends = PointBatch.from_points(interval_J(0))
     for n in range(1, min(args.depth, 12) + 1):
-        family = family.pull_back(cmap, 0)
-        left, right = family.endpoints(0)
+        ends, _ = cmap.inverse_batch(0, ends)
+        left, right = ends.point(0), ends.point(1)
         ok = (left.n == n and right.n == n)
         addr = max(addr, abs(left.u), abs(right.u - 1.0), 0.0 if ok else 1.0)
     rng = random.Random(20240817)
     slope_res = 0.0
     for n in range(1, min(args.depth, 12) + 1):
         tau = "".join(rng.choice("01") for _ in range(4))
-        iv = basic_interval(cmap, "0" * n + "1" + tau)
-        p = iv.left if iv.left.in_domain else iv.right
+        # the left end of I_{0^n 1 tau}: the point 0 pulled back through it
+        p = ScaledPoint.zero()
+        for symbol in reversed("0" * n + "1" + tau):
+            p = inverse_branch(cmap, int(symbol), p)
         got = cmap.iterate(p, n)
         want = _window_log_slope(cmap, n, p.u)
         slope_res = max(slope_res, abs(got.log_slope - want))

@@ -46,7 +46,7 @@ def affine_A(n: int, x: float) -> float:
     """Chart A_n(x) = 3^(n+1) x - 2, mapping J_n onto [0,1]."""
     if n < 0:
         raise DomainError(f"chart index must be >= 0, got {n}")
-    u = float(3 ** (n + 1)) * x - 2.0
+    u = _pow3(n + 1) * x - 2.0
     if not -1e-9 <= u <= 1.0 + 1e-9:
         raise DomainError(f"{x!r} is not in J_{n}")
     return min(max(u, 0.0), 1.0)
@@ -58,7 +58,7 @@ def affine_B(n: int, u: float) -> float:
         raise DomainError(f"chart index must be >= 0, got {n}")
     if not 0.0 <= u <= 1.0:
         raise DomainError(f"unit coordinate {u!r} outside [0,1]")
-    return (u + 2.0) / float(3 ** n)
+    return (u + 2.0) / _pow3(n)
 
 
 # ----------------------------------------------------------------------
@@ -102,9 +102,10 @@ class TimeSchedule:
     def blocks(n: np.ndarray) -> np.ndarray:
         """The block index k = floor(log2 n) of each schedule index n.
 
-        Every n must be >= 1, which is not checked: this is on the path of
-        every table lookup. n = 0 gives k = -1, which block_flow would read
-        as its last listed table.
+        Every n must be an integer in [1, 2^53), which is not checked: this
+        is on the path of every table lookup. n = 0 gives k = -1, which
+        block_flow would read as its last listed table, and an n >= 2^53
+        may round up to the next power of two and read the next block.
         """
         # frexp is exact for integers below 2^53: n = m * 2^e with m in [0.5,1)
         _, e = np.frexp(np.asarray(n).astype(np.float64))
@@ -112,11 +113,18 @@ class TimeSchedule:
 
     def flow_times(self, n: np.ndarray) -> np.ndarray:
         """flow_time(n) for each n of an array, bitwise; DomainError unless
-        every n >= 1."""
+        the array has an integer dtype (bool is not one) and every n is in
+        [1, 2^53), the range where blocks is exact."""
         n = np.asarray(n)
+        if n.dtype.kind not in "iu":
+            raise DomainError(
+                f"schedule indices must have an integer dtype, got {n.dtype}")
         if n.size and n.min() < 1:
             raise DomainError(
                 f"schedule index must be >= 1, got {int(n.min())}")
+        if n.size and n.max() >= 1 << 53:
+            raise DomainError(
+                f"schedule index must be < 2^53, got {int(n.max())}")
         k = self.blocks(n)
         return np.array([self.block_time(j)
                          for j in range(int(k.max(initial=-1)) + 1)])[k]

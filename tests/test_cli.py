@@ -7,6 +7,7 @@ import pytest
 from flowcutter import cli
 from flowcutter.cli import main
 from flowcutter.errors import SolverError
+from flowcutter.symbolic import IntervalSet
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +140,20 @@ def test_verify_lemmas(capsys):
     checks = {row["check"] for row in doc["rows"]}
     assert {"junction-smoothness", "window-addresses",
             "slope-factorization", "size-bound"} <= checks
+
+
+def test_verify_lemmas_reads_points_not_intervals(capsys, monkeypatch):
+    # the address and slope lemmas pull back the points they check; only
+    # the size audit walks intervals, and it reads sizes, not endpoints
+    code, want = run_cli(capsys, "verify-lemmas", "--depth", "12")
+    assert code == 0
+
+    def no_endpoints(self, i):
+        raise AssertionError("verify-lemmas read an interval endpoint")
+
+    monkeypatch.setattr(IntervalSet, "endpoints", no_endpoints)
+    code, out = run_cli(capsys, "verify-lemmas", "--depth", "12")
+    assert code == 0 and out == want
 
 
 def test_distortion_csv(capsys):

@@ -44,6 +44,17 @@ def test_chart_domain_errors():
         affine_A(2, 0.9)        # not in J_2
     with pytest.raises(DomainError):
         affine_B(1, 1.2)
+    for x in (0.0, 1e-300):     # 3^701 overflows: J_700 holds no float
+        with pytest.raises(DomainError):
+            affine_A(700, x)
+
+
+def test_chart_reads_the_power_table():
+    # B_n reads the correctly rounded powers ScaledPoint.raw reads, so past
+    # 3^646 it underflows to 0.0 as raw does
+    for n in (1, 40, 41, 300, 645, 646, 700):
+        assert affine_B(n, 0.25) == ScaledPoint.in_window(n - 1, 0.25).raw
+    assert affine_B(700, 0.5) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -76,6 +87,39 @@ def test_flow_times_reject_indices_below_one(consts, n):
     for ns in ([n], [5, n, 2]):
         with pytest.raises(DomainError):
             sched.flow_times(np.array(ns))
+
+
+@pytest.mark.parametrize("ns", [[1.5, 2.9, 3.0], [2.0], [True, True], []],
+                         ids=["fractions", "whole-float", "bool", "empty-float"])
+def test_flow_times_reject_non_integer_dtypes(consts, ns):
+    # [1.5, 2.9, 3.0] read as blocks 0, 1, 1 and [True, True] as index 1
+    with pytest.raises(DomainError):
+        TimeSchedule(consts.T).flow_times(np.array(ns))
+
+
+def test_flow_times_reject_indices_from_two_to_the_53(consts):
+    # the float of 2^54 - 1 is 2^54, so blocks reads block 54, not 53
+    sched = TimeSchedule(consts.T)
+    for n in (2 ** 53, 2 ** 54 - 1, 2 ** 63 - 1):
+        assert sched.flow_time(n) == sched.block_time(n.bit_length() - 1)
+        with pytest.raises(DomainError):
+            sched.flow_times(np.array([5, n], dtype=np.int64))
+    with pytest.raises(DomainError):
+        sched.flow_times(np.array([2 ** 64 - 1], dtype=np.uint64))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                   np.uint8, np.uint16, np.uint32, np.uint64])
+def test_flow_times_match_flow_time_at_every_integer_width(consts, dtype):
+    # every block edge 2^k - 1, 2^k, 2^k + 1 the dtype holds below 2^53
+    sched = TimeSchedule(consts.T)
+    top = min(int(np.iinfo(dtype).max), 2 ** 53 - 1)
+    ns = sorted({n for k in range(top.bit_length() + 1)
+                 for n in ((1 << k) - 1, 1 << k, (1 << k) + 1)
+                 if 1 <= n <= top} | {top})
+    got = sched.flow_times(np.array(ns, dtype=dtype))
+    want = np.array([sched.flow_time(n) for n in ns])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_flow_times_of_one_index_is_flow_time(consts):

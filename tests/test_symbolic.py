@@ -162,6 +162,24 @@ def test_address_01_is_second_window(cmap):
     assert iv.right.raw == pytest.approx(1.0 / 3.0, abs=1e-16)
 
 
+def test_pulled_back_points_are_interval_ends(cmap):
+    # the point 0 pulled back through w is the left end of I_w, bitwise,
+    # and the right end of J_0 lands in the window of I_w's right end: the
+    # points verify-lemmas reads without building an interval
+    rng = np.random.default_rng(20240817)
+    for _ in range(300):
+        w = "".join(rng.choice(["0", "1"], size=int(rng.integers(0, 16))))
+        iv = basic_interval(cmap, w)
+        left, right = ScaledPoint.zero(), ScaledPoint.in_window(0, 1.0)
+        for symbol in reversed(w):
+            left = inverse_branch(cmap, int(symbol), left)
+            right = inverse_branch(cmap, int(symbol), right)
+        assert ((left.locus, left.n, left.u.hex())
+                == (iv.left.locus, iv.left.n, iv.left.u.hex())), w
+        assert (right.locus, right.n) == (iv.right.locus, iv.right.n), w
+        assert abs(right.u - iv.right.u) <= 1e-14, w
+
+
 def test_all_zero_words(cmap):
     # I_(0^k) = [0, 3^-k] is the chart row (k, -2, 3): exact endpoints, and
     # the log size is log(3) - (k + 1) ln 3 as log_sizes computes it.
