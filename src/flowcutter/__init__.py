@@ -10,7 +10,7 @@ estimates for the repeller.
 """
 
 from .cookie import (CookieMap, C1BoundaryReport, IterateResult, TimeSchedule,
-                     affine_A, affine_B, interval_J)
+                     interval_J)
 from .dimension import (DimensionEstimate, bowen_dimension, box_dimension,
                         certified_bracket, dimension_estimate, pressure_root,
                         pressure_sum)
@@ -35,10 +35,10 @@ __all__ = [
     "EscapeError", "FieldValue", "FlowConstants", "FlowEngine", "FlowSample",
     "IterateResult", "SizeBoundReport", "Locus", "PointBatch", "SbdProfile",
     "SbdWitness", "ScaledPoint", "SolverError", "TimeSchedule", "Word",
-    "affine_A", "affine_B", "basic_interval", "bd_sweep", "bowen_dimension",
-    "box_dimension", "certified_bracket", "certify_constants",
-    "decompose_blocks", "dimension_estimate", "distortion",
-    "enumerate_intervals", "interval_J", "interval_table", "inverse_branch",
-    "audit_interval_sizes", "pressure_root", "pressure_sum", "sbd_profile",
-    "sbd_witness", "theoretical_bound", "vector_field",
+    "basic_interval", "bd_sweep", "bowen_dimension", "box_dimension",
+    "certified_bracket", "certify_constants", "decompose_blocks",
+    "dimension_estimate", "distortion", "enumerate_intervals", "interval_J",
+    "interval_table", "inverse_branch", "audit_interval_sizes",
+    "pressure_root", "pressure_sum", "sbd_profile", "sbd_witness",
+    "theoretical_bound", "vector_field",
 ]

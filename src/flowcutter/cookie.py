@@ -12,7 +12,7 @@ to +-T. That tension (cumulative times bounded, block sums not vanishing)
 is what the distortion analyzers downstream quantify.
 
 Everything here consumes and produces ScaledPoint / PointBatch coordinates;
-raw float evaluation exists only as a cross-check (apply_raw).
+raw float evaluation lives in the cross-check module flowcutter.oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ LN3 = math.log(3.0)
 
 
 # ----------------------------------------------------------------------
-# affine charts and windows
+# windows
 # ----------------------------------------------------------------------
 
 def interval_J(n: int) -> tuple[ScaledPoint, ScaledPoint]:
@@ -42,33 +42,16 @@ def interval_J(n: int) -> tuple[ScaledPoint, ScaledPoint]:
     return ScaledPoint.in_window(n, 0.0), ScaledPoint.in_window(n, 1.0)
 
 
-def affine_A(n: int, x: float) -> float:
-    """Chart A_n(x) = 3^(n+1) x - 2, mapping J_n onto [0,1]."""
-    if n < 0:
-        raise DomainError(f"chart index must be >= 0, got {n}")
-    u = _pow3(n + 1) * x - 2.0
-    if not -1e-9 <= u <= 1.0 + 1e-9:
-        raise DomainError(f"{x!r} is not in J_{n}")
-    return min(max(u, 0.0), 1.0)
-
-
-def affine_B(n: int, u: float) -> float:
-    """Chart B_n(u) = (u + 2) / 3^n, mapping [0,1] onto J_{n-1}."""
-    if n < 0:
-        raise DomainError(f"chart index must be >= 0, got {n}")
-    if not 0.0 <= u <= 1.0:
-        raise DomainError(f"unit coordinate {u!r} outside [0,1]")
-    return (u + 2.0) / _pow3(n)
-
-
 # ----------------------------------------------------------------------
 # the dyadic time schedule
 # ----------------------------------------------------------------------
 
 def _schedule_index(n) -> int:
     """n as a Python int, numpy integers included; DomainError unless n is
-    an integer >= 1."""
+    an integer >= 1. A bool is not one, as in flow_times."""
     try:
+        if isinstance(n, (bool, np.bool_)):
+            raise TypeError
         n = operator.index(n)
     except TypeError:
         raise DomainError(f"schedule index must be an integer, got {n!r}"
@@ -256,19 +239,6 @@ class CookieMap:
             q, increment = self._step(q)
             extra += increment
         return IterateResult(point=q, steps=k, log_extra=extra)
-
-    def apply_raw(self, x: float) -> float:
-        """F(x) straight from the raw-branch formulas (cross-check only)."""
-        p = ScaledPoint.from_raw(x)
-        if p.locus is Locus.HOLE:
-            raise DomainError("point in the central hole is outside the domain of F")
-        if p.locus is Locus.INJ and p.n >= 1:
-            u = affine_A(p.n, x)
-            y = self.engine.flow_position(self.schedule.flow_time(p.n), u)
-            return affine_B(p.n, y)
-        if p.locus is Locus.INJ:
-            return 3.0 * x - 2.0
-        return 3.0 * x
 
     # -- vectorized operations --------------------------------------------
 

@@ -45,7 +45,8 @@ from .cookie import LN3, CookieMap, interval_J
 from .errors import BoundViolationError, DepthCapError, DomainError
 from .optimize import golden_max
 from .scaled import Locus, PointBatch, ScaledPoint
-from .symbolic import IntervalSet, Word, pull_back_word, word_levels
+from .symbolic import (DEPTH_CAP, IntervalSet, Word, pull_back_word,
+                       word_levels)
 
 LN2 = math.log(2.0)
 
@@ -53,7 +54,6 @@ DEFAULT_GRID = 257
 DEFAULT_REFINE_ITERS = 24
 EXHAUSTIVE_DEPTH_CAP = 16
 PROFILE_DEPTH_CAP = 14
-SIZE_AUDIT_CAP = 20
 DEFAULT_SCALES = (1.0, 3.0, 9.0, 27.0, 81.0)
 
 # the deepest block of sbd_witness and of sbd_profile's witness row
@@ -520,9 +520,9 @@ def audit_interval_sizes(cmap: CookieMap, n_max: int, k_max: int,
     cap = n_max + 1 + k_max
     if combined_cap is not None:
         cap = min(cap, combined_cap)
-    if cap > SIZE_AUDIT_CAP:
+    if cap > DEPTH_CAP:
         raise DepthCapError(
-            f"size audit capped at combined depth {SIZE_AUDIT_CAP}, got {cap}")
+            f"size audit capped at combined depth {DEPTH_CAP}, got {cap}")
     tolerance = math.log1p(1e-9)
     checked = 0
     min_slack = math.inf

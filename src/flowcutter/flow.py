@@ -8,7 +8,7 @@ constants that the downstream map construction relies on (the flow horizon
 T, the curvature bound M, the slope bound B1 = sup|X'|) are all computed
 here.
 
-Three evaluation routes are provided:
+Two evaluation routes are provided:
 
 * the table route (FlowEngine.table_flow), the hot path of every pull-back
   of points, interval endpoints and (by the mean-value rule) narrow widths,
@@ -33,14 +33,10 @@ Three evaluation routes are provided:
   junction check (CookieMap.check_c1_boundary, three positions-only
   batches per report), the few interval widths too wide for the
   mean-value rule (evolve_interval) and the raw-coordinate cross-check
-  CookieMap.apply_raw, and is the oracle the tables are measured against;
-* the rectified-time route: tau(x) = integral_{1/2}^x du / X(u) by adaptive
-  quadrature, inverted by bracketed root finding, which turns the flow into
-  a shift tau^{-1}(tau(x) + t). It is the package's only use of scipy
-  (quad and brentq), imported on its first call, so that importing the
-  package and certifying load no scipy subpackage.
+  oracle.apply_raw, and is the oracle the tables are measured against.
 
-The last two share no code beyond the field formula, so their agreement is
+A third route, the rectified-time quadrature in flowcutter.oracle, shares
+no code with these beyond the field formula, so their agreement with it is
 a real accuracy check rather than a tautology.
 
 The ODE right-hand sides rest on two pointwise kernels: _field_arrays for
@@ -66,12 +62,6 @@ from .optimize import golden_max
 
 # exp() of anything below this underflows float64 to exactly 0.0
 UNDERFLOW_EXPONENT = -745.0
-
-# Domain margin for the rectified-time coordinate: 1/X must stay
-# representable, which needs 1/(x(1-x)) comfortably below ~709.
-TIME_COORDINATE_MARGIN = 0.002
-
-_MAX_SPEED = math.exp(-4.0)  # X(1/2), the global maximum of the field
 
 # Uniform cells of a displacement table. A power of two, so x * cells and the
 # cell offset are exact. The cubic Hermite error in the log slope measures
@@ -321,6 +311,13 @@ def _table_lookup(windows: np.ndarray, starts: np.ndarray, which, x
         y[block], log_slope[block] = _lookup_block(
             windows, starts, which[block], flat[block])
     return y.reshape(x.shape), log_slope.reshape(x.shape)
+
+
+def _check_flow_args(t: float, x: float) -> None:
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"position {x!r} outside [0,1]")
+    if not -1.0 <= t <= 1.0:
+        raise DomainError(f"flow time {t!r} outside [-1,1]")
 
 
 def _flatten(x, t) -> tuple[np.ndarray, np.ndarray]:
@@ -584,15 +581,9 @@ class FlowEngine:
     # scalar interface
     # ------------------------------------------------------------------
 
-    def _check_args(self, t: float, x: float) -> None:
-        if not 0.0 <= x <= 1.0:
-            raise DomainError(f"position {x!r} outside [0,1]")
-        if not -1.0 <= t <= 1.0:
-            raise DomainError(f"flow time {t!r} outside [-1,1]")
-
     def flow(self, t: float, x: float) -> FlowSample:
         """phi_t(x), both variations and the error proxy: one uncached solve."""
-        self._check_args(t, x)
+        _check_flow_args(t, x)
         t, x = float(t), float(x)
         yf, err = self._solve(np.array([t]), np.array([x]), 2)
         return FlowSample(t=t, x=x, y=float(yf[0, 0]), d1=float(yf[1, 0]),
@@ -608,49 +599,6 @@ class FlowEngine:
     def flow_second_derivative(self, t: float, x: float) -> float:
         """phi_t''(x), from the second variational equation."""
         return self.flow(t, x).d2
-
-    # ------------------------------------------------------------------
-    # rectified-time route (independent oracle)
-    # ------------------------------------------------------------------
-
-    def time_coordinate(self, x: float) -> float:
-        """tau(x) = integral_{1/2}^x du / X(u), by adaptive quadrature.
-
-        Strictly increasing where defined; tau(1/2) = 0. Only valid a small
-        margin away from the endpoints, where 1/X is still representable.
-        """
-        lo = TIME_COORDINATE_MARGIN
-        if not lo <= x <= 1.0 - lo:
-            raise DomainError(
-                f"time coordinate needs x in [{lo}, {1 - lo}], got {x!r}")
-        if x == 0.5:
-            return 0.0
-        from scipy.integrate import quad
-
-        val, _ = quad(lambda u: math.exp(-1.0 / (u * (u - 1.0))),
-                      0.5, x, epsabs=0.0, epsrel=1e-13, limit=400)
-        return val
-
-    def invert_time_coordinate(self, theta: float, lo: float, hi: float) -> float:
-        """Solve tau(y) = theta for y in [lo, hi] by bracketed root finding."""
-        from scipy.optimize import brentq
-
-        f = lambda y: self.time_coordinate(y) - theta
-        return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-
-    def flow_by_time_coordinate(self, t: float, x: float) -> float:
-        """phi_t(x) through the shift identity tau(phi_t(x)) = tau(x) + t.
-
-        Entirely quadrature plus root finding; no shared machinery with the
-        ODE route. The bracket uses that the field never moves a point by
-        more than |t| * max X < 0.02.
-        """
-        self._check_args(t, x)
-        margin = 1.05 * _MAX_SPEED * abs(t) + 1e-12
-        lo = max(TIME_COORDINATE_MARGIN, x - (margin if t < 0.0 else 1e-12))
-        hi = min(1.0 - TIME_COORDINATE_MARGIN, x + (margin if t > 0.0 else 1e-12))
-        theta = self.time_coordinate(x) + t
-        return self.invert_time_coordinate(theta, lo, hi)
 
     # ------------------------------------------------------------------
     # certification

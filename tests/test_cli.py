@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,3 +242,58 @@ def test_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     doc = json.loads(target.read_text())
     assert "s" in doc
+
+
+# every subcommand at a small size, run once with scipy and mpmath refused
+NUMPY_ONLY_RUNS = [
+    ["certify", "--grid", "1024"],
+    ["verify-lemmas", "--depth", "4"],
+    ["distortion", "--depth", "3"],
+    ["sbd", "--k", "2"],
+    ["sbd-profile", "--depth", "3"],
+    ["dimension", "--depth", "4", "--method", "bowen"],
+    ["dimension", "--depth", "4", "--method", "box"],
+    ["intervals", "--depth", "3"],
+]
+
+# runs each argv of the JSON list in argv[1] through main, with a
+# sys.meta_path finder that refuses scipy and mpmath, and prints the exit
+# codes, the outputs and whether the oracle module was loaded, as JSON
+NUMPY_ONLY_SCRIPT = """
+import contextlib, io, json, sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("scipy", "mpmath"):
+            raise ImportError(f"{name} is refused")
+        return None
+
+sys.meta_path.insert(0, Refuse())
+from flowcutter.cli import main
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps({"runs": runs, "oracle": "flowcutter.oracle" in sys.modules}))
+"""
+
+
+def test_every_subcommand_runs_on_numpy_alone(capsys):
+    # scipy and mpmath are test dependencies only: every subcommand runs
+    # without them and prints the same bytes as with them
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_SCRIPT, json.dumps(NUMPY_ONLY_RUNS)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["oracle"] is False
+    assert len(doc["runs"]) == len(NUMPY_ONLY_RUNS)
+    for argv, (code, out) in zip(NUMPY_ONLY_RUNS, doc["runs"]):
+        assert code == 0, (argv, proc.stderr)
+        assert out == run_cli(capsys, *argv)[1], argv

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 import flowcutter.flow as flow_module
 from flowcutter import (CookieMap, DomainError, EscapeError, FlowEngine,
                         Locus, PointBatch, ScaledPoint, TimeSchedule,
-                        affine_A, affine_B, interval_J, interval_table)
+                        interval_J, interval_table)
 from flowcutter.cookie import LN3
 from flowcutter.flow import TABLE_CHECK
+from flowcutter.oracle import affine_A, affine_B, apply_raw
 from flowcutter.symbolic import IntervalSet
 
 
@@ -181,7 +182,7 @@ def test_schedule_takes_numpy_integers(consts):
             assert sched.flow_time(cast(n)).hex() == sched.flow_time(n).hex()
             assert (sched.cumulative_time(cast(n)).hex()
                     == sched.cumulative_time(n).hex())
-    for bad in (5.0, np.float64(5.0), np.int64(0)):
+    for bad in (5.0, np.float64(5.0), np.int64(0), True, np.True_):
         with pytest.raises(DomainError):
             sched.flow_time(bad)
         with pytest.raises(DomainError):
@@ -289,10 +290,10 @@ def test_scaled_and_raw_routes_agree(cmap):
         n = int(rng.integers(1, 26))
         u = float(rng.uniform(0.0, 1.0))
         p = ScaledPoint.in_window(n, u)
-        assert cmap.apply(p).raw == pytest.approx(cmap.apply_raw(p.raw), abs=1e-12)
+        assert cmap.apply(p).raw == pytest.approx(apply_raw(cmap, p.raw), abs=1e-12)
     for x in (0.05, 0.15, 0.7, 0.95, 1.0 / 3.0):
         p = ScaledPoint.from_raw(x)
-        assert cmap.apply(p).raw == pytest.approx(cmap.apply_raw(x), abs=1e-12)
+        assert cmap.apply(p).raw == pytest.approx(apply_raw(cmap, x), abs=1e-12)
 
 
 def test_conjugation_square(cmap):
@@ -301,7 +302,7 @@ def test_conjugation_square(cmap):
     for n in (1, 2, 5, 9):
         t = cmap.schedule.flow_time(n)
         for u in us:
-            left = cmap.apply_raw(affine_B(n + 1, float(u)))
+            left = apply_raw(cmap, affine_B(n + 1, float(u)))
             right = affine_B(n, cmap.engine.flow_position(t, float(u)))
             assert left == pytest.approx(right, abs=1e-12)
 

@@ -21,6 +21,7 @@ import pytest
 import flowcutter.flow as flow
 from flowcutter import (CookieMap, DomainError, FlowEngine, SolverError,
                         vector_field)
+from flowcutter import oracle
 from flowcutter.scaled import Locus, PointBatch
 
 PHI_1_05 = 0.5182829661743497
@@ -131,17 +132,31 @@ def test_second_variation_against_finite_difference(engine):
         assert engine.flow_second_derivative(1.0, x) == pytest.approx(fd, rel=1e-6)
 
 
-def test_time_coordinate_basics(engine):
-    assert engine.time_coordinate(0.5) == 0.0
-    assert engine.time_coordinate(0.6) > engine.time_coordinate(0.5)
-    assert engine.time_coordinate(0.4) < 0.0
+def test_time_coordinate_basics():
+    assert oracle.time_coordinate(0.5) == 0.0
+    assert oracle.time_coordinate(0.6) > oracle.time_coordinate(0.5)
+    assert oracle.time_coordinate(0.4) < 0.0
     with pytest.raises(DomainError):
-        engine.time_coordinate(0.0005)
+        oracle.time_coordinate(0.0005)
+
+
+def test_time_coordinate_route_is_quiet_at_its_margins(engine):
+    # quad warns of roundoff at x <= 0.0028 and x >= 0.9972; the margin
+    # keeps every tau evaluation, the root finder's bracket ends included,
+    # where it converges
+    lo = oracle.TIME_COORDINATE_MARGIN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (lo, 1.0 - lo):
+            assert math.isfinite(oracle.time_coordinate(x))
+            for t in (1.0, -1.0):
+                shift = oracle.flow_by_time_coordinate(t, x)
+                assert abs(shift - engine.flow_position(t, x)) <= 1e-12
 
 
 def test_scipy_stays_off_the_import_path():
-    # import and certification load none of the scipy subpackages; the
-    # rectified-time route imports scipy.integrate on first use
+    # import and certification load neither the oracle module nor any
+    # scipy subpackage; importing the oracle loads scipy.integrate
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
@@ -149,10 +164,11 @@ def test_scipy_stays_off_the_import_path():
         "import sys\n"
         "import flowcutter\n"
         "cmap = flowcutter.CookieMap.certified()\n"
-        "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.special',\n"
-        "         'scipy.ndimage')\n"
+        "heavy = ('flowcutter.oracle', 'scipy.integrate', 'scipy.optimize',\n"
+        "         'scipy.special', 'scipy.ndimage')\n"
         "print(sorted(m for m in heavy if m in sys.modules))\n"
-        "print(cmap.engine.time_coordinate(0.6) > 0.0)\n"
+        "from flowcutter import oracle\n"
+        "print(oracle.time_coordinate(0.6) > 0.0)\n"
         "print('scipy.integrate' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -164,15 +180,15 @@ def test_flow_against_time_coordinate_route(engine):
     for x in (0.1, 0.25, 0.4, 0.5, 0.75, 0.9):
         for t in (1.0, -1.0, 0.5):
             ode = engine.flow_position(t, x)
-            shift = engine.flow_by_time_coordinate(t, x)
+            shift = oracle.flow_by_time_coordinate(t, x)
             assert abs(ode - shift) <= 1e-9
 
 
 def test_shift_route_inversion_identity(engine):
     # tau^{-1}(tau(x) + t) reproduces the flow
     x, t = 0.4, 1.0
-    theta = engine.time_coordinate(x) + t
-    y = engine.invert_time_coordinate(theta, 0.3, 0.5)
+    theta = oracle.time_coordinate(x) + t
+    y = oracle.invert_time_coordinate(theta, 0.3, 0.5)
     assert abs(y - engine.flow_position(t, x)) <= 1e-9
 
 
