@@ -29,6 +29,14 @@ from .flow import FlowConstants, FlowEngine
 from .scaled import Locus, PointBatch, ScaledPoint, _pow3
 
 LN3 = math.log(3.0)
+# Batches of at most this many points are pulled back one point at a time
+# (inverse_point), larger ones in one table lookup (block_flow): the point
+# loop pays per point, the block route a fixed numpy cost per call. Medians
+# of 15 rounds on a 2-core VM, batches of 3/4 deep window points, point loop
+# against block route: 4 points 61 against 144 us with symbols -1, 0 and 1
+# mixed, 87 against 100 us all 0; 8 points 135 against 121 and 149
+# against 87 us.
+_POINT_BATCH_MAX = 4
 
 
 # ----------------------------------------------------------------------
@@ -46,19 +54,33 @@ def interval_J(n: int) -> tuple[ScaledPoint, ScaledPoint]:
 # the dyadic time schedule
 # ----------------------------------------------------------------------
 
-def _schedule_index(n) -> int:
-    """n as a Python int, numpy integers included; DomainError unless n is
-    an integer >= 1. A bool is not one, as in flow_times."""
+def _integer(value, what: str) -> int:
+    """value as a Python int, numpy integers included; DomainError unless
+    it is an integer. A bool is not one, as in flow_times."""
     try:
-        if isinstance(n, (bool, np.bool_)):
+        if isinstance(value, (bool, np.bool_)):
             raise TypeError
-        n = operator.index(n)
+        return operator.index(value)
     except TypeError:
-        raise DomainError(f"schedule index must be an integer, got {n!r}"
+        raise DomainError(f"{what} must be an integer, got {value!r}"
                           ) from None
+
+
+def _schedule_index(n) -> int:
+    """n as a Python int; DomainError unless n is an integer >= 1."""
+    n = _integer(n, "schedule index")
     if n < 1:
         raise DomainError(f"schedule index must be >= 1, got {n}")
     return n
+
+
+def _branch_symbol(symbol) -> int:
+    """symbol as a Python int; DomainError unless it is an integer in
+    {0, 1}. Only an array of symbols may also hold the padding -1."""
+    symbol = _integer(symbol, "branch symbol")
+    if symbol not in (0, 1):
+        raise DomainError(f"branch symbol must be 0 or 1, got {symbol!r}")
+    return symbol
 
 
 @dataclass(frozen=True)
@@ -80,6 +102,12 @@ class TimeSchedule:
 
     def flow_time(self, n: int) -> float:
         return self.block_time(_schedule_index(n).bit_length() - 1)
+
+    @staticmethod
+    def block(n: int) -> int:
+        """The block index k = floor(log2 n) of one schedule index n >= 1,
+        which is not checked: the scalar form of blocks."""
+        return int(n).bit_length() - 1
 
     @staticmethod
     def blocks(n: np.ndarray) -> np.ndarray:
@@ -120,7 +148,7 @@ class TimeSchedule:
         cancel in pairs, so the sum lands in [0, T].
         """
         n = _schedule_index(n)
-        k = n.bit_length() - 1
+        k = self.block(n)
         lead = sum(self.block_sum(j) for j in range(k))
         return lead + (n - (1 << k) + 1) * self.block_time(k)
 
@@ -190,8 +218,9 @@ class CookieMap:
         """F(p) and log F'(p) - ln 3, the one forward step.
 
         A window J_n (n >= 1) reads phi_{t_n} and its log slope from the
-        forward table of its block (block_flow); every other branch is
-        affine, with increment exactly 0.0.
+        forward table of its block through the point kernel (block_point),
+        bitwise what block_flow gives; every other branch is affine, with
+        increment exactly 0.0.
         """
         if p.locus is Locus.HOLE:
             raise DomainError("point in the central hole is outside the domain of F")
@@ -203,17 +232,18 @@ class CookieMap:
             return ScaledPoint(Locus.GAP, p.n - 1, p.u), 0.0
         if p.n == 0:
             return ScaledPoint.from_raw(p.u), 0.0
-        y, log_slope = self.block_flow(
-            1.0, self.schedule.blocks(np.array([p.n])), np.array([p.u]))
-        return ScaledPoint.in_window(p.n - 1, float(y[0])), float(log_slope[0])
+        y, log_slope = self.block_point(1.0, self.schedule.block(p.n), p.u)
+        return ScaledPoint.in_window(p.n - 1, y), log_slope
 
     def iterate(self, p: ScaledPoint, k: int,
                 hole_slack: float = 0.0) -> IterateResult:
         """F^k(p) and log (F^k)'(p), accumulated in log space.
 
         Each step is the forward step of apply and derivative, whose
-        window branch reads the forward table of its block (block_flow): no
-        ODE solve once it exists.
+        window branch reads the forward table of its block in Python floats
+        (block_point): no ODE solve once it exists, and no one-point array
+        lookup. k is an integer >= 0 (a bool is not one), else
+        DomainError.
 
         Raises EscapeError at the first j < k for which F^j(p) leaves the
         domain (enters the hole); the final point may land anywhere.
@@ -224,6 +254,7 @@ class CookieMap:
         near-boundary strays back onto the adjacent window endpoint
         instead of escaping; the default keeps strict escape semantics.
         """
+        k = _integer(k, "iteration count")
         if k < 0:
             raise DomainError(f"iteration count must be >= 0, got {k}")
         extra = 0.0
@@ -242,21 +273,58 @@ class CookieMap:
 
     # -- vectorized operations --------------------------------------------
 
+    def inverse_point(self, symbol, p: ScaledPoint
+                      ) -> tuple[ScaledPoint, float]:
+        """The preimage of p under the branch symbol (0 or 1), and
+        log F' - ln 3 at it: inverse_batch's branch rules for one point.
+
+        The 1-branch is affine, its preimage the raw value. The 0-branch
+        maps a hole point into the gap below J_1, moves a gap point one gap
+        down, leaves 0 fixed, and flows a window point of J_n into J_(n+1)
+        through the backward table of its block (block_point), whose
+        negated log slope is the increment. Bitwise inverse_batch's point.
+        """
+        if _branch_symbol(symbol) == 1:
+            return ScaledPoint(Locus.INJ, 0, p.raw), 0.0
+        if p.locus is Locus.HOLE:
+            return ScaledPoint(Locus.GAP, 1, p.u), 0.0
+        if p.locus is Locus.GAP:
+            return ScaledPoint(Locus.GAP, p.n + 1, p.u), 0.0
+        if p.locus is Locus.ZERO:
+            return p, 0.0
+        y, log_slope = self.block_point(
+            -1.0, self.schedule.block(p.n + 1), p.u)
+        return ScaledPoint(Locus.INJ, p.n + 1, y), -log_slope
+
     def inverse_batch(self, symbol, b: PointBatch) -> tuple[PointBatch, np.ndarray]:
         """Inverse branches on a batch; returns (preimage, log F' - ln 3).
 
-        symbol is 0 or 1 for the whole batch, or an int8 array of one symbol
-        per point, where -1 is padding that leaves its point unchanged (with
-        increment 0.0); any other symbol raises DomainError. The reported
-        log increment is the slope of F at the *preimage*, obtained for free
+        symbol is 0 or 1 for the whole batch (an integer, not a bool), or
+        an integer array shaped like the batch with one symbol per point,
+        where -1 is padding that leaves its point unchanged (with increment
+        0.0); any other symbol raises DomainError. The reported log
+        increment is the slope of F at the *preimage*, obtained for free
         from the backward flow's log slope, since
         phi_t'(phi_{-t}(u)) * phi_{-t}'(u) = 1. The 1-branch is affine: its
-        preimages are the raw values. The 0-branch window points flow, in
-        one block_flow call, through the engine's displacement tables
-        (FlowEngine.table_flow), so each preimage and increment is a pure
-        function of its own point and symbol: the results are bitwise the
-        same whatever batch, shard or thread computes them.
+        preimages are the raw values. The 0-branch window points flow
+        through the engine's displacement tables, so each preimage and
+        increment is a pure function of its own point and symbol: the
+        results are bitwise the same whatever batch, shard or thread
+        computes them. The symbols are checked first; then a batch of at
+        most _POINT_BATCH_MAX points goes through inverse_point one point
+        at a time, and a larger one through one block_flow call.
         """
+        if np.ndim(symbol) == 0:
+            symbol = _branch_symbol(symbol)
+        else:
+            symbol = np.asarray(symbol)
+            if (symbol.dtype.kind not in "iu" or symbol.shape != b.u.shape
+                    or np.any((symbol < -1) | (symbol > 1))):
+                raise DomainError(f"branch symbols must be an integer array "
+                                  f"of -1, 0 or 1 shaped {b.u.shape}, got "
+                                  f"{symbol!r}")
+        if b.size <= _POINT_BATCH_MAX:
+            return self._inverse_points(symbol, b)
         if np.ndim(symbol) == 0:
             if symbol == 1:
                 return PointBatch(
@@ -264,16 +332,8 @@ class CookieMap:
                     np.zeros(b.u.shape, dtype=np.int32),
                     b.raw(),
                 ), np.zeros(b.u.shape)
-            if symbol != 0:
-                raise DomainError(
-                    f"branch symbol must be 0 or 1, got {symbol!r}")
             zero, one = True, None
         else:
-            symbol = np.asarray(symbol)
-            if symbol.dtype.kind not in "iu" or np.any((symbol < -1)
-                                                       | (symbol > 1)):
-                raise DomainError(f"branch symbols must be -1, 0 or 1, "
-                                  f"got {symbol!r}")
             zero, one = symbol == 0, symbol == 1
         locus = b.locus.copy()
         n = b.n.copy()
@@ -298,6 +358,23 @@ class CookieMap:
             n[one] = 0
         return PointBatch(locus, n, u), extra
 
+    def _inverse_points(self, symbol, b: PointBatch
+                        ) -> tuple[PointBatch, np.ndarray]:
+        """inverse_batch of checked symbols, one inverse_point per point;
+        a padding symbol -1 keeps its point, with increment 0.0."""
+        symbols = (symbol.ravel().tolist() if np.ndim(symbol)
+                   else [symbol] * b.size)
+        pulled = [(b.point(i), 0.0) if s == -1
+                  else self.inverse_point(s, b.point(i))
+                  for i, s in enumerate(symbols)]
+        shape = b.u.shape
+        return PointBatch(
+            np.array([int(q.locus) for q, _ in pulled],
+                     b.locus.dtype).reshape(shape),
+            np.array([q.n for q, _ in pulled], b.n.dtype).reshape(shape),
+            np.array([q.u for q, _ in pulled]).reshape(shape),
+        ), np.array([inc for _, inc in pulled]).reshape(shape)
+
     def block_flow(self, direction: float, k: np.ndarray, u: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
         """phi_t(u) and log phi_t'(u) with t = direction block_time(k),
@@ -315,6 +392,13 @@ class CookieMap:
         times = [direction * self.schedule.block_time(j)
                  for j in range(int(k.max()) + 1)]
         return self.engine.table_flow(times, k, u)
+
+    def block_point(self, direction: float, k: int, u: float
+                    ) -> tuple[float, float]:
+        """block_flow for one point, in floats (FlowEngine.table_point):
+        bitwise the same flow time, table and values."""
+        return self.engine.table_point(
+            direction * self.schedule.block_time(k), u)
 
     # -- boundary smoothness ----------------------------------------------
 

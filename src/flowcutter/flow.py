@@ -10,23 +10,30 @@ here.
 
 Two evaluation routes are provided:
 
-* the table route (FlowEngine.table_flow), the hot path of every pull-back
-  of points, interval endpoints and (by the mean-value rule) narrow widths,
-  and of the forward map (CookieMap.apply, derivative and iterate) and the
-  strong-bound witness: a cubic Hermite table of the displacement
+* the table route, the hot path of every pull-back of points, interval
+  endpoints and (by the mean-value rule) narrow widths, and of the forward
+  map (CookieMap.apply, derivative and iterate) and the strong-bound
+  witness: a cubic Hermite table of the displacement
   delta_t(x) = phi_t(x) - x on a uniform grid, built once per flow time and
   engine, lazily on the first read and under a lock, from the displacement
   ODE delta' = t X(x + delta), and checked against that ODE at every cell
-  midpoint when it is built. One kernel, _table_lookup, serves every
-  lookup and the build's check. It runs in blocks of _BLOCK points that
-  stay in cache: each block gathers its cells' four floats at once from a
-  window view of the stacked tables, evaluates the Hermite cubic in the
-  exact cell offset, and takes the log slope log phi_t'(x) from delta in
-  closed form (_log_slope), and its results are copied into the outputs.
-  A lookup's memory is its outputs plus one block's temporaries (a
-  2^20-point lookup peaks at its 16 MiB of outputs plus under 1 MiB), a
-  lookup of one block is a single pass, and each result is a pure
-  function of (t, x), whatever batch or block it is computed in;
+  midpoint when it is built. One set of formulas reads it: the cell and
+  its exact offset (_cells), the Hermite cubic (_hermite) and the log
+  slope log phi_t'(x) from delta in closed form (_exponent_change). Two
+  kernels run them. The block kernel (FlowEngine.table_flow, through
+  _table_lookup, which also serves the build's check) runs in blocks of
+  _BLOCK points that stay in cache: each block gathers its cells' four
+  floats at once from a window view of the stacked tables and evaluates
+  the formulas on arrays (_log_slope), and its results are copied into the
+  outputs. A lookup's memory is its outputs plus one block's temporaries
+  (a 2^20-point lookup peaks at its 16 MiB of outputs plus under 1 MiB),
+  and a lookup of one block is a single pass. The point kernel
+  (FlowEngine.table_point) evaluates the same formulas on one point in
+  Python floats, without numpy's fixed cost per array call; it serves the
+  forward step and the pull-back of single points and small batches. The
+  formulas use only +, -, *, / and floor, never exp or log, so floats and
+  arrays round alike: each result is a pure function of (t, x), bitwise
+  the same whatever kernel, batch or block computes it;
 * the variational route: integrate y' = X(y) jointly with v' = X'(y) v and
   w' = X''(y) v^2 + X'(y) w using the adaptive stepper, in batches
   (evolve) or one column at a time (flow). It serves certification, the
@@ -260,14 +267,12 @@ def _cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cell.astype(np.intp), s - cell
 
 
-def _hermite(knots: np.ndarray, theta) -> np.ndarray:
+def _hermite(d0, m0, d1, m1, theta):
     """The cubic Hermite interpolant of delta in the cell offset theta.
 
-    knots[..., j, :] holds (delta, h delta') at the cell's left (j = 0) and
-    right (j = 1) end, h = 1/TABLE_CELLS.
+    (d0, m0) and (d1, m1) are (delta, h delta') at the cell's left and
+    right end, h = 1/TABLE_CELLS: arrays in a block, floats for one point.
     """
-    d0, m0 = knots[..., 0, 0], knots[..., 0, 1]
-    d1, m1 = knots[..., 1, 0], knots[..., 1, 1]
     c2 = 3.0 * (d1 - d0) - 2.0 * m0 - m1
     c3 = 2.0 * (d0 - d1) + m0 + m1
     return d0 + theta * (m0 + theta * (c2 + theta * c3))
@@ -287,7 +292,11 @@ def _lookup_block(windows: np.ndarray, starts: np.ndarray, which, x
     window starts[which[i]] + its cell (_cell_windows). Shaped like x."""
     cell, theta = _cells(x)
     knots = windows[np.ravel(cell + starts[which])].view(np.float64)
-    d = _hermite(knots.reshape(cell.shape + (2, 2)), theta)
+    # one window's four floats are (d0, m0, d1, m1); plain indexing, as
+    # np.moveaxis costs a call about 8 us
+    knots = knots.reshape(cell.shape + (4,))
+    d = _hermite(knots[..., 0], knots[..., 1], knots[..., 2], knots[..., 3],
+                 theta)
     # free the gathered knots before _log_slope, whose temporaries set a
     # block's peak memory
     del knots, cell, theta
@@ -427,6 +436,29 @@ class FlowEngine:
                     for t, r in zip(times, read)]
         starts = np.array(rows, dtype=np.intp) * (TABLE_CELLS + 1)
         return _table_lookup(self._windows, starts, which, x)
+
+    def table_point(self, t: float, x: float) -> tuple[float, float]:
+        """phi_t(x) and log phi_t'(x) for one point x in [0,1], as floats.
+
+        The point kernel of the table route: the same table as table_flow
+        and the same formulas as its blocks (_cells, _hermite,
+        _exponent_change, and _log_slope's live test and dead values), in
+        Python floats. They use only +, -, *, / and floor, which round
+        alike in floats and numpy, so every result is bitwise table_flow's.
+        """
+        row = self._table_row(float(t))
+        g = x * (x - 1.0)
+        # _exponent's live test; g < 0 first, as 1/g raises at g = 0
+        if not (g < 0.0 and 1.0 / g > UNDERFLOW_EXPONENT):
+            # _log_slope's dead point: d = 0.0, and x + 0.0 maps -0.0 to 0.0
+            return x + 0.0, 0.0
+        cell, theta = _cells(x)
+        cell = int(cell)
+        # read after _table_row, which publishes a row after its table
+        knots = self._tables[row, cell:cell + 2].ravel().tolist()
+        d = _hermite(*knots, float(theta))
+        y = x + d
+        return y, float(_exponent_change(2.0 * x, d, -g, y * (y - 1.0)))
 
     def _table_row(self, t: float) -> int:
         """The row of time t in _tables, building it on first use.

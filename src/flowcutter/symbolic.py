@@ -17,8 +17,10 @@ subtraction would return garbage.
 
 Every analysis walks the word tree with word_levels, the one breadth-first
 level walker, or pull_back_word, one word inside out; both take any state
-with pull_back and stack. Single points go through inverse_branch, a batch
-of one over the one pull-back kernel, CookieMap.inverse_batch.
+with pull_back and stack. Single points go through inverse_branch, the
+point form of the pull-back kernel (CookieMap.inverse_point, which states
+CookieMap.inverse_batch's branch rules for one point and reads the tables
+in Python floats), bitwise the batch's result.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .cookie import LN3, CookieMap
 from .errors import DepthCapError, DomainError
-from .scaled import PointBatch, ScaledPoint, _pow3_batch
+from .scaled import ScaledPoint, _pow3_batch
 
 DEPTH_CAP = 20
 
@@ -132,14 +134,15 @@ def decompose_blocks(word: Word | str) -> BlockDecomposition:
 def inverse_branch(cmap: CookieMap, symbol: int, p: ScaledPoint) -> ScaledPoint:
     """The unique preimage of p under the branch named by symbol.
 
-    A batch of one through CookieMap.inverse_batch, the single pull-back
-    kernel: symbol 1 is the affine pullback into [2/3, 1]; symbol 0 pulls
-    windows back one level through the backward flow and shifts gap
-    coordinates down unchanged. Every point of [0,1] has exactly one
-    preimage per branch, hole points included.
+    The preimage CookieMap.inverse_point gives, which states
+    inverse_batch's branch rules for one point and is bitwise its result:
+    symbol 1 is the affine pullback into [2/3, 1]; symbol 0 pulls windows
+    back one level through the backward flow and shifts gap coordinates
+    down unchanged. Every point of [0,1] has exactly one preimage per
+    branch, hole points included. symbol is the integer 0 or 1, else
+    DomainError.
     """
-    child, _ = cmap.inverse_batch(symbol, PointBatch.from_points([p]))
-    return child.point(0)
+    return cmap.inverse_point(symbol, p)[0]
 
 
 def pull_back_word(state, cmap: CookieMap, bits: str):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowcutter.cookie as cookie_module
 import flowcutter.flow as flow_module
 from flowcutter import (CookieMap, DomainError, EscapeError, FlowEngine,
                         Locus, PointBatch, ScaledPoint, TimeSchedule,
@@ -428,6 +429,78 @@ def test_iterate_zero_steps(cmap):
     p = ScaledPoint.from_raw(0.25)
     r = cmap.iterate(p, 0)
     assert r.point == p and r.log_slope == 0.0
+
+
+@pytest.mark.parametrize("k", [True, np.True_, 2.0, np.float64(2.0), "2"])
+def test_iterate_rejects_non_integer_counts(cmap, k):
+    with pytest.raises(DomainError, match="iteration count"):
+        cmap.iterate(ScaledPoint.in_window(3, 0.4), k)
+
+
+def test_iterate_takes_numpy_integer_counts(cmap):
+    p = ScaledPoint.in_window(3, 0.4)
+    r = cmap.iterate(p, np.int64(2))
+    assert type(r.steps) is int and r == cmap.iterate(p, 2)
+
+
+# ----------------------------------------------------------------------
+# the point route of the tables
+# ----------------------------------------------------------------------
+
+def _probe_batch(rng, size):
+    """size points through every locus, deep windows included."""
+    pool = [ScaledPoint.zero(), ScaledPoint.from_raw(0.5),
+            ScaledPoint(Locus.GAP, 3, 0.45), ScaledPoint.in_window(0, 0.3),
+            ScaledPoint.in_window(0, 1.0)]
+    pool += [ScaledPoint.in_window(n, u) for n in (1, 2, 9, 40, 200)
+             for u in (0.0, 1.0, float(rng.uniform()))]
+    return PointBatch.from_points(pool[i] for i in rng.integers(0, len(pool),
+                                                                size))
+
+
+def test_small_batches_match_the_block_route(cmap, monkeypatch):
+    # batches up to one past the point route's cap, against the block
+    # route of the same call (cap 0), bitwise
+    rng = np.random.default_rng(23)
+    cases = []
+    for size in range(1, cookie_module._POINT_BATCH_MAX + 2):
+        for _ in range(4):
+            b = _probe_batch(rng, size)
+            cases += [(s, b) for s in (0, 1, np.int8(1),
+                                       rng.integers(-1, 2, size).astype(np.int8))]
+    got = [cmap.inverse_batch(s, b) for s, b in cases]
+    monkeypatch.setattr(cookie_module, "_POINT_BATCH_MAX", 0)
+    for (s, b), (child, extra) in zip(cases, got):
+        want, want_extra = cmap.inverse_batch(s, b)
+        for name in ("locus", "n", "u"):
+            g, w = getattr(child, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (s, name)
+        assert extra.dtype == want_extra.dtype
+        assert extra.tobytes() == want_extra.tobytes(), s
+
+
+def test_one_point_calls_read_no_table_batch(cmap, monkeypatch):
+    # apply, derivative, iterate and inverse_branch take the point route:
+    # with the batch lookup broken they return the same values
+    from flowcutter import inverse_branch
+    rng = np.random.default_rng(29)
+    pts = [ScaledPoint.in_window(n, float(u)) for n in (1, 2, 5, 17, 40)
+           for u in rng.uniform(0.0, 1.0, 3)]
+    pts += [ScaledPoint.from_raw(0.05), ScaledPoint.in_window(0, 0.4)]
+
+    def run():
+        return [(cmap.apply(p), cmap.derivative(p),
+                 cmap.iterate(p, p.n if p.locus is Locus.INJ else 1),
+                 inverse_branch(cmap, 0, p), inverse_branch(cmap, 1, p))
+                for p in pts]
+
+    want = run()
+
+    def no_batch(*args, **kwargs):
+        raise AssertionError("one point through the batch lookup")
+
+    monkeypatch.setattr(FlowEngine, "table_flow", no_batch)
+    assert run() == want
 
 
 # ----------------------------------------------------------------------

@@ -297,6 +297,14 @@ def test_inverse_batch_rejects_bad_symbol_arrays(cmap):
             cmap.inverse_batch(np.array(bad), b)
     with pytest.raises(DomainError):
         cmap.inverse_batch(-1, b)
+    # a symbol array is shaped like its batch, on the block route (5
+    # points) and the point route (2 points) alike: none broadcasts
+    for raw, wrong in (([0.1, 0.2, 0.5, 0.8, 0.9], 2), ([0.1, 0.5], 3)):
+        b = PointBatch.from_raw(np.array(raw))
+        for bad in (np.zeros(1, int), np.ones(1, int), np.zeros(wrong, int),
+                    np.zeros((len(raw), 1), int)):
+            with pytest.raises(DomainError, match="shaped"):
+                cmap.inverse_batch(bad, b)
 
 
 # ----------------------------------------------------------------------

@@ -456,6 +456,30 @@ def test_window_gather_matches_two_index_gather(cmap):
         assert _same_bytes(got[1], want[1]), x.size
 
 
+@pytest.mark.parametrize("which_map", ["certified", "calibration"])
+def test_point_lookup_matches_the_frozen_formulas(cmap, calibration_map,
+                                                  which_map):
+    """table_point, one point in floats, against the frozen all-at-once
+    gather on every lookup case and at -0.0, 5e-324 and 1 - 2^-53, each
+    point at its own time: the forward and pull-back times of blocks 0..9
+    (+-0.0 on the calibration map). Bitwise, signs of zero included."""
+    m = cmap if which_map == "certified" else calibration_map
+    times = [d * m.schedule.block_time(k) for d in (1.0, -1.0)
+             for k in range(10)]
+    engine = m.engine
+    engine.table_flow(times, np.arange(len(times)), np.full(len(times), 0.5))
+    signed = np.array([-0.0, 0.0, 5e-324, 1.0 - 2.0 ** -53, 1.0])
+    cases = _lookup_cases(len(times), np.random.default_rng(17)) + [
+        (np.full(signed.size, j), signed) for j in range(len(times))]
+    for which, x in cases:
+        got = [engine.table_point(times[j], xi)
+               for j, xi in zip(np.ravel(which).tolist(), np.ravel(x).tolist())]
+        assert all(type(y) is float and type(s) is float for y, s in got)
+        want = _gather_table_flow(engine, times, which, x)
+        for got_part, want_part in zip(zip(*got), want):
+            assert _same_bytes(got_part, np.ravel(want_part)), x.size
+
+
 def test_large_lookup_peaks_at_its_outputs(cmap):
     engine, times = cmap.engine, _pull_back_times(cmap.constants.T)
     rng = np.random.default_rng(5)

@@ -9,6 +9,7 @@ from flowcutter import (CookieMap, DepthCapError, DomainError, FlowEngine,
                         Locus, PointBatch, ScaledPoint, Word, basic_interval,
                         decompose_blocks, enumerate_intervals, interval_J,
                         interval_table, inverse_branch)
+import flowcutter.cookie as cookie_module
 from flowcutter.cookie import LN3
 from flowcutter.symbolic import WIDTH_RULE_MAX, IntervalSet, word_levels
 
@@ -106,14 +107,20 @@ def _branch_probe_points():
     return points
 
 
-def test_inverse_branch_is_a_batch_of_one(cmap):
-    # ZERO, HOLE, GAP, J_0 and deep window points, bitwise against the kernel
+def test_inverse_branch_is_a_batch_of_one(cmap, monkeypatch):
+    # ZERO, HOLE, GAP, J_0 and deep window points, bitwise against the
+    # block kernel: every batch takes the block route here
+    monkeypatch.setattr(cookie_module, "_POINT_BATCH_MAX", 0)
     points = _branch_probe_points()
     assert {p.locus for p in points} == set(Locus)
     for symbol in (0, 1):
         for p in points:
-            pre, _ = cmap.inverse_batch(symbol, PointBatch.from_points([p]))
+            pre, extra = cmap.inverse_batch(symbol, PointBatch.from_points([p]))
             assert inverse_branch(cmap, symbol, p) == pre.point(0), (symbol, p)
+            point, increment = cmap.inverse_point(symbol, p)
+            assert point == pre.point(0), (symbol, p)
+            assert type(increment) is float
+            assert increment.hex() == float(extra[0]).hex(), (symbol, p)
 
 
 def test_inverse_branch_rejects_other_symbols(cmap):
@@ -122,6 +129,33 @@ def test_inverse_branch_rejects_other_symbols(cmap):
         inverse_branch(cmap, 2, p)
     with pytest.raises(DomainError):
         cmap.inverse_batch(2, PointBatch.from_points([p]))
+
+
+@pytest.mark.parametrize("symbol", [True, np.True_, 1.0, np.array(True),
+                                    False, 0.0, np.float64(0.0), -1, "0"])
+def test_branch_symbol_is_an_integer_zero_or_one(cmap, symbol):
+    # one rule on every path: the point, the small-batch and the block route
+    p = ScaledPoint.from_raw(0.1)
+    batches = [PointBatch.from_points([p]),
+               PointBatch.from_raw(np.linspace(0.05, 0.95, 9))]
+    with pytest.raises(DomainError, match="branch symbol"):
+        inverse_branch(cmap, symbol, p)
+    with pytest.raises(DomainError, match="branch symbol"):
+        cmap.inverse_point(symbol, p)
+    for b in batches:
+        with pytest.raises(DomainError, match="branch symbol"):
+            cmap.inverse_batch(symbol, b)
+
+
+@pytest.mark.parametrize("symbol", [np.int8(1), np.int64(0), np.array(1)])
+def test_numpy_integer_symbols_are_symbols(cmap, symbol):
+    p = ScaledPoint.from_raw(0.1)
+    assert inverse_branch(cmap, symbol, p) == inverse_branch(cmap, int(symbol), p)
+    b = PointBatch.from_raw(np.linspace(0.05, 0.95, 9))
+    got, extra = cmap.inverse_batch(symbol, b)
+    want, want_extra = cmap.inverse_batch(int(symbol), b)
+    assert got.u.tobytes() == want.u.tobytes()
+    assert extra.tobytes() == want_extra.tobytes()
 
 
 def test_round_trip_scalar_points(cmap):
