@@ -26,7 +26,7 @@ for _ in range(6):
     p = q
 
 print("\none-sided difference quotients at the seam 2/3^4 (into J_3):")
-rep = cmap.check_c1_boundary(3, h_min=1e-9)
+rep = cmap.check_c1_boundary(3)
 for row in rep.rows:
     if row.location == "2/3^4" and row.side == "right":
         print(f"  h = {row.step:8.1e}   quotient = {row.quotient:.12f}")

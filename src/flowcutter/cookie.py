@@ -17,6 +17,7 @@ raw float evaluation lives in the cross-check module flowcutter.oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -30,13 +31,17 @@ from .scaled import Locus, PointBatch, ScaledPoint, _pow3
 
 LN3 = math.log(3.0)
 # Batches of at most this many points are pulled back one point at a time
-# (inverse_point), larger ones in one table lookup (block_flow): the point
-# loop pays per point, the block route a fixed numpy cost per call. Medians
-# of 15 rounds on a 2-core VM, batches of 3/4 deep window points, point loop
-# against block route: 4 points 61 against 144 us with symbols -1, 0 and 1
-# mixed, 87 against 100 us all 0; 8 points 135 against 121 and 149
-# against 87 us.
+# (inverse_point, through FlowEngine.table_point), larger ones in one table
+# lookup (block_flow): the point loop pays per point, the block route a
+# fixed numpy cost per call. Medians of 15 rounds on a 2-core VM, batches
+# of 3/4 deep window points, point loop against block route: 4 points 61
+# against 144 us with symbols -1, 0 and 1 mixed, 87 against 100 us all 0;
+# 8 points 135 against 121 and 149 against 87 us.
 _POINT_BATCH_MAX = 4
+# The raw steps of the junction check, 1e-2 down to 1e-9, each the one
+# before divided by 10.0 (from 1e-6 on, 1e-2 / 10.0 ** j rounds 1 ulp away)
+_C1_STEPS = tuple(itertools.accumulate(range(7), lambda h, _: h / 10.0,
+                                       initial=1e-2))
 
 
 # ----------------------------------------------------------------------
@@ -44,7 +49,9 @@ _POINT_BATCH_MAX = 4
 # ----------------------------------------------------------------------
 
 def interval_J(n: int) -> tuple[ScaledPoint, ScaledPoint]:
-    """Endpoints of the window J_n = [2/3^(n+1), 1/3^n], exactly scaled."""
+    """Endpoints of the window J_n = [2/3^(n+1), 1/3^n], exactly scaled;
+    DomainError unless n is an integer >= 0."""
+    n = _integer(n, "window index")
     if n < 0:
         raise DomainError(f"window index must be >= 0, got {n}")
     return ScaledPoint.in_window(n, 0.0), ScaledPoint.in_window(n, 1.0)
@@ -104,12 +111,6 @@ class TimeSchedule:
         return self.block_time(_schedule_index(n).bit_length() - 1)
 
     @staticmethod
-    def block(n: int) -> int:
-        """The block index k = floor(log2 n) of one schedule index n >= 1,
-        which is not checked: the scalar form of blocks."""
-        return int(n).bit_length() - 1
-
-    @staticmethod
     def blocks(n: np.ndarray) -> np.ndarray:
         """The block index k = floor(log2 n) of each schedule index n.
 
@@ -148,7 +149,7 @@ class TimeSchedule:
         cancel in pairs, so the sum lands in [0, T].
         """
         n = _schedule_index(n)
-        k = self.block(n)
+        k = n.bit_length() - 1
         lead = sum(self.block_sum(j) for j in range(k))
         return lead + (n - (1 << k) + 1) * self.block_time(k)
 
@@ -218,8 +219,8 @@ class CookieMap:
         """F(p) and log F'(p) - ln 3, the one forward step.
 
         A window J_n (n >= 1) reads phi_{t_n} and its log slope from the
-        forward table of its block through the point kernel (block_point),
-        bitwise what block_flow gives; every other branch is affine, with
+        forward table of its time t_n through the point kernel
+        (FlowEngine.table_point); every other branch is affine, with
         increment exactly 0.0.
         """
         if p.locus is Locus.HOLE:
@@ -232,27 +233,23 @@ class CookieMap:
             return ScaledPoint(Locus.GAP, p.n - 1, p.u), 0.0
         if p.n == 0:
             return ScaledPoint.from_raw(p.u), 0.0
-        y, log_slope = self.block_point(1.0, self.schedule.block(p.n), p.u)
+        y, log_slope = self.engine.table_point(
+            self.schedule.flow_time(p.n), p.u)
         return ScaledPoint.in_window(p.n - 1, y), log_slope
 
-    def iterate(self, p: ScaledPoint, k: int,
-                hole_slack: float = 0.0) -> IterateResult:
+    def iterate(self, p: ScaledPoint, k: int) -> IterateResult:
         """F^k(p) and log (F^k)'(p), accumulated in log space.
 
         Each step is the forward step of apply and derivative, whose
-        window branch reads the forward table of its block in Python floats
-        (block_point): no ODE solve once it exists, and no one-point array
-        lookup. k is an integer >= 0 (a bool is not one), else
-        DomainError.
+        window branch reads the forward table in Python floats
+        (FlowEngine.table_point): no ODE solve once it exists, and no
+        one-point array lookup. k is an integer >= 0 (a bool is not one),
+        else DomainError.
 
-        Raises EscapeError at the first j < k for which F^j(p) leaves the
-        domain (enters the hole); the final point may land anywhere.
-
-        Boundary orbits (interval endpoints) ride exactly on the branch
-        junctions, and forward iteration amplifies roundoff, so they can
-        stray a few 1e-14 into the hole. hole_slack > 0 snaps such
-        near-boundary strays back onto the adjacent window endpoint
-        instead of escaping; the default keeps strict escape semantics.
+        Raises EscapeError at the first j < k for which F^j(p) is in the
+        hole, outside the domain; the final point may land anywhere. The
+        escape is strict: an interval endpoint, whose orbit rides on the
+        branch junctions, may stray a few 1e-14 into the hole and escape.
         """
         k = _integer(k, "iteration count")
         if k < 0:
@@ -261,12 +258,7 @@ class CookieMap:
         q = p
         for j in range(k):
             if q.locus is Locus.HOLE:
-                if hole_slack > 0.0 and q.u <= 1.0 / 3.0 + hole_slack:
-                    q = ScaledPoint.in_window(1, 1.0)
-                elif hole_slack > 0.0 and q.u >= 2.0 / 3.0 - hole_slack:
-                    q = ScaledPoint.in_window(0, 0.0)
-                else:
-                    raise EscapeError(j)
+                raise EscapeError(j)
             q, increment = self._step(q)
             extra += increment
         return IterateResult(point=q, steps=k, log_extra=extra)
@@ -281,8 +273,9 @@ class CookieMap:
         The 1-branch is affine, its preimage the raw value. The 0-branch
         maps a hole point into the gap below J_1, moves a gap point one gap
         down, leaves 0 fixed, and flows a window point of J_n into J_(n+1)
-        through the backward table of its block (block_point), whose
-        negated log slope is the increment. Bitwise inverse_batch's point.
+        at t = -t_(n+1) through the point kernel (FlowEngine.table_point);
+        the negated log slope is the increment. Bitwise inverse_batch's
+        point.
         """
         if _branch_symbol(symbol) == 1:
             return ScaledPoint(Locus.INJ, 0, p.raw), 0.0
@@ -292,8 +285,8 @@ class CookieMap:
             return ScaledPoint(Locus.GAP, p.n + 1, p.u), 0.0
         if p.locus is Locus.ZERO:
             return p, 0.0
-        y, log_slope = self.block_point(
-            -1.0, self.schedule.block(p.n + 1), p.u)
+        y, log_slope = self.engine.table_point(
+            -self.schedule.flow_time(p.n + 1), p.u)
         return ScaledPoint(Locus.INJ, p.n + 1, y), -log_slope
 
     def inverse_batch(self, symbol, b: PointBatch) -> tuple[PointBatch, np.ndarray]:
@@ -312,7 +305,8 @@ class CookieMap:
         results are bitwise the same whatever batch, shard or thread
         computes them. The symbols are checked first; then a batch of at
         most _POINT_BATCH_MAX points goes through inverse_point one point
-        at a time, and a larger one through one block_flow call.
+        at a time, and a larger one moves its 0-branch window points by one
+        block_flow call.
         """
         if np.ndim(symbol) == 0:
             symbol = _branch_symbol(symbol)
@@ -347,7 +341,7 @@ class CookieMap:
         inj = zero & (b.locus == int(Locus.INJ))
         if inj.any():
             y, log_slope = self.block_flow(
-                -1.0, self.schedule.blocks(b.n[inj] + 1), b.u[inj])
+                self.schedule.blocks(b.n[inj] + 1), b.u[inj])
             u[inj] = y
             n[inj] += 1
             extra[inj] = -log_slope
@@ -375,40 +369,30 @@ class CookieMap:
             np.array([q.u for q, _ in pulled]).reshape(shape),
         ), np.array([inc for _, inc in pulled]).reshape(shape)
 
-    def block_flow(self, direction: float, k: np.ndarray, u: np.ndarray
+    def block_flow(self, k: np.ndarray, u: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
-        """phi_t(u) and log phi_t'(u) with t = direction block_time(k),
-        from the tables.
+        """phi_t(u) and log phi_t'(u) with t = -block_time(k), the flow of
+        the 0-branch pull-back from J_n into J_(n+1), k = blocks(n + 1).
 
-        direction +1 is the flow half of F on a window J_n, whose block
-        index is k = TimeSchedule.blocks(n); direction -1 that of the
-        0-branch pull-back from J_n into J_(n+1), k = blocks(n + 1). The
-        values come from the engine's displacement tables
-        (FlowEngine.table_flow), one per direction and block index, so each
-        is a pure function of its own (k, u). k must be nonempty with every
-        k >= 0, as TimeSchedule.blocks gives for n >= 1; this is not
-        checked, and k = -1 would read the last listed table.
+        The values come from the engine's displacement tables
+        (FlowEngine.table_flow), one per block index, so each is a pure
+        function of its own (k, u). k must be nonempty with every k >= 0,
+        as TimeSchedule.blocks gives for n >= 1; this is not checked, and
+        k = -1 would read the last listed table.
         """
-        times = [direction * self.schedule.block_time(j)
+        times = [-self.schedule.block_time(j)
                  for j in range(int(k.max()) + 1)]
         return self.engine.table_flow(times, k, u)
 
-    def block_point(self, direction: float, k: int, u: float
-                    ) -> tuple[float, float]:
-        """block_flow for one point, in floats (FlowEngine.table_point):
-        bitwise the same flow time, table and values."""
-        return self.engine.table_point(
-            direction * self.schedule.block_time(k), u)
-
     # -- boundary smoothness ----------------------------------------------
 
-    def check_c1_boundary(self, n: int, h_min: float = 1e-9) -> "C1BoundaryReport":
+    def check_c1_boundary(self, n: int) -> "C1BoundaryReport":
         """One-sided difference quotients of F at the branch junctions.
 
         Probes 1/3^n (left side, through the window) and 2/3^(n+1) (right
-        side, through the window) over a decreasing sequence of raw steps
-        down to h_min, plus the right-sided quotient at 0 stepped through
-        window midpoints. Gap-side quotients are exactly 3 (the branch is
+        side, through the window) over the raw steps _C1_STEPS, 1e-2 down
+        to 1e-9, plus the right-sided quotient at 0 stepped through window
+        midpoints. Gap-side quotients are exactly 3 (the branch is
         literally 3x there) and are reported as such. Every quotient is
         evaluated in scaled coordinates, so steps far below the raw float
         resolution of a window are still meaningful.
@@ -417,39 +401,34 @@ class CookieMap:
         solves (FlowEngine.evolve at order 0), one per family. The tables
         are not read, so this is a cross-route check.
         """
-        return self.check_c1_boundaries([n], h_min)[0]
+        return self.check_c1_boundaries([n])[0]
 
-    def check_c1_boundaries(self, ns, h_min: float = 1e-9
-                            ) -> list["C1BoundaryReport"]:
-        """check_c1_boundary(n, h_min) for each n in ns, in order.
+    def check_c1_boundaries(self, ns) -> list["C1BoundaryReport"]:
+        """check_c1_boundary(n) for each n in ns, in order.
 
         The flowed points form three families, each one positions-only
         solve: the seam points of J_n, one solve per n, and two families
         that do not depend on n, solved once for all of ns: the window
         points right of 0 at the raw steps and the window midpoints. Each
         solve is the batch check_c1_boundary(n) makes, so every report is
-        bitwise the same as the per-n call.
+        bitwise the same as the per-n call. Every n is an integer in
+        [0, 17], else DomainError: from J_18 on even the smallest step
+        overshoots the window.
         """
-        ns = list(ns)
+        ns = [_integer(n, "window index") for n in ns]
         if any(n < 0 for n in ns):
             raise DomainError(f"window index must be >= 0, got {min(ns)}")
-        if not 0.0 < h_min <= 1e-2:
-            raise DomainError(f"h_min must lie in (0, 1e-2], got {h_min}")
-        steps = []
-        h = 1e-2
-        while h >= h_min * (1.0 - 1e-12):
-            steps.append(h)
-            h /= 10.0
         # the seam steps in chart units, du = h 3^(n+1); the rows of J_n
         # keep du <= 1, so a window no step fits in would check nothing
-        dus = [np.array(steps) * _pow3(n + 1) for n in ns]
+        dus = [np.array(_C1_STEPS) * _pow3(n + 1) for n in ns]
         for n, du in zip(ns, dus):
             if n >= 1 and du[-1] > 1.0:
                 raise DomainError(
-                    f"no step down to h_min = {h_min} fits in window {n}")
+                    f"window {n} is too deep for the junction check: even "
+                    f"its smallest step {_C1_STEPS[-1]:g} overshoots it")
 
         # right of 0 at the raw step h: a gap, or a window point to flow
-        batch = PointBatch.from_raw(np.array(steps))
+        batch = PointBatch.from_raw(np.array(_C1_STEPS))
         probes = [batch.point(i) for i in range(batch.size)]
         deep = [p for p in probes if p.locus is Locus.INJ and p.n >= 1]
         u0 = np.array([p.u for p in deep])
@@ -463,10 +442,10 @@ class CookieMap:
         y = self.engine.evolve(self.schedule.flow_times(m),
                                np.full(m.shape, 0.5), order=0)[0]
         midpoints = list(zip(m.tolist(), (3.0 * (y + 2.0) / 2.5).tolist()))
-        return [self._c1_report(n, steps, du, probes, zero_quotients,
-                                midpoints) for n, du in zip(ns, dus)]
+        return [self._c1_report(n, du, probes, zero_quotients, midpoints)
+                for n, du in zip(ns, dus)]
 
-    def _c1_report(self, n, steps, du, probes, zero_quotients, midpoints
+    def _c1_report(self, n, du, probes, zero_quotients, midpoints
                    ) -> "C1BoundaryReport":
         """The report for window n, given its seam steps du and the n-free
         quotients."""
@@ -481,7 +460,7 @@ class CookieMap:
 
         zero = iter(zero_quotients)
         rows: list[C1Quotient] = []
-        for h, d, p in zip(steps, du.tolist(), probes):
+        for h, d, p in zip(_C1_STEPS, du.tolist(), probes):
             if n >= 1:
                 if d <= 1.0:
                     rows.append(C1Quotient(f"1/3^{n}", "left", h, next(left)))

@@ -21,6 +21,8 @@ from .symbolic import IntervalSet, interval_table, word_levels
 
 LN2 = math.log(2.0)
 DIMENSION_DEPTH_CAP = 16
+# the width of the bisection bracket at which pressure_root stops
+PRESSURE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -55,19 +57,16 @@ def pressure_sum(log_sizes: np.ndarray, s: float) -> float:
     return float(np.log1p(rest) + np.log(m) + a_max)
 
 
-def pressure_root(log_sizes: np.ndarray, tol: float = 1e-10) -> float:
+def pressure_root(log_sizes: np.ndarray) -> float:
     """Unique root of sum_w |I_w|^s = 1 by bisection on [0, 1], to a
-    bracket of width tol or until its ends are adjacent floats."""
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    bracket of width PRESSURE_TOL: 34 halvings, the midpoint of the last
+    bracket returned."""
     lo, hi = 0.0, 1.0
     if pressure_sum(log_sizes, lo) <= 0.0 or pressure_sum(log_sizes, hi) >= 0.0:
         raise BoundViolationError(
             "pressure root not bracketed by [0,1]; interval sizes are wrong")
-    while hi - lo > tol:
+    while hi - lo > PRESSURE_TOL:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
         if pressure_sum(log_sizes, mid) > 0.0:
             lo = mid
         else:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cookie import LN3, CookieMap, interval_J
+from .cookie import LN3, CookieMap, _integer, interval_J
 from .errors import BoundViolationError, DepthCapError, DomainError
 from .optimize import golden_max
 from .scaled import Locus, PointBatch, ScaledPoint
@@ -424,8 +424,9 @@ def sbd_witness(cmap: CookieMap, k: int) -> SbdWitness:
     on the time-t table, are bracketed by a grid scan and refined by one
     golden_max call, the minimum as the maximum of -log phi_t'. The orbits
     run on the forward tables (CookieMap.iterate): no ODE solve once they
-    exist.
+    exist. k is an integer in [0, _WITNESS_BLOCK_MAX], else DomainError.
     """
+    k = _integer(k, "witness order")
     if not 0 <= k <= _WITNESS_BLOCK_MAX:
         raise DomainError(f"need 0 <= k <= {_WITNESS_BLOCK_MAX}, got {k}")
     times = [cmap.schedule.block_sum(k)]
@@ -473,7 +474,10 @@ def sbd_profile(cmap: CookieMap, k_max: int, scales=DEFAULT_SCALES,
     block (at most 6) whose whole image clears every scale. Every value is
     a table lookup, so no ODE is solved once the tables exist. beta_hat is
     a lower estimate of the true supremum; the point is that it refuses to
-    decay toward 1. The grid needs at least 33 points.
+    decay toward 1. The grid needs at least 33 points, and every scale r
+    must lie in [1, (grid - 1) 3^(2^_WITNESS_BLOCK_MAX)]: at a larger r
+    not even the deepest witness row holds a pair, and beta_hat would
+    read exactly 1.
     """
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max}")
@@ -485,6 +489,10 @@ def sbd_profile(cmap: CookieMap, k_max: int, scales=DEFAULT_SCALES,
         raise DomainError("scales must be >= 1")
     if grid < 33:
         raise DomainError(f"need at least 33 grid points, got {grid}")
+    reach = (grid - 1) * 3.0 ** (1 << _WITNESS_BLOCK_MAX)
+    if any(r > reach for r in scales):
+        raise DomainError(f"scales must be <= {reach:g}, the reach of a "
+                          f"{grid}-point witness row, got {max(scales):g}")
     window_cells = [int((grid - 1) // r) for r in scales]
     found, = _run_shards(
         cmap, k_max, grid,

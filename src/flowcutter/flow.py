@@ -400,9 +400,10 @@ class FlowEngine:
     time needs no special case: its right-hand side is zero, so the solve
     takes one exact step and returns the identity bitwise. evolve and the
     scalar lookups share one variational solve (_solve); a scalar lookup is
-    a batch of one at order 2, solved afresh on every call. The tables are the engine's only state: every call makes
-    its own scratch, so threads may share an engine. A tolerance outside
-    [1e-14, 1e-6] raises DomainError.
+    a batch of one at order 2, solved afresh on every call. The tables are
+    the engine's only state: every call makes its own scratch, so threads
+    may share an engine. A tolerance outside [1e-14, 1e-6] raises
+    DomainError.
     """
 
     def __init__(self, tol: float = 1e-13):

@@ -189,7 +189,7 @@ def _mean_value_width(cmap: CookieMap, k: np.ndarray, x: np.ndarray,
     """
     mean = np.zeros_like(w)
     for node, weight in zip(WIDTH_NODES, WIDTH_WEIGHTS):
-        _, log_slope = cmap.block_flow(-1.0, k, x + node * w)
+        _, log_slope = cmap.block_flow(k, x + node * w)
         mean += weight * np.exp(log_slope)
     return w * mean
 
@@ -248,8 +248,7 @@ class IntervalSet:
         k = cmap.schedule.blocks(self.n + 1)
         u_lo, d = self.u_lo.copy(), self.d.copy()
         if inside.any():
-            u_lo[inside] = cmap.block_flow(-1.0, k[inside],
-                                           self.u_lo[inside])[0]
+            u_lo[inside] = cmap.block_flow(k[inside], self.u_lo[inside])[0]
         narrow = inside & (self.d <= WIDTH_RULE_MAX)
         if narrow.any():
             d[narrow] = _mean_value_width(cmap, k[narrow], self.u_lo[narrow],

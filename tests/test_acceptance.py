@@ -126,7 +126,7 @@ def test_criterion_3_certification(engine, consts, record_criterion):
 def test_criterion_4_junction_quotients(cmap, record_criterion):
     worst = 0.0
     for n in range(0, 11):
-        rep = cmap.check_c1_boundary(n, h_min=1e-9)
+        rep = cmap.check_c1_boundary(n)
         worst = max(worst, rep.max_final_residual)
     ok = worst <= 1e-5
     record_criterion("4 junction smoothness", ok, f"residual {worst:.2e}")

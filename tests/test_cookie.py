@@ -145,12 +145,13 @@ def test_cumulative_time_closed_form(n):
     got = sched.cumulative_time(n)
     assert 0.0 <= got <= 1.0
     # direct summation over the containing block (earlier blocks cancel
-    # exactly in +T/-T pairs)
+    # exactly in +T/-T pairs); at T = 1 every time is +-2^-k, so every
+    # partial sum is exact in any order
     k = n.bit_length() - 1
     lead = 0.0
     for j in range(k):
         lead += sched.block_sum(j)
-    direct = lead + sum(sched.flow_time(m) for m in range(1 << k, n + 1))
+    direct = lead + float(np.sum(sched.flow_times(np.arange(1 << k, n + 1))))
     assert abs(direct - got) <= math.ulp(1.0)
 
 
@@ -331,9 +332,9 @@ def test_expansion_floor(cmap):
 def test_derivative_on_deep_window(cmap):
     # the table step, exactly; the ODE derivative as a cross-route check
     p = ScaledPoint.in_window(1, 0.5)
-    _, log_slope = cmap.block_flow(1.0, np.array([0]), np.array([0.5]))
-    assert cmap.derivative(p) == 3.0 * math.exp(float(log_slope[0]))
     t = cmap.schedule.flow_time(1)
+    _, log_slope = cmap.engine.table_flow([t], np.array([0]), np.array([0.5]))
+    assert cmap.derivative(p) == 3.0 * math.exp(float(log_slope[0]))
     assert cmap.derivative(p) == pytest.approx(
         3.0 * cmap.engine.flow_derivative(t, 0.5), rel=TABLE_CHECK)
 
@@ -509,7 +510,7 @@ def test_one_point_calls_read_no_table_batch(cmap, monkeypatch):
 
 def test_junction_quotients_converge_to_three(cmap):
     for n in (0, 1, 2, 5, 10):
-        rep = cmap.check_c1_boundary(n, h_min=1e-9)
+        rep = cmap.check_c1_boundary(n)
         assert rep.max_final_residual <= 1e-5
         for row in rep.rows:
             if row.side in ("right",) and row.location == "0":
@@ -518,24 +519,14 @@ def test_junction_quotients_converge_to_three(cmap):
 
 
 def test_gap_side_quotients_are_exact(cmap):
-    rep = cmap.check_c1_boundary(3, h_min=1e-6)
+    rep = cmap.check_c1_boundary(3)
     gap_rows = [r for r in rep.rows
                 if (r.location, r.side) == ("1/3^3", "right")]
     assert gap_rows and all(r.quotient == 3.0 for r in gap_rows)
 
 
-@pytest.mark.parametrize("h_min", [math.nan, math.inf, 0.5, 0.02, 0.0, -1e-9])
-def test_junction_check_rejects_steps_that_check_nothing(cmap, h_min):
-    # above the first step 1e-2 (or nan) the step list would be empty:
-    # no junction rows and a residual of 0.0, a pass that checked nothing
-    with pytest.raises(DomainError):
-        cmap.check_c1_boundary(2, h_min)
-    with pytest.raises(DomainError):
-        cmap.check_c1_boundaries([0, 2], h_min)
-
-
 def test_junction_check_rejects_windows_no_step_fits(cmap, monkeypatch):
-    # at h_min = 1e-9 the smallest seam step du = 1e-9 3^(n+1) exceeds 1
+    # the smallest seam step du = 1e-9 3^(n+1) exceeds 1
     # from n = 18 on: J_n would get no seam rows and a residual of 0.0
     def no_solve(*args, **kwargs):
         raise AssertionError("ODE solve before the window check")
@@ -557,9 +548,21 @@ def test_junction_check_rejects_windows_no_step_fits(cmap, monkeypatch):
     assert 1e-3 < rep.max_final_residual < 1e-2
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, np.float64(2.0), "2", True, None,
+                               -1])
+def test_window_indices_are_integers_from_zero(cmap, n):
+    with pytest.raises(DomainError, match="window index"):
+        interval_J(n)
+    with pytest.raises(DomainError, match="window index"):
+        cmap.check_c1_boundary(n)
+    with pytest.raises(DomainError, match="window index"):
+        cmap.check_c1_boundaries([0, n])
+
+
 def test_junction_check_at_the_first_step(cmap):
-    rep = cmap.check_c1_boundary(2, 1e-2)
-    assert [(r.location, r.side, r.step) for r in rep.rows] == [
+    rep = cmap.check_c1_boundary(2)
+    assert [(r.location, r.side, r.step) for r in rep.rows
+            if r.step == 1e-2] == [
         ("1/3^2", "left", 1e-2), ("1/3^2", "right", 1e-2),
         ("2/3^3", "right", 1e-2), ("2/3^3", "left", 1e-2),
         ("0", "right", 1e-2)]
@@ -574,12 +577,12 @@ def test_midpoint_family_converges_slowly(cmap):
     assert rep.midpoint_final_residual == res[-1]
 
 
-def _scalar_c1_rows(cmap, n, h_min=1e-9):
+def _scalar_c1_rows(cmap, n):
     """The junction quotients of check_c1_boundary, one scalar ODE solve
     (FlowEngine.flow_position) per flowed point, in the report's row order."""
     sched, flow = cmap.schedule, cmap.engine.flow_position
-    steps = [1e-2]
-    while steps[-1] / 10.0 >= h_min * (1.0 - 1e-12):
+    steps = [1e-2]                      # down to 1e-9, a tenth at a time
+    while len(steps) < 8:
         steps.append(steps[-1] / 10.0)
     rows = []
     for h in steps:

@@ -8,7 +8,8 @@ import flowcutter.symbolic as symbolic_module
 from flowcutter import (DepthCapError, DomainError, bowen_dimension,
                         box_dimension, certified_bracket, dimension_estimate,
                         enumerate_intervals, interval_table, pressure_sum)
-from flowcutter.dimension import DIMENSION_DEPTH_CAP, pressure_root
+from flowcutter.dimension import (DIMENSION_DEPTH_CAP, PRESSURE_TOL,
+                                  pressure_root)
 from flowcutter.symbolic import DEPTH_CAP
 
 MIDDLE_THIRDS = math.log(2.0) / math.log(3.0)
@@ -98,21 +99,13 @@ def counted_pressure(monkeypatch):
 THIRDS_COVER = np.full(2, -math.log(3.0))
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10])
-def test_pressure_root_rejects_tolerances_it_cannot_meet(counted_pressure,
-                                                         tol):
-    with pytest.raises(DomainError):
-        pressure_root(THIRDS_COVER, tol)
-
-
-def test_pressure_root_stops_at_the_float_spacing(counted_pressure):
-    # a tol below the float spacing at the root: the bisection must stop
-    # once the midpoint of its bracket is one of the ends
-    s = pressure_root(THIRDS_COVER, 1e-20)
-    assert len(counted_pressure) < 100
-    assert s == pytest.approx(MIDDLE_THIRDS, rel=1e-15)
+def test_pressure_root_meets_its_tolerance(counted_pressure):
+    # two bracket checks and the 34 halvings that take [0, 1] to a width
+    # of PRESSURE_TOL = 1e-10
+    assert PRESSURE_TOL == 1e-10
     assert pressure_root(THIRDS_COVER) == pytest.approx(MIDDLE_THIRDS,
-                                                       abs=1e-10)
+                                                       abs=PRESSURE_TOL)
+    assert len(counted_pressure) <= 36
 
 
 def test_validation(cmap):

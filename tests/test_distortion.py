@@ -403,16 +403,18 @@ def test_witness_builds_only_the_tables_it_reads(cmap):
     dense = [cmap.schedule.flow_time(1 << j) for j in range(7)]
     cmap.engine.table_flow(dense, np.arange(7), np.full(7, 0.5))
     want = cmap.engine.table_flow(dense, k, u)
-    for a, b in zip(fresh.block_flow(1.0, k, u), want):
+    for a, b in zip(fresh.engine.table_flow(dense, k, u), want):
         assert np.array_equal(a, b)
     assert set(fresh.engine._table_rows) == {dense[0], dense[2], dense[6]}
 
 
 def test_witness_validation(cmap):
-    for k in (-1, 7, 8):
+    for k in (-1, 7, 8, 2.0, True, "2"):
         with pytest.raises(DomainError):
             sbd_witness(cmap, k)
     assert sbd_witness(cmap, 3).k == 3
+    got = sbd_witness(cmap, np.int64(3))
+    assert type(got.k) is int and got == sbd_witness(cmap, 3)
 
 
 def test_scale_cancellation_identity(cmap):
@@ -543,6 +545,17 @@ def test_profile_validation(cmap):
     for grid in (0, 1, 32):
         with pytest.raises(DomainError):
             sbd_profile(cmap, 3, grid=grid)
+
+
+def test_profile_rejects_scales_beyond_the_witness_row(cmap):
+    # a 257-point witness row of block 6 spans 256 3^64 image widths: at
+    # larger scales no window holds a pair and beta_hat would read 1
+    reach = 256 * 3.0 ** 64
+    for r in (257 * 3.0 ** 64, 1e40, 3.0 ** 100, math.inf):
+        with pytest.raises(DomainError):
+            sbd_profile(cmap, 2, scales=(1.0, r))
+    prof = sbd_profile(cmap, 2, scales=(3.0 ** 64, reach))
+    assert prof[0].beta_hat > prof[1].beta_hat > 1.0
 
 
 def test_profile_thread_count_does_not_change_bits(consts, monkeypatch):

@@ -269,17 +269,21 @@ def test_cover_length_decreases(cmap):
 
 
 def test_iterates_stretch_onto_unit_interval(cmap):
-    # endpoint orbits ride exactly on the branch junctions, so the strict
-    # escape check needs a roundoff-sized slack to let them through
+    # F^k maps I_w onto [0, 1]: points 1e-9 inside either end, pulled back
+    # through w, lie in I_w and iterate back to within 1e-9 of where they
+    # started (the exact ends ride on the branch junctions, where roundoff
+    # may drop an orbit into the hole)
     rng = np.random.default_rng(29)
     for _ in range(12):
         k = int(rng.integers(1, 12))
         bits = "".join(rng.choice(["0", "1"]) for _ in range(k))
         iv = basic_interval(cmap, bits)
-        left_end = cmap.iterate(iv.left, k, hole_slack=1e-10).point
-        right_end = cmap.iterate(iv.right, k, hole_slack=1e-10).point
-        assert abs(left_end.raw - 0.0) <= 1e-9
-        assert abs(right_end.raw - 1.0) <= 1e-9
+        for s in (1e-9, 1.0 - 1e-9):
+            p = ScaledPoint.from_raw(s)
+            for symbol in reversed(bits):
+                p = inverse_branch(cmap, int(symbol), p)
+            assert iv.left.raw <= p.raw <= iv.right.raw
+            assert abs(cmap.iterate(p, k).point.raw - s) <= 1e-9
 
 
 def test_log_size_matches_raw_difference(cmap):
