@@ -20,6 +20,7 @@ import random
 import sys
 import traceback
 
+from . import _checks
 from .cookie import CookieMap, interval_J
 from .dimension import dimension_estimate
 from .distortion import (DEFAULT_GRID, bd_sweep, audit_interval_sizes, sbd_profile,
@@ -129,8 +130,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    if args.depth < 1:
-        raise DomainError(f"depth must be >= 1, got {args.depth}")
+    _checks.integer(args.depth, "--depth", 1)
     cmap = _certified(args)
     rows = []
 

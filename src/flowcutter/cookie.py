@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import _checks
 from .errors import DomainError, EscapeError
 from .flow import FlowConstants, FlowEngine
 from .scaled import Locus, PointBatch, ScaledPoint, _pow3
@@ -51,44 +51,13 @@ _C1_STEPS = tuple(itertools.accumulate(range(7), lambda h, _: h / 10.0,
 def interval_J(n: int) -> tuple[ScaledPoint, ScaledPoint]:
     """Endpoints of the window J_n = [2/3^(n+1), 1/3^n], exactly scaled;
     DomainError unless n is an integer >= 0."""
-    n = _integer(n, "window index")
-    if n < 0:
-        raise DomainError(f"window index must be >= 0, got {n}")
+    n = _checks.integer(n, "window index", 0)
     return ScaledPoint.in_window(n, 0.0), ScaledPoint.in_window(n, 1.0)
 
 
 # ----------------------------------------------------------------------
 # the dyadic time schedule
 # ----------------------------------------------------------------------
-
-def _integer(value, what: str) -> int:
-    """value as a Python int, numpy integers included; DomainError unless
-    it is an integer. A bool is not one, as in flow_times."""
-    try:
-        if isinstance(value, (bool, np.bool_)):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}"
-                          ) from None
-
-
-def _schedule_index(n) -> int:
-    """n as a Python int; DomainError unless n is an integer >= 1."""
-    n = _integer(n, "schedule index")
-    if n < 1:
-        raise DomainError(f"schedule index must be >= 1, got {n}")
-    return n
-
-
-def _branch_symbol(symbol) -> int:
-    """symbol as a Python int; DomainError unless it is an integer in
-    {0, 1}. Only an array of symbols may also hold the padding -1."""
-    symbol = _integer(symbol, "branch symbol")
-    if symbol not in (0, 1):
-        raise DomainError(f"branch symbol must be 0 or 1, got {symbol!r}")
-    return symbol
-
 
 @dataclass(frozen=True)
 class TimeSchedule:
@@ -104,11 +73,14 @@ class TimeSchedule:
     T: float
 
     def block_time(self, k: int) -> float:
-        """The flow time of every n in block k: (-1/2)^k T."""
+        """The flow time of every n in block k: (-1/2)^k T. k is not
+        checked: this one statement of the law is read on every step."""
         return (-0.5) ** k * self.T
 
     def flow_time(self, n: int) -> float:
-        return self.block_time(_schedule_index(n).bit_length() - 1)
+        """t_n; DomainError unless n is an integer >= 1."""
+        n = _checks.integer(n, "schedule index", 1)
+        return self.block_time(n.bit_length() - 1)
 
     @staticmethod
     def blocks(n: np.ndarray) -> np.ndarray:
@@ -148,14 +120,16 @@ class TimeSchedule:
         For this law the complete blocks alternate between +T and -T and
         cancel in pairs, so the sum lands in [0, T].
         """
-        n = _schedule_index(n)
+        n = _checks.integer(n, "schedule index", 1)
         k = n.bit_length() - 1
         lead = sum(self.block_sum(j) for j in range(k))
         return lead + (n - (1 << k) + 1) * self.block_time(k)
 
     def block_sum(self, k: int) -> float:
         """Sum of t_n over the full block 2^k <= n < 2^(k+1), 2^k times
-        block_time(k); for this law exactly (-1)^k T."""
+        block_time(k); for this law exactly (-1)^k T. DomainError unless k
+        is an integer >= 0."""
+        k = _checks.integer(k, "block index", 0)
         return (1 << k) * self.block_time(k)
 
 
@@ -243,17 +217,14 @@ class CookieMap:
         Each step is the forward step of apply and derivative, whose
         window branch reads the forward table in Python floats
         (FlowEngine.table_point): no ODE solve once it exists, and no
-        one-point array lookup. k is an integer >= 0 (a bool is not one),
-        else DomainError.
+        one-point array lookup. k is an integer >= 0, else DomainError.
 
         Raises EscapeError at the first j < k for which F^j(p) is in the
         hole, outside the domain; the final point may land anywhere. The
         escape is strict: an interval endpoint, whose orbit rides on the
         branch junctions, may stray a few 1e-14 into the hole and escape.
         """
-        k = _integer(k, "iteration count")
-        if k < 0:
-            raise DomainError(f"iteration count must be >= 0, got {k}")
+        k = _checks.integer(k, "iteration count", 0)
         extra = 0.0
         q = p
         for j in range(k):
@@ -277,7 +248,7 @@ class CookieMap:
         the negated log slope is the increment. Bitwise inverse_batch's
         point.
         """
-        if _branch_symbol(symbol) == 1:
+        if _checks.symbol(symbol) == 1:
             return ScaledPoint(Locus.INJ, 0, p.raw), 0.0
         if p.locus is Locus.HOLE:
             return ScaledPoint(Locus.GAP, 1, p.u), 0.0
@@ -292,14 +263,13 @@ class CookieMap:
     def inverse_batch(self, symbol, b: PointBatch) -> tuple[PointBatch, np.ndarray]:
         """Inverse branches on a batch; returns (preimage, log F' - ln 3).
 
-        symbol is 0 or 1 for the whole batch (an integer, not a bool), or
-        an integer array shaped like the batch with one symbol per point,
-        where -1 is padding that leaves its point unchanged (with increment
-        0.0); any other symbol raises DomainError. The reported log
-        increment is the slope of F at the *preimage*, obtained for free
-        from the backward flow's log slope, since
-        phi_t'(phi_{-t}(u)) * phi_{-t}'(u) = 1. The 1-branch is affine: its
-        preimages are the raw values. The 0-branch window points flow
+        symbol is 0 or 1 for the whole batch, or an integer array shaped
+        like the batch with one symbol per point, where -1 is padding that
+        leaves its point unchanged (with increment 0.0); any other symbol
+        raises DomainError. The reported log increment is the slope of F
+        at the *preimage*, obtained for free from the backward flow's log
+        slope, since phi_t'(phi_{-t}(u)) * phi_{-t}'(u) = 1. The 1-branch
+        is affine: its preimages are the raw values. The 0-branch window points flow
         through the engine's displacement tables, so each preimage and
         increment is a pure function of its own point and symbol: the
         results are bitwise the same whatever batch, shard or thread
@@ -309,7 +279,7 @@ class CookieMap:
         block_flow call.
         """
         if np.ndim(symbol) == 0:
-            symbol = _branch_symbol(symbol)
+            symbol = _checks.symbol(symbol)
         else:
             symbol = np.asarray(symbol)
             if (symbol.dtype.kind not in "iu" or symbol.shape != b.u.shape
@@ -415,9 +385,7 @@ class CookieMap:
         [0, 17], else DomainError: from J_18 on even the smallest step
         overshoots the window.
         """
-        ns = [_integer(n, "window index") for n in ns]
-        if any(n < 0 for n in ns):
-            raise DomainError(f"window index must be >= 0, got {min(ns)}")
+        ns = [_checks.integer(n, "window index", 0) for n in ns]
         # the seam steps in chart units, du = h 3^(n+1); the rows of J_n
         # keep du <= 1, so a window no step fits in would check nothing
         dus = [np.array(_C1_STEPS) * _pow3(n + 1) for n in ns]

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .cookie import CookieMap
-from .errors import BoundViolationError, DepthCapError, DomainError
+from .errors import BoundViolationError, DomainError
 from .symbolic import IntervalSet, interval_table, word_levels
 
 LN2 = math.log(2.0)
@@ -42,13 +43,15 @@ def certified_bracket(constants) -> tuple[float, float]:
 
 
 def pressure_sum(log_sizes: np.ndarray, s: float) -> float:
-    """log of sum_w |I_w|^s, stable at any depth.
+    """log of sum_w |I_w|^s, stable at any depth; s is a real in [0, 1],
+    the bracket of the pressure root, else DomainError.
 
     The shifted log-sum-exp as scipy.special.logsumexp computes it, and
     bitwise equal to it: the m terms equal to the maximum a_max are
     taken out of the sum, the rest summed as exp(a - a_max) and divided
     by m, and the result is log1p(sum) + log(m) + a_max.
     """
+    s = _checks.real(s, "pressure exponent", 0.0, 1.0)
     a = s * np.asarray(log_sizes, dtype=np.float64)
     a_max = np.max(a)
     top = a == a_max
@@ -74,19 +77,10 @@ def pressure_root(log_sizes: np.ndarray) -> float:
     return 0.5 * (lo + hi)
 
 
-def _check_depth(depth: int, least: int) -> None:
-    """DomainError below least, DepthCapError above DIMENSION_DEPTH_CAP."""
-    if depth < least:
-        raise DomainError(f"depth must be >= {least}, got {depth}")
-    if depth > DIMENSION_DEPTH_CAP:
-        raise DepthCapError(
-            f"dimension estimate capped at depth {DIMENSION_DEPTH_CAP}, got {depth}")
-
-
 def bowen_dimension(cmap: CookieMap, depth: int) -> float:
     """The pressure root of the 2^depth basic intervals, 1 <= depth <=
     DIMENSION_DEPTH_CAP."""
-    _check_depth(depth, 1)
+    depth = _checks.integer(depth, "dimension depth", 1, DIMENSION_DEPTH_CAP)
     return pressure_root(interval_table(cmap, depth).log_sizes())
 
 
@@ -98,7 +92,7 @@ def box_dimension(cmap: CookieMap, depth: int) -> float:
     cross-check, not the headline number. A line needs two covers, so depth
     must be at least 2; it is capped at DIMENSION_DEPTH_CAP.
     """
-    _check_depth(depth, 2)
+    depth = _checks.integer(depth, "dimension depth", 2, DIMENSION_DEPTH_CAP)
     log_n = []
     log_inv_eps = []
     for j, table in enumerate(word_levels(IntervalSet.root(), cmap, depth), 1):

@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cookie import LN3, CookieMap, _integer, interval_J
+from . import _checks
+from .cookie import LN3, CookieMap, interval_J
 from .errors import BoundViolationError, DepthCapError, DomainError
 from .optimize import golden_max
 from .scaled import Locus, PointBatch, ScaledPoint
@@ -122,8 +123,7 @@ class SizeBoundReport:
 def theoretical_bound(M: float) -> float:
     """The convergent block product prod_i (1 + 27 M 2^(-i-2));
     DomainError unless M is finite and >= 0."""
-    if not (math.isfinite(M) and M >= 0.0):
-        raise DomainError(f"curvature bound must be finite and >= 0, got {M}")
+    M = _checks.real(M, "curvature bound", 0.0, math.inf)
     out = 1.0
     i = 0
     while True:
@@ -313,8 +313,7 @@ def _run_shards(cmap: CookieMap, k_max: int, grid: int, keep,
     count, so the result is bit-identical for any. Returns keep's arrays,
     each concatenated along its last axis over depths 1..k_max.
     """
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
+    threads = _checks.integer(threads, "threads", 1)
     d = _default_shard_depth(k_max)
     state = _PointGrid.root(grid)
     levels = []
@@ -355,10 +354,11 @@ def distortion(cmap: CookieMap, word: Word | str, grid: int = DEFAULT_GRID,
 
     Samples log (F^k)' on the inverse image of a uniform grid in the
     normalized coordinate, sharpens both extrema by golden section, and
-    exponentiates the spread. Affine-only words return exactly 1.
+    exponentiates the spread. Affine-only words return exactly 1. The
+    grid needs at least 33 points.
     """
-    if grid < 33:
-        raise DomainError(f"need at least 33 grid points, got {grid}")
+    grid = _checks.integer(grid, "grid points", 33)
+    refine_iters = _checks.integer(refine_iters, "refine iterations", 0)
     word = Word.of(word)
     state = pull_back_word(_PointGrid.root(grid), cmap, word.bits)
     cells, values = _grid_extrema(state.extra)
@@ -378,13 +378,10 @@ def bd_sweep(cmap: CookieMap, k_max: int, grid: int = DEFAULT_GRID,
     exceeds the ceiling (which would mean a mis-certified M or a bug, not
     new mathematics).
     """
-    if k_max < 1:
-        raise DomainError(f"k_max must be >= 1, got {k_max}")
-    if k_max > EXHAUSTIVE_DEPTH_CAP:
-        raise DepthCapError(
-            f"exhaustive sweep capped at depth {EXHAUSTIVE_DEPTH_CAP}, got {k_max}")
-    if grid < 33:
-        raise DomainError(f"need at least 33 grid points, got {grid}")
+    k_max = _checks.integer(k_max, "exhaustive sweep depth", 1,
+                            EXHAUSTIVE_DEPTH_CAP)
+    grid = _checks.integer(grid, "grid points", 33)
+    refine_iters = _checks.integer(refine_iters, "refine iterations", 0)
     c_theory = theoretical_bound(cmap.constants.M)
     cells, values = _run_shards(cmap, k_max, grid, _grid_extrema, threads)
     sizes = [1 << depth for depth in range(1, k_max + 1)]
@@ -426,9 +423,10 @@ def sbd_witness(cmap: CookieMap, k: int) -> SbdWitness:
     run on the forward tables (CookieMap.iterate): no ODE solve once they
     exist. k is an integer in [0, _WITNESS_BLOCK_MAX], else DomainError.
     """
-    k = _integer(k, "witness order")
-    if not 0 <= k <= _WITNESS_BLOCK_MAX:
-        raise DomainError(f"need 0 <= k <= {_WITNESS_BLOCK_MAX}, got {k}")
+    k = _checks.integer(k, "witness order", 0)
+    if k > _WITNESS_BLOCK_MAX:
+        raise DomainError(
+            f"witness order must be <= {_WITNESS_BLOCK_MAX}, got {k}")
     times = [cmap.schedule.block_sum(k)]
 
     def log_slope(z):
@@ -479,16 +477,10 @@ def sbd_profile(cmap: CookieMap, k_max: int, scales=DEFAULT_SCALES,
     not even the deepest witness row holds a pair, and beta_hat would
     read exactly 1.
     """
-    if k_max < 1:
-        raise DomainError(f"k_max must be >= 1, got {k_max}")
-    if k_max > PROFILE_DEPTH_CAP:
-        raise DepthCapError(
-            f"profile search capped at depth {PROFILE_DEPTH_CAP}, got {k_max}")
-    scales = tuple(float(r) for r in scales)
-    if any(not r >= 1.0 for r in scales):
-        raise DomainError("scales must be >= 1")
-    if grid < 33:
-        raise DomainError(f"need at least 33 grid points, got {grid}")
+    k_max = _checks.integer(k_max, "profile search depth", 1,
+                            PROFILE_DEPTH_CAP)
+    scales = tuple(_checks.real(r, "scale", 1.0, math.inf) for r in scales)
+    grid = _checks.integer(grid, "grid points", 33)
     reach = (grid - 1) * 3.0 ** (1 << _WITNESS_BLOCK_MAX)
     if any(r > reach for r in scales):
         raise DomainError(f"scales must be <= {reach:g}, the reach of a "
@@ -521,16 +513,15 @@ def audit_interval_sizes(cmap: CookieMap, n_max: int, k_max: int,
     family is a slice of the running table. The tolerance 1 + 1e-9 absorbs
     roundoff; genuine violations would flag a geometry bug.
     """
-    if n_max < 0 or k_max < 0:
-        raise DomainError("n_max and k_max must be >= 0")
-    if combined_cap is not None and combined_cap < 1:
-        raise DomainError(f"combined_cap must be >= 1, got {combined_cap}")
+    n_max = _checks.integer(n_max, "size audit n_max", 0)
+    k_max = _checks.integer(k_max, "size audit k_max", 0)
     cap = n_max + 1 + k_max
     if combined_cap is not None:
-        cap = min(cap, combined_cap)
+        cap = min(cap, _checks.integer(combined_cap,
+                                       "size audit combined_cap", 1))
     if cap > DEPTH_CAP:
         raise DepthCapError(
-            f"size audit capped at combined depth {DEPTH_CAP}, got {cap}")
+            f"size audit combined depth {cap} exceeds cap {DEPTH_CAP}")
     tolerance = math.log1p(1e-9)
     checked = 0
     min_slack = math.inf

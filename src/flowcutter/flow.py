@@ -63,7 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, DomainError, SolverError
+from . import _checks
+from .errors import CertificationError, SolverError
 from .integrate import integrate_unit_interval
 from .optimize import golden_max
 
@@ -322,11 +323,10 @@ def _table_lookup(windows: np.ndarray, starts: np.ndarray, which, x
     return y.reshape(x.shape), log_slope.reshape(x.shape)
 
 
-def _check_flow_args(t: float, x: float) -> None:
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"position {x!r} outside [0,1]")
-    if not -1.0 <= t <= 1.0:
-        raise DomainError(f"flow time {t!r} outside [-1,1]")
+def _check_flow_args(t: float, x: float) -> tuple[float, float]:
+    """(t, x) as floats; DomainError unless t is in [-1, 1] and x in [0, 1]."""
+    return (_checks.real(t, "flow time", -1.0, 1.0),
+            _checks.real(x, "position", 0.0, 1.0))
 
 
 def _flatten(x, t) -> tuple[np.ndarray, np.ndarray]:
@@ -351,11 +351,9 @@ def vector_field(x: float) -> FieldValue:
     Endpoint values, and values whose exponent underflows float64, are
     exactly zero in all three components.
     """
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"field is defined on [0,1], got {x!r}")
-    arr = np.array([x])
-    s, d1, d2 = _field_arrays(arr, 2)
-    return FieldValue(x=float(x), speed=float(s[0]), d1=float(d1[0]), d2=float(d2[0]))
+    x = _checks.real(x, "field position", 0.0, 1.0)
+    s, d1, d2 = _field_arrays(np.array([x]), 2)
+    return FieldValue(x=x, speed=float(s[0]), d1=float(d1[0]), d2=float(d2[0]))
 
 
 @dataclass(frozen=True)
@@ -407,9 +405,7 @@ class FlowEngine:
     """
 
     def __init__(self, tol: float = 1e-13):
-        if not 1e-14 <= tol <= 1e-6:
-            raise DomainError(f"tolerance {tol!r} outside [1e-14, 1e-6]")
-        self.tol = tol
+        self.tol = _checks.real(tol, "tolerance", 1e-14, 1e-6)
         # displacement tables: row _table_rows[t] of _tables is time t
         self._table_lock = threading.Lock()
         self._table_rows: dict[float, int] = {}
@@ -616,8 +612,7 @@ class FlowEngine:
 
     def flow(self, t: float, x: float) -> FlowSample:
         """phi_t(x), both variations and the error proxy: one uncached solve."""
-        _check_flow_args(t, x)
-        t, x = float(t), float(x)
+        t, x = _check_flow_args(t, x)
         yf, err = self._solve(np.array([t]), np.array([x]), 2)
         return FlowSample(t=t, x=x, y=float(yf[0, 0]), d1=float(yf[1, 0]),
                           d2=float(yf[2, 0]), err=err)
@@ -654,8 +649,7 @@ class FlowEngine:
 
         Raises CertificationError if the 2/3 bound fails anywhere.
         """
-        if grid_n < 1024:
-            raise DomainError(f"certification grid must be >= 1024, got {grid_n}")
+        grid_n = _checks.integer(grid_n, "certification grid", 1024)
         grid = np.linspace(0.0, 1.0, grid_n + 1)
 
         (_, d1) = _field_arrays(grid, 1)

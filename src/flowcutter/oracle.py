@@ -14,6 +14,7 @@ import math
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from . import _checks
 from .cookie import CookieMap
 from .errors import DomainError
 from .flow import _check_flow_args
@@ -36,10 +37,8 @@ def time_coordinate(x: float) -> float:
     Strictly increasing where defined; tau(1/2) = 0. Only valid
     TIME_COORDINATE_MARGIN away from the endpoints.
     """
-    lo = TIME_COORDINATE_MARGIN
-    if not lo <= x <= 1.0 - lo:
-        raise DomainError(
-            f"time coordinate needs x in [{lo}, {1 - lo}], got {x!r}")
+    x = _checks.real(x, "time coordinate position", TIME_COORDINATE_MARGIN,
+                     1.0 - TIME_COORDINATE_MARGIN)
     if x == 0.5:
         return 0.0
     val, _ = quad(lambda u: math.exp(-1.0 / (u * (u - 1.0))),
@@ -60,7 +59,7 @@ def flow_by_time_coordinate(t: float, x: float) -> float:
     ODE route. The bracket uses that the field never moves a point by
     more than |t| * max X < 0.02.
     """
-    _check_flow_args(t, x)
+    t, x = _check_flow_args(t, x)
     margin = 1.05 * _MAX_SPEED * abs(t) + 1e-12
     lo = max(TIME_COORDINATE_MARGIN, x - (margin if t < 0.0 else 1e-12))
     hi = min(1.0 - TIME_COORDINATE_MARGIN, x + (margin if t > 0.0 else 1e-12))
@@ -74,8 +73,7 @@ def flow_by_time_coordinate(t: float, x: float) -> float:
 
 def affine_A(n: int, x: float) -> float:
     """Chart A_n(x) = 3^(n+1) x - 2, mapping J_n onto [0,1]."""
-    if n < 0:
-        raise DomainError(f"chart index must be >= 0, got {n}")
+    n = _checks.integer(n, "chart index", 0)
     u = _pow3(n + 1) * x - 2.0
     if not -1e-9 <= u <= 1.0 + 1e-9:
         raise DomainError(f"{x!r} is not in J_{n}")
@@ -84,10 +82,8 @@ def affine_A(n: int, x: float) -> float:
 
 def affine_B(n: int, u: float) -> float:
     """Chart B_n(u) = (u + 2) / 3^n, mapping [0,1] onto J_{n-1}."""
-    if n < 0:
-        raise DomainError(f"chart index must be >= 0, got {n}")
-    if not 0.0 <= u <= 1.0:
-        raise DomainError(f"unit coordinate {u!r} outside [0,1]")
+    n = _checks.integer(n, "chart index", 0)
+    u = _checks.real(u, "unit coordinate", 0.0, 1.0)
     return (u + 2.0) / _pow3(n)
 
 

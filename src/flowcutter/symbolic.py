@@ -32,8 +32,9 @@ from typing import Iterator
 
 import numpy as np
 
+from . import _checks
 from .cookie import LN3, CookieMap
-from .errors import DepthCapError, DomainError
+from .errors import DomainError
 from .scaled import ScaledPoint, _pow3_batch
 
 DEPTH_CAP = 20
@@ -81,10 +82,12 @@ class Word:
     @staticmethod
     def from_index(index: int, length: int) -> "Word":
         """The index-th word of the given length in lexicographic order;
-        DomainError unless 0 <= index < 2^length."""
-        if not 0 <= index < 1 << length:
-            raise DomainError(
-                f"word index {index!r} outside [0, 2^{length})")
+        DomainError unless length >= 0 and 0 <= index < 2^length are
+        integers."""
+        length = _checks.integer(length, "bit length of the word index", 0)
+        index = _checks.integer(index, "word index", 0)
+        if index >= 1 << length:
+            raise DomainError(f"word index {index} outside [0, 2^{length})")
         return Word(format(index, f"0{length}b") if length else "")
 
 
@@ -232,7 +235,7 @@ class IntervalSet:
 
     def pull_back(self, cmap: CookieMap, symbol: int) -> "IntervalSet":
         """Apply one inverse branch to every interval in the family."""
-        if symbol == 1:
+        if _checks.symbol(symbol) == 1:
             # (x + 2)/3: the new chart coordinate is the raw x, so all rows
             # land in chart 0; each divides by the correctly rounded
             # 3^(n+1), as PointBatch.raw does
@@ -240,8 +243,6 @@ class IntervalSet:
             return IntervalSet(n=np.zeros(self.size, dtype=np.int32),
                                u_lo=(self.u_lo + 2.0) / pow3,
                                d=self.d / pow3)
-        if symbol != 0:
-            raise DomainError(f"branch symbol must be 0 or 1, got {symbol!r}")
         # the rows 0^j (u_lo = -2) only take n + 1: the 0-branch maps
         # [0, 3^-n] onto [0, 3^-(n+1)]
         inside = self.u_lo >= 0.0
@@ -279,10 +280,7 @@ def interval_table(cmap: CookieMap, depth: int) -> IntervalSet:
     enumeration is capped at DEPTH_CAP (2^20 intervals is about the
     desk-scale limit); deeper studies should target explicit word lists.
     """
-    if depth < 0:
-        raise DomainError(f"depth must be >= 0, got {depth}")
-    if depth > DEPTH_CAP:
-        raise DepthCapError(f"depth {depth} exceeds cap {DEPTH_CAP}")
+    depth = _checks.integer(depth, "interval table depth", 0, DEPTH_CAP)
     table = IntervalSet.root()
     for table in word_levels(table, cmap, depth):
         pass
@@ -306,9 +304,10 @@ def basic_interval(cmap: CookieMap, word: Word | str) -> BasicInterval:
 
 def enumerate_intervals(cmap: CookieMap, depth: int
                         ) -> Iterator[BasicInterval]:
-    """Yield every I_w of the given depth, left to right (interval_table,
-    capped at DEPTH_CAP)."""
+    """Every I_w of the given depth, left to right: interval_table, whose
+    depth check runs on the call, then one BasicInterval per row as the
+    iterator is read."""
     table = interval_table(cmap, depth)
     logs = table.log_sizes()
-    for i in range(table.size):
-        yield _basic_interval(table, logs, i, Word.from_index(i, depth))
+    return (_basic_interval(table, logs, i, Word.from_index(i, depth))
+            for i in range(table.size))

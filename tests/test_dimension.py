@@ -120,8 +120,7 @@ def test_validation(cmap):
 @pytest.mark.parametrize("walk,depth,error", [
     (interval_table, -1, DomainError),
     (interval_table, DEPTH_CAP + 1, DepthCapError),
-    (lambda cmap, depth: list(enumerate_intervals(cmap, depth)),
-     DEPTH_CAP + 1, DepthCapError),
+    (enumerate_intervals, DEPTH_CAP + 1, DepthCapError),
     (bowen_dimension, 0, DomainError),
     (bowen_dimension, DIMENSION_DEPTH_CAP + 1, DepthCapError),
     (box_dimension, 1, DomainError),

@@ -1,9 +1,10 @@
-"""Source hygiene: every name a module imports is used in it.
+"""Source hygiene: every name a module imports is used in it, and only
+flowcutter._checks writes the rule for a scalar argument.
 
-Checked over the package, the tests and the demos. The package's __init__
-re-exports names it does not use itself, `from __future__` imports are
-directives, and an import kept only for its side effect is marked
-`# noqa: F401` on its line; all three are exempt.
+The import check runs over the package, the tests and the demos. The
+package's __init__ re-exports names it does not use itself, `from
+__future__` imports are directives, and an import kept only for its side
+effect is marked `# noqa: F401` on its line; all three are exempt.
 """
 
 import ast
@@ -52,3 +53,38 @@ def test_every_import_is_used(path):
               for name, line in _imported_names(tree, source.splitlines())
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _argument_rule_writes(tree):
+    """(what, line) for every place a module writes the scalar argument
+    rule itself: operator.index, numpy's bool type, isinstance(..., bool)
+    and math.isfinite."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("operator",
+                                                                "math"):
+            names = {alias.name for alias in node.names}
+            for name in names & {"index", "isfinite"}:
+                yield f"from {node.module} import {name}", node.lineno
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and (node.value.id, node.attr) in {
+                  ("operator", "index"), ("math", "isfinite"),
+                  ("np", "bool_"), ("np", "bool"),
+                  ("numpy", "bool_"), ("numpy", "bool")}):
+            yield f"{node.value.id}.{node.attr}", node.lineno
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2
+              and any(isinstance(n, ast.Name) and n.id == "bool"
+                      for n in ast.walk(node.args[1]))):
+            yield "isinstance(..., bool)", node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_checks_module_writes_the_argument_rule(path):
+    # every public entry point takes its integers, reals and branch symbols
+    # through flowcutter._checks, so the rule has one statement
+    writes = list(_argument_rule_writes(ast.parse(path.read_text())))
+    if path.name == "_checks.py":
+        assert writes, "the rule left flowcutter._checks"
+    else:
+        assert not writes, f"{path.name} writes the argument rule: {writes}"

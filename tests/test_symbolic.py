@@ -29,7 +29,8 @@ def test_word_basics():
         Word("012")
 
 
-@pytest.mark.parametrize("index,length", [(4, 2), (1, 0), (-1, 3), (8, 3)])
+@pytest.mark.parametrize("index,length", [(4, 2), (1, 0), (-1, 3), (8, 3),
+                                          (True, 2), (1.0, 2), (0, -1)])
 def test_word_from_index_rejects_indices_outside_its_length(index, length):
     with pytest.raises(DomainError, match="word index"):
         Word.from_index(index, length)
