@@ -169,7 +169,10 @@ class CookieMap:
 
     @staticmethod
     def certified(grid_n: int = 4096, tol: float = 1e-13) -> "CookieMap":
-        return _certified_map(grid_n, tol)
+        # checked before the cache, which 4096.0 would hit as 4096
+        return _certified_map(
+            _checks.integer(grid_n, "certification grid", 1024),
+            _checks.real(tol, "tolerance", 1e-14, 1e-6))
 
     @staticmethod
     def calibration() -> "CookieMap":
@@ -386,6 +389,8 @@ class CookieMap:
         overshoots the window.
         """
         ns = [_checks.integer(n, "window index", 0) for n in ns]
+        if not ns:
+            return []
         # the seam steps in chart units, du = h 3^(n+1); the rows of J_n
         # keep du <= 1, so a window no step fits in would check nothing
         dus = [np.array(_C1_STEPS) * _pow3(n + 1) for n in ns]
@@ -494,5 +499,4 @@ class C1BoundaryReport:
 @lru_cache(maxsize=8)
 def _certified_map(grid_n: int, tol: float) -> CookieMap:
     engine = FlowEngine(tol=tol)
-    constants = engine.certify(grid_n=grid_n)
-    return CookieMap(constants, engine)
+    return CookieMap(engine.certify(grid_n=grid_n), engine)

@@ -22,18 +22,18 @@ Two evaluation routes are provided:
   slope log phi_t'(x) from delta in closed form (_exponent_change). Two
   kernels run them. The block kernel (FlowEngine.table_flow, through
   _table_lookup, which also serves the build's check) runs in blocks of
-  _BLOCK points that stay in cache: each block gathers its cells' four
-  floats at once from a window view of the stacked tables and evaluates
-  the formulas on arrays (_log_slope), and its results are copied into the
-  outputs. A lookup's memory is its outputs plus one block's temporaries
-  (a 2^20-point lookup peaks at its 16 MiB of outputs plus under 1 MiB),
-  and a lookup of one block is a single pass. The point kernel
-  (FlowEngine.table_point) evaluates the same formulas on one point in
-  Python floats, without numpy's fixed cost per array call; it serves the
-  forward step and the pull-back of single points and small batches. The
-  formulas use only +, -, *, / and floor, never exp or log, so floats and
-  arrays round alike: each result is a pure function of (t, x), bitwise
-  the same whatever kernel, batch or block computes it;
+  _BLOCK points that stay in cache: each block takes each point's two
+  knots from the stacked tables, evaluates the formulas on arrays
+  (_log_slope) and copies its results into the outputs. A lookup's memory
+  is its outputs plus one block's temporaries (a 2^20-point lookup peaks
+  at its 16 MiB of outputs plus under 1 MiB), and a lookup of one block
+  is a single pass. The point kernel (FlowEngine.table_point) evaluates
+  the same formulas on one point in Python floats, without numpy's fixed
+  cost per array call; it serves the forward step and the pull-back of
+  single points and small batches. The formulas use only +, -, *, / and
+  floor, never exp or log, so floats and arrays round alike: each result
+  is a pure function of (t, x), bitwise the same whatever kernel, batch
+  or block computes it;
 * the variational route: integrate y' = X(y) jointly with v' = X'(y) v and
   w' = X''(y) v^2 + X'(y) w using the adaptive stepper, in batches
   (evolve) or one column at a time (flow). It serves certification, the
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _checks
-from .errors import CertificationError, SolverError
+from .errors import CertificationError, DomainError, SolverError
 from .integrate import integrate_unit_interval
 from .optimize import golden_max
 
@@ -80,10 +80,6 @@ TABLE_CELLS = 1 << 14
 # A table must reproduce the displacement ODE at every cell midpoint to this
 # bound, in phi_t and in the log slope.
 TABLE_CHECK = 1e-14
-# One table cell's four floats, (delta, h delta') at its two knots, as one
-# opaque item: numpy gathers a one-dimensional array of these about three
-# times as fast as the same cells as (2, 2) float blocks.
-_WINDOW = np.dtype((np.void, 32))
 # Golden-section steps of the B1 search on four-cell brackets (width
 # 4/4096): they shrink to 1.3e-14, the resolution of a tol-1e-14 search.
 _B1_GOLDEN_STEPS = 52
@@ -279,33 +275,25 @@ def _hermite(d0, m0, d1, m1, theta):
     return d0 + theta * (m0 + theta * (c2 + theta * c3))
 
 
-def _cell_windows(knots: np.ndarray) -> np.ndarray:
-    """Cell c of table r of the (tables x knots x 2) stack as the _WINDOW
-    item r (TABLE_CELLS + 1) + c: its two knots, a read-only view."""
-    pairs = np.lib.stride_tricks.sliding_window_view(
-        knots.reshape(-1, 2), 2, axis=0).swapaxes(1, 2)
-    return pairs.reshape(-1, 4).view(_WINDOW)[:, 0]
-
-
-def _lookup_block(windows: np.ndarray, starts: np.ndarray, which, x
+def _lookup_block(knots: np.ndarray, starts: np.ndarray, which, x
                   ) -> tuple[np.ndarray, np.ndarray]:
     """phi_t(x) and log phi_t'(x) for one block of points: point i reads
-    window starts[which[i]] + its cell (_cell_windows). Shaped like x."""
+    the knots starts[which[i]] + its cell and the next. Shaped like x."""
     cell, theta = _cells(x)
-    knots = windows[np.ravel(cell + starts[which])].view(np.float64)
-    # one window's four floats are (d0, m0, d1, m1); plain indexing, as
-    # np.moveaxis costs a call about 8 us
-    knots = knots.reshape(cell.shape + (4,))
-    d = _hermite(knots[..., 0], knots[..., 1], knots[..., 2], knots[..., 3],
-                 theta)
+    i = cell + starts[which]
+    # np.take, not knots[i]: on an 8 192-point block fancy indexing gathers
+    # the rows about ten times as slowly
+    k0 = np.take(knots, i, axis=0)
+    k1 = np.take(knots, i + 1, axis=0)
+    d = _hermite(k0[..., 0], k0[..., 1], k1[..., 0], k1[..., 1], theta)
     # free the gathered knots before _log_slope, whose temporaries set a
     # block's peak memory
-    del knots, cell, theta
+    del k0, k1, i, cell, theta
     y, _, log_slope = _log_slope(x, d)
     return y, log_slope
 
 
-def _table_lookup(windows: np.ndarray, starts: np.ndarray, which, x
+def _table_lookup(knots: np.ndarray, starts: np.ndarray, which, x
                   ) -> tuple[np.ndarray, np.ndarray]:
     """_lookup_block over blocks of at most _BLOCK points, each written
     into its slice of the two outputs (the table route of the module
@@ -313,13 +301,13 @@ def _table_lookup(windows: np.ndarray, starts: np.ndarray, which, x
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size <= _BLOCK:
-        return _lookup_block(windows, starts, which, x)
+        return _lookup_block(knots, starts, which, x)
     flat, which = x.ravel(), np.ravel(which)
     y, log_slope = np.empty(flat.size), np.empty(flat.size)
     for lo in range(0, flat.size, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         y[block], log_slope[block] = _lookup_block(
-            windows, starts, which[block], flat[block])
+            knots, starts, which[block], flat[block])
     return y.reshape(x.shape), log_slope.reshape(x.shape)
 
 
@@ -410,7 +398,6 @@ class FlowEngine:
         self._table_lock = threading.Lock()
         self._table_rows: dict[float, int] = {}
         self._tables = np.empty((0, TABLE_CELLS + 1, 2))
-        self._windows = np.empty(0, _WINDOW)   # see _table_row
 
     # ------------------------------------------------------------------
     # table route (the pull-back hot path)
@@ -432,7 +419,10 @@ class FlowEngine:
             rows = [self._table_row(float(t)) if r else 0
                     for t, r in zip(times, read)]
         starts = np.array(rows, dtype=np.intp) * (TABLE_CELLS + 1)
-        return _table_lookup(self._windows, starts, which, x)
+        # a view, as np.concatenate makes the stack C-contiguous; a
+        # non-contiguous stack would be copied whole on every lookup (6
+        # tables, 8 192 points: 2-3 ms against 21-34 us, 2-core Xeon VM)
+        return _table_lookup(self._tables.reshape(-1, 2), starts, which, x)
 
     def table_point(self, t: float, x: float) -> tuple[float, float]:
         """phi_t(x) and log phi_t'(x) for one point x in [0,1], as floats.
@@ -460,9 +450,9 @@ class FlowEngine:
     def _table_row(self, t: float) -> int:
         """The row of time t in _tables, building it on first use.
 
-        The lock makes concurrent first uses share one build. _windows, the
-        zero-copy view lookups read, is replaced before the row is published,
-        so a reader that finds a row also finds it in the view it reads next.
+        The lock makes concurrent first uses share one build. The stack is
+        replaced before the row is published, so a reader that finds a row
+        also finds it in the stack it reads next.
         """
         row = self._table_rows.get(t)
         if row is None:
@@ -471,8 +461,6 @@ class FlowEngine:
                 if row is None:
                     knots = self._build_table(t)
                     self._tables = np.concatenate([self._tables, knots[None]])
-                    # the stack's cell windows, one _WINDOW item each
-                    self._windows = _cell_windows(self._tables)
                     row = self._table_rows[t] = len(self._table_rows)
         return row
 
@@ -482,9 +470,9 @@ class FlowEngine:
         Row i holds delta_t and h delta_t' at x_i = i h, h = 1/TABLE_CELLS.
         delta comes from _displacement, and delta' = phi_t' - 1 from the
         closed-form log slope. The table is then read at every cell
-        midpoint by the lookup kernel, through a window view of the knots,
-        and must reproduce a second displacement solve there, in phi_t and
-        in the log slope, to TABLE_CHECK, else SolverError.
+        midpoint by the lookup kernel, which takes each point's two knots
+        from it, and must reproduce a second displacement solve there, in
+        phi_t and in the log slope, to TABLE_CHECK, else SolverError.
         """
         knots = np.zeros((TABLE_CELLS + 1, 2))
         x = np.arange(TABLE_CELLS + 1) / TABLE_CELLS
@@ -493,7 +481,7 @@ class FlowEngine:
         knots[:, 1] = np.expm1(log_slope) / TABLE_CELLS
 
         mid = (x[:-1] + x[1:]) / 2.0
-        got = _table_lookup(_cell_windows(knots), np.zeros(1, np.intp),
+        got = _table_lookup(knots, np.zeros(1, np.intp),
                             np.zeros(mid.size, np.intp), mid)
         y, _, log_slope = _log_slope(mid, self._displacement(t, mid))
         miss = max(float(np.max(np.abs(g - w)))
@@ -572,8 +560,11 @@ class FlowEngine:
         x : ndarray
             Initial positions in [0,1].
         order : int
-            0 returns (y,); 1 returns (y, d1); 2 returns (y, d1, d2).
+            0, 1 or 2 return (y,), (y, d1) or (y, d1, d2); else DomainError.
         """
+        order = _checks.integer(order, "variational order", 0)
+        if order > 2:
+            raise DomainError(f"variational order must be <= 2, got {order}")
         x, flat_t = _flatten(x, t)
         yf, _ = self._solve(flat_t, np.ravel(x), order)
         return tuple(row.reshape(x.shape) for row in yf)

@@ -53,6 +53,8 @@ WIDTH_RULE_MAX = 1e-3
 WIDTH_NODES = (0.5 - math.sqrt(0.15), 0.5, 0.5 + math.sqrt(0.15))
 WIDTH_WEIGHTS = (5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0)
 
+# float64's smallest normal number, 2^-1022: about 3^-644.8
+_TINY = np.finfo(float).tiny
 _WORD_RE = re.compile(r"[01]*\Z")
 
 
@@ -240,9 +242,13 @@ class IntervalSet:
             # land in chart 0; each divides by the correctly rounded
             # 3^(n+1), as PointBatch.raw does
             pow3 = _pow3_batch(self.n + 1)
+            d = self.d / pow3
+            # a positive raw width below _TINY loses its digits, or its
+            # size if it rounds to 0; a zero width (a point) stays one
+            if d.size and d.min() < _TINY and self.d[d < _TINY].any():
+                raise DomainError("word too long: its width underflows")
             return IntervalSet(n=np.zeros(self.size, dtype=np.int32),
-                               u_lo=(self.u_lo + 2.0) / pow3,
-                               d=self.d / pow3)
+                               u_lo=(self.u_lo + 2.0) / pow3, d=d)
         # the rows 0^j (u_lo = -2) only take n + 1: the 0-branch maps
         # [0, 3^-n] onto [0, 3^-(n+1)]
         inside = self.u_lo >= 0.0

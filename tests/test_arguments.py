@@ -65,7 +65,9 @@ ROWS = [
      lambda m, v: m.schedule.cumulative_time(v)),
     ("TimeSchedule.block_sum", "k", "block index", integer(0),
      lambda m, v: m.schedule.block_sum(v)),
-    ("CookieMap.certified", "grid_n", "certification grid", integer(1024),
+    # 4096.0 hashes like the cached default map's grid_n
+    ("CookieMap.certified", "grid_n", "certification grid",
+     integer(1024) + [(4096.0, DomainError)],
      lambda m, v: CookieMap.certified(grid_n=v)),
     ("CookieMap.certified", "tol", "tolerance", real(1e-14, 1e-6),
      lambda m, v: CookieMap.certified(tol=v)),
@@ -81,6 +83,9 @@ ROWS = [
      lambda m, v: m.check_c1_boundaries([2, v])),
     ("FlowEngine", "tol", "tolerance", real(1e-14, 1e-6),
      lambda m, v: FlowEngine(tol=v)),
+    ("FlowEngine.evolve", "order", "variational order",
+     integer(0) + [(3, DomainError)],
+     lambda m, v: m.engine.evolve(0.5, np.array([0.3, 0.6]), order=v)),
     ("FlowEngine.certify", "grid_n", "certification grid", integer(1024),
      lambda m, v: m.engine.certify(grid_n=v)),
     *((f"FlowEngine.{name}", arg, what, real(least, 1.0),

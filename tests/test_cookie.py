@@ -640,6 +640,8 @@ def test_c1_boundaries_batch_matches_per_n_reports(cmap, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(flow_module, "integrate_unit_interval", counted)
         reports = cmap.check_c1_boundaries(ns)
+        # no window, no solve
+        assert cmap.check_c1_boundaries([]) == []
     # one seam solve per n >= 1 and each n-free family once
     assert len(shapes) == 5 + 2
     assert [r.n for r in reports] == ns

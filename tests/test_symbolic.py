@@ -297,6 +297,22 @@ def test_log_size_matches_raw_difference(cmap):
         assert iv.log_size == pytest.approx(math.log(raw_width), abs=1e-9)
 
 
+@pytest.mark.parametrize("bits", ["1" * 700, "1" + "0" * 646, "10" * 330],
+                         ids=["1^700", "10^646", "(10)^330"])
+def test_words_whose_width_underflows_raise(cmap, bits):
+    # the last 1-pull-back's raw width falls below the smallest normal float
+    with pytest.raises(DomainError, match="word too long"):
+        basic_interval(cmap, bits)
+
+
+@pytest.mark.parametrize("bits,threes", [("1" + "0" * 600, 601),
+                                         ("1" * 600, 600)],
+                         ids=["10^600", "1^600"])
+def test_long_words_keep_their_size(cmap, bits, threes):
+    iv = basic_interval(cmap, bits)
+    assert iv.log_size == pytest.approx(-threes * LN3, rel=1e-15)
+
+
 def test_membership_of_one_run_words(cmap):
     # words starting with 1 stay inside the right branch piece
     for bits in ("10", "110", "1011"):
