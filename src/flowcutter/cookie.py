@@ -27,7 +27,8 @@ import numpy as np
 from . import _checks
 from .errors import DomainError, EscapeError
 from .flow import FlowConstants, FlowEngine
-from .scaled import Locus, PointBatch, ScaledPoint, _pow3
+from .scaled import (Locus, PointBatch, ScaledPoint, _indices, _pow3,
+                     _raw_into)
 
 LN3 = math.log(3.0)
 # Batches of at most this many points are pulled back one point at a time
@@ -91,9 +92,12 @@ class TimeSchedule:
         block_flow would read as its last listed table, and an n >= 2^53
         may round up to the next power of two and read the next block.
         """
-        # frexp is exact for integers below 2^53: n = m * 2^e with m in [0.5,1)
-        _, e = np.frexp(np.asarray(n).astype(np.float64))
-        return e - 1
+        # frexp is exact for integers below 2^53: n = m * 2^e with m in
+        # [0.5, 1). The ufunc casts the integers to floats chunk by chunk in
+        # its buffer, a third of the time of a cast array on 2^20 points.
+        _, e = np.frexp(n)
+        e -= 1
+        return e
 
     def flow_times(self, n: np.ndarray) -> np.ndarray:
         """flow_time(n) for each n of an array, bitwise; DomainError unless
@@ -272,58 +276,88 @@ class CookieMap:
         raises DomainError. The reported log increment is the slope of F
         at the *preimage*, obtained for free from the backward flow's log
         slope, since phi_t'(phi_{-t}(u)) * phi_{-t}'(u) = 1. The 1-branch
-        is affine: its preimages are the raw values. The 0-branch window points flow
-        through the engine's displacement tables, so each preimage and
-        increment is a pure function of its own point and symbol: the
-        results are bitwise the same whatever batch, shard or thread
-        computes them. The symbols are checked first; then a batch of at
-        most _POINT_BATCH_MAX points goes through inverse_point one point
-        at a time, and a larger one moves its 0-branch window points by one
-        block_flow call.
+        is affine: its preimages are the raw values (PointBatch.raw). The
+        0-branch window points flow through the engine's displacement
+        tables, so each preimage and increment is a pure function of its
+        own point and symbol: the results are bitwise the same whatever
+        batch, shard or thread computes them. The symbols are checked
+        first; then a batch of at most _POINT_BATCH_MAX points goes
+        through inverse_point one point at a time. A larger one takes the
+        block rules of _pull_back_into: the 0-branch flows every point by
+        one block_flow call and repairs the few points off the windows by
+        index, and a symbol array is split once per symbol into those
+        rules.
         """
         if np.ndim(symbol) == 0:
             symbol = _checks.symbol(symbol)
         else:
             symbol = np.asarray(symbol)
             if (symbol.dtype.kind not in "iu" or symbol.shape != b.u.shape
-                    or np.any((symbol < -1) | (symbol > 1))):
+                    or symbol.size
+                    and not -1 <= symbol.min() <= symbol.max() <= 1):
                 raise DomainError(f"branch symbols must be an integer array "
                                   f"of -1, 0 or 1 shaped {b.u.shape}, got "
                                   f"{symbol!r}")
         if b.size <= _POINT_BATCH_MAX:
             return self._inverse_points(symbol, b)
         if np.ndim(symbol) == 0:
-            if symbol == 1:
-                return PointBatch(
-                    np.full(b.u.shape, int(Locus.INJ), dtype=np.int8),
-                    np.zeros(b.u.shape, dtype=np.int32),
-                    b.raw(),
-                ), np.zeros(b.u.shape)
-            zero, one = True, None
-        else:
-            zero, one = symbol == 0, symbol == 1
-        locus = b.locus.copy()
-        n = b.n.copy()
-        u = b.u.copy()
+            out, extra = _empty_like(b), np.empty(b.u.shape)
+            self._pull_back_into(symbol, b, out, extra)
+            return out, extra
+        out = PointBatch(b.locus.copy(), b.n.copy(), b.u.copy())
         extra = np.zeros(b.u.shape)
+        i = _indices(symbol == 1)
+        if i[0].size:
+            out.locus[i], out.n[i] = int(Locus.INJ), 0
+            out.u[i] = PointBatch(b.locus[i], b.n[i], b.u[i]).raw()
+        i = _indices(symbol == 0)
+        if i[0].size:
+            part = PointBatch(b.locus[i], b.n[i], b.u[i])
+            moved, delta = _empty_like(part), np.empty(i[0].size)
+            self._pull_back_into(0, part, moved, delta)
+            out.locus[i], out.n[i], out.u[i] = moved.locus, moved.n, moved.u
+            extra[i] = delta
+        return out, extra
 
-        hole = zero & (b.locus == int(Locus.HOLE))
-        locus[hole] = int(Locus.GAP)
-        n[hole] = 1
-        n += zero & (b.locus == int(Locus.GAP))
-        inj = zero & (b.locus == int(Locus.INJ))
-        if inj.any():
-            y, log_slope = self.block_flow(
-                self.schedule.blocks(b.n[inj] + 1), b.u[inj])
-            u[inj] = y
-            n[inj] += 1
-            extra[inj] = -log_slope
+    def _pull_back_into(self, symbol: int, b: PointBatch, out: PointBatch,
+                        extra: np.ndarray) -> None:
+        """Write the preimages of b under the branch symbol (0 or 1) into
+        out, and their increments log F' - ln 3 into extra, all arrays
+        shaped like b: inverse_batch's rules for a batch of any size.
 
-        if one is not None and one.any():
-            u[one] = PointBatch(b.locus[one], b.n[one], b.u[one]).raw()
-            locus[one] = int(Locus.INJ)
-            n[one] = 0
-        return PointBatch(locus, n, u), extra
+        The 1-branch writes the raw values. The 0-branch flows every point
+        by one block_flow call, as if it sat in a window, then repairs the
+        few that do not by index: a hole point moves into the gap below
+        J_1, a gap point one gap down, 0 stays, each with increment 0.0. A
+        repaired point reads the table of a window point of b, so its
+        wasted lookup builds no table; a batch with no window point makes
+        no lookup.
+        """
+        if symbol == 1:
+            out.locus.fill(int(Locus.INJ))
+            out.n.fill(0)
+            _raw_into(b, out.u)
+            extra.fill(0.0)
+            return
+        np.add(b.n, 1, out=out.n)
+        out.locus[...] = b.locus
+        window = b.locus == int(Locus.INJ)
+        off = _indices(~window)
+        if off[0].size < b.size:
+            k = self.schedule.blocks(out.n)
+            if off[0].size:
+                k[off] = k.flat[np.argmax(window)]
+            y, log_slope = self.block_flow(k, b.u)
+            out.u[...] = y
+            np.negative(log_slope, out=extra)
+        if off[0].size:
+            locus, n = b.locus[off], b.n[off]
+            hole = locus == int(Locus.HOLE)
+            out.locus[off] = np.where(hole, int(Locus.GAP), locus)
+            out.n[off] = np.where(hole, 1, np.where(locus == int(Locus.GAP),
+                                                    n + 1, n))
+            out.u[off] = b.u[off]
+            extra[off] = 0.0
 
     def _inverse_points(self, symbol, b: PointBatch
                         ) -> tuple[PointBatch, np.ndarray]:
@@ -494,6 +528,11 @@ class C1BoundaryReport:
     @property
     def midpoint_final_residual(self) -> float:
         return self.midpoint_rows[-1].residual if self.midpoint_rows else 0.0
+
+
+def _empty_like(b: PointBatch) -> PointBatch:
+    """An uninitialised batch with b's shape and dtypes."""
+    return PointBatch(*(np.empty_like(a) for a in (b.locus, b.n, b.u)))
 
 
 @lru_cache(maxsize=8)

@@ -172,11 +172,21 @@ class _PointGrid:
         child, delta = cmap.inverse_batch(symbol, batch)
         return _PointGrid(child.locus, child.n, child.u, self.extra + delta)
 
-    @classmethod
-    def stack(cls, a: "_PointGrid", b: "_PointGrid") -> "_PointGrid":
-        """The rows of a above the rows of b."""
-        return cls(**{k: np.vstack([getattr(a, k), getattr(b, k)])
-                      for k in cls.__slots__})
+    def children(self, cmap: CookieMap) -> "_PointGrid":
+        """The next word-tree level: the rows of pull_back(0) above those
+        of pull_back(1), each written straight into its half of one new
+        level, bitwise the stacked pull-backs."""
+        rows = self.extra.shape[0]
+        level = _PointGrid(*(np.empty((2 * rows,) + a.shape[1:], a.dtype)
+                             for a in (self.locus, self.n, self.u,
+                                       self.extra)))
+        batch = PointBatch(self.locus, self.n, self.u)
+        for symbol, half in ((0, slice(rows)), (1, slice(rows, None))):
+            extra = level.extra[half]
+            cmap._pull_back_into(symbol, batch, PointBatch(
+                level.locus[half], level.n[half], level.u[half]), extra)
+            extra += self.extra
+        return level
 
     def rows(self) -> list["_PointGrid"]:
         """Each row as a grid of its own, top to bottom."""

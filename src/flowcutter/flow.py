@@ -17,23 +17,28 @@ Two evaluation routes are provided:
   delta_t(x) = phi_t(x) - x on a uniform grid, built once per flow time and
   engine, lazily on the first read and under a lock, from the displacement
   ODE delta' = t X(x + delta), and checked against that ODE at every cell
-  midpoint when it is built. One set of formulas reads it: the cell and
-  its exact offset (_cells), the Hermite cubic (_hermite) and the log
-  slope log phi_t'(x) from delta in closed form (_exponent_change). Two
-  kernels run them. The block kernel (FlowEngine.table_flow, through
+  midpoint when it is built. Each table has one row of four floats per
+  knot x_i = i/TABLE_CELLS: the knot (d, h d') and the Horner
+  coefficients c2, c3 of the Hermite cubic on cell i, computed once when
+  the table is built (the last knot's row, with no cell, holds zeros
+  there). An engine keeps its tables in one stack. One set of formulas
+  reads them: the cell and its exact offset theta (_cells), the cubic
+  d0 + theta (m0 + theta (c2 + theta c3)) from the cell's row, and the
+  log slope log phi_t'(x) from delta in closed form (_exponent_change).
+  Two kernels run them. The block kernel (FlowEngine.table_flow, through
   _table_lookup, which also serves the build's check) runs in blocks of
-  _BLOCK points that stay in cache: each block takes each point's two
-  knots from the stacked tables, evaluates the formulas on arrays
-  (_log_slope) and copies its results into the outputs. A lookup's memory
-  is its outputs plus one block's temporaries (a 2^20-point lookup peaks
-  at its 16 MiB of outputs plus under 1 MiB), and a lookup of one block
-  is a single pass. The point kernel (FlowEngine.table_point) evaluates
-  the same formulas on one point in Python floats, without numpy's fixed
-  cost per array call; it serves the forward step and the pull-back of
-  single points and small batches. The formulas use only +, -, *, / and
-  floor, never exp or log, so floats and arrays round alike: each result
-  is a pure function of (t, x), bitwise the same whatever kernel, batch
-  or block computes it;
+  _BLOCK points that stay in cache: each block takes each point's
+  32-byte row from the stack with one np.take, evaluates the formulas on
+  arrays (_log_slope) and copies its results into the outputs. A
+  lookup's memory is its outputs plus one block's temporaries (a
+  2^20-point lookup peaks at its 16 MiB of outputs plus under 1 MiB), and
+  a lookup of one block is a single pass. The point kernel
+  (FlowEngine.table_point) evaluates the same formulas on one point in
+  Python floats, without numpy's fixed cost per array call; it serves the
+  forward step and the pull-back of single points and small batches. The
+  formulas use only +, -, *, / and floor, never exp or log, so floats and
+  arrays round alike: each result is a pure function of (t, x), bitwise
+  the same whatever kernel, batch or block computes it;
 * the variational route: integrate y' = X(y) jointly with v' = X'(y) v and
   w' = X''(y) v^2 + X'(y) w using the adaptive stepper, in batches
   (evolve) or one column at a time (flow). It serves certification, the
@@ -218,14 +223,6 @@ class _FieldDifference:
         return out
 
 
-def _field_difference(a: np.ndarray, d: np.ndarray, xa: np.ndarray) -> np.ndarray:
-    """X(a + d) - X(a) given xa = X(a): one call of _FieldDifference."""
-    a, d, xa = np.broadcast_arrays(np.asarray(a, dtype=np.float64),
-                                   np.asarray(d, dtype=np.float64), xa)
-    with np.errstate(**_QUIET):
-        return _FieldDifference(a, xa, a * (a - 1.0))(d, np.empty(a.shape))
-
-
 def _log_slope(x: np.ndarray, d: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """phi_t(x), the displacement d = phi_t(x) - x and log phi_t'(x), dead
@@ -264,36 +261,29 @@ def _cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cell.astype(np.intp), s - cell
 
 
-def _hermite(d0, m0, d1, m1, theta):
-    """The cubic Hermite interpolant of delta in the cell offset theta.
-
-    (d0, m0) and (d1, m1) are (delta, h delta') at the cell's left and
-    right end, h = 1/TABLE_CELLS: arrays in a block, floats for one point.
-    """
-    c2 = 3.0 * (d1 - d0) - 2.0 * m0 - m1
-    c3 = 2.0 * (d0 - d1) + m0 + m1
-    return d0 + theta * (m0 + theta * (c2 + theta * c3))
-
-
-def _lookup_block(knots: np.ndarray, starts: np.ndarray, which, x
+def _lookup_block(table: np.ndarray, starts: np.ndarray, which, x
                   ) -> tuple[np.ndarray, np.ndarray]:
     """phi_t(x) and log phi_t'(x) for one block of points: point i reads
-    the knots starts[which[i]] + its cell and the next. Shaped like x."""
+    the row starts[which[i]] + its cell. Shaped like x."""
     cell, theta = _cells(x)
-    i = cell + starts[which]
-    # np.take, not knots[i]: on an 8 192-point block fancy indexing gathers
+    # np.take, not table[i]: on an 8 192-point block fancy indexing gathers
     # the rows about ten times as slowly
-    k0 = np.take(knots, i, axis=0)
-    k1 = np.take(knots, i + 1, axis=0)
-    d = _hermite(k0[..., 0], k0[..., 1], k1[..., 0], k1[..., 1], theta)
-    # free the gathered knots before _log_slope, whose temporaries set a
+    row = np.take(table, np.take(starts, which) + cell, axis=0)
+    # Horner in place: d0 + theta (m0 + theta (c2 + theta c3)), bitwise
+    d = row[..., 3] * theta
+    d += row[..., 2]
+    d *= theta
+    d += row[..., 1]
+    d *= theta
+    d += row[..., 0]
+    # free the gathered rows before _log_slope, whose temporaries set a
     # block's peak memory
-    del k0, k1, i, cell, theta
+    del row, cell, theta
     y, _, log_slope = _log_slope(x, d)
     return y, log_slope
 
 
-def _table_lookup(knots: np.ndarray, starts: np.ndarray, which, x
+def _table_lookup(table: np.ndarray, starts: np.ndarray, which, x
                   ) -> tuple[np.ndarray, np.ndarray]:
     """_lookup_block over blocks of at most _BLOCK points, each written
     into its slice of the two outputs (the table route of the module
@@ -301,13 +291,13 @@ def _table_lookup(knots: np.ndarray, starts: np.ndarray, which, x
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size <= _BLOCK:
-        return _lookup_block(knots, starts, which, x)
+        return _lookup_block(table, starts, which, x)
     flat, which = x.ravel(), np.ravel(which)
     y, log_slope = np.empty(flat.size), np.empty(flat.size)
     for lo in range(0, flat.size, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         y[block], log_slope[block] = _lookup_block(
-            knots, starts, which[block], flat[block])
+            table, starts, which[block], flat[block])
     return y.reshape(x.shape), log_slope.reshape(x.shape)
 
 
@@ -394,10 +384,11 @@ class FlowEngine:
 
     def __init__(self, tol: float = 1e-13):
         self.tol = _checks.real(tol, "tolerance", 1e-14, 1e-6)
-        # displacement tables: row _table_rows[t] of _tables is time t
+        # displacement tables: row _table_rows[t] of _tables is time t; the
+        # stack is allocated on the first build and grows geometrically
         self._table_lock = threading.Lock()
         self._table_rows: dict[float, int] = {}
-        self._tables = np.empty((0, TABLE_CELLS + 1, 2))
+        self._tables = np.empty((0, TABLE_CELLS + 1, 4))
 
     # ------------------------------------------------------------------
     # table route (the pull-back hot path)
@@ -419,16 +410,16 @@ class FlowEngine:
             rows = [self._table_row(float(t)) if r else 0
                     for t, r in zip(times, read)]
         starts = np.array(rows, dtype=np.intp) * (TABLE_CELLS + 1)
-        # a view, as np.concatenate makes the stack C-contiguous; a
-        # non-contiguous stack would be copied whole on every lookup (6
-        # tables, 8 192 points: 2-3 ms against 21-34 us, 2-core Xeon VM)
-        return _table_lookup(self._tables.reshape(-1, 2), starts, which, x)
+        # a view, as the stack is C-contiguous; a non-contiguous stack
+        # would be copied whole on every lookup (6 tables, 8 192 points:
+        # 2-3 ms against 21-34 us, 2-core Xeon VM)
+        return _table_lookup(self._tables.reshape(-1, 4), starts, which, x)
 
     def table_point(self, t: float, x: float) -> tuple[float, float]:
         """phi_t(x) and log phi_t'(x) for one point x in [0,1], as floats.
 
         The point kernel of the table route: the same table as table_flow
-        and the same formulas as its blocks (_cells, _hermite,
+        and the same formulas as its blocks (_cells, the Horner cubic,
         _exponent_change, and _log_slope's live test and dead values), in
         Python floats. They use only +, -, *, / and floor, which round
         alike in floats and numpy, so every result is bitwise table_flow's.
@@ -440,48 +431,62 @@ class FlowEngine:
             # _log_slope's dead point: d = 0.0, and x + 0.0 maps -0.0 to 0.0
             return x + 0.0, 0.0
         cell, theta = _cells(x)
-        cell = int(cell)
+        theta = float(theta)
         # read after _table_row, which publishes a row after its table
-        knots = self._tables[row, cell:cell + 2].ravel().tolist()
-        d = _hermite(*knots, float(theta))
+        d0, m0, c2, c3 = self._tables[row, int(cell)].tolist()
+        d = d0 + theta * (m0 + theta * (c2 + theta * c3))
         y = x + d
         return y, float(_exponent_change(2.0 * x, d, -g, y * (y - 1.0)))
 
     def _table_row(self, t: float) -> int:
         """The row of time t in _tables, building it on first use.
 
-        The lock makes concurrent first uses share one build. The stack is
-        replaced before the row is published, so a reader that finds a row
-        also finds it in the stack it reads next.
+        The lock makes concurrent first uses share one build. A full stack
+        is replaced by one of twice the rows (16 at first) holding the
+        same tables; np.empty leaves the new rows untouched, so they cost
+        no memory until a build writes them. A table is written before its
+        row is published, so a reader that finds a row also finds it in
+        the stack it reads next.
         """
         row = self._table_rows.get(t)
         if row is None:
             with self._table_lock:
                 row = self._table_rows.get(t)
                 if row is None:
-                    knots = self._build_table(t)
-                    self._tables = np.concatenate([self._tables, knots[None]])
-                    row = self._table_rows[t] = len(self._table_rows)
+                    table = self._build_table(t)
+                    row = len(self._table_rows)
+                    if row == len(self._tables):
+                        grown = np.empty((max(16, 2 * row),) + table.shape)
+                        grown[:row] = self._tables
+                        self._tables = grown
+                    self._tables[row] = table
+                    self._table_rows[t] = row
         return row
 
     def _build_table(self, t: float) -> np.ndarray:
-        """The Hermite knots of delta_t, shape (TABLE_CELLS + 1, 2).
+        """The Hermite table of delta_t, shape (TABLE_CELLS + 1, 4).
 
-        Row i holds delta_t and h delta_t' at x_i = i h, h = 1/TABLE_CELLS.
-        delta comes from _displacement, and delta' = phi_t' - 1 from the
-        closed-form log slope. The table is then read at every cell
-        midpoint by the lookup kernel, which takes each point's two knots
-        from it, and must reproduce a second displacement solve there, in
+        Row i holds the knot (delta_t, h delta_t') at x_i = i h,
+        h = 1/TABLE_CELLS, and the coefficients c2, c3 of the cubic on
+        cell i, delta = d0 + theta (m0 + theta (c2 + theta c3)) with
+        (d0, m0) and (d1, m1) the knots at its two ends; the last row, a
+        knot with no cell, holds c2 = c3 = 0. delta comes from
+        _displacement, and delta' = phi_t' - 1 from the closed-form log
+        slope. The table is then read at every cell midpoint by the lookup
+        kernel and must reproduce a second displacement solve there, in
         phi_t and in the log slope, to TABLE_CHECK, else SolverError.
         """
-        knots = np.zeros((TABLE_CELLS + 1, 2))
+        table = np.zeros((TABLE_CELLS + 1, 4))
         x = np.arange(TABLE_CELLS + 1) / TABLE_CELLS
         # [1:]: phi_t at the knots is not kept through the second solve
-        knots[:, 0], log_slope = _log_slope(x, self._displacement(t, x))[1:]
-        knots[:, 1] = np.expm1(log_slope) / TABLE_CELLS
+        table[:, 0], log_slope = _log_slope(x, self._displacement(t, x))[1:]
+        table[:, 1] = np.expm1(log_slope) / TABLE_CELLS
+        (d0, m0), (d1, m1) = table[:-1, :2].T, table[1:, :2].T
+        table[:-1, 2] = 3.0 * (d1 - d0) - 2.0 * m0 - m1
+        table[:-1, 3] = 2.0 * (d0 - d1) + m0 + m1
 
         mid = (x[:-1] + x[1:]) / 2.0
-        got = _table_lookup(knots, np.zeros(1, np.intp),
+        got = _table_lookup(table, np.zeros(1, np.intp),
                             np.zeros(mid.size, np.intp), mid)
         y, _, log_slope = _log_slope(mid, self._displacement(t, mid))
         miss = max(float(np.max(np.abs(g - w)))
@@ -490,7 +495,7 @@ class FlowEngine:
             raise SolverError(
                 f"flow table at t={t:g} misses its ODE by {miss:.3e} at a "
                 f"cell midpoint (bound {TABLE_CHECK:.0e})")
-        return knots
+        return table
 
     def _displacement(self, t: float, x: np.ndarray) -> np.ndarray:
         """delta_t(x) = phi_t(x) - x from its own ODE, one column per point.

@@ -116,6 +116,15 @@ def _pow3_batch(n: np.ndarray) -> np.ndarray:
     return _POW3[np.minimum(n, _POW3_TOP)]
 
 
+def _indices(mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """np.nonzero(mask); a mask of more than one axis goes by way of the
+    flat indices, which on a 4 096 x 257 mask with few entries takes 0.2
+    against 2.3 ns a point."""
+    if mask.ndim == 1:
+        return mask.nonzero()
+    return np.unravel_index(np.flatnonzero(mask), mask.shape)
+
+
 class PointBatch:
     """Struct-of-arrays form of ScaledPoint for the vectorized sweeps."""
 
@@ -175,16 +184,25 @@ class PointBatch:
         )
 
     def raw(self) -> np.ndarray:
-        # divide by the power rather than multiplying by its reciprocal so
-        # batch and scalar raw views agree bitwise
-        out = np.array(self.u, copy=True)
-        inj = self.locus == int(Locus.INJ)
-        gap = self.locus == int(Locus.GAP)
-        out[inj] = (self.u[inj] + 2.0) / _pow3_batch(self.n[inj] + 1)
-        out[gap] = self.u[gap] / _pow3_batch(self.n[gap])
-        out[self.locus == int(Locus.ZERO)] = 0.0
-        return out
+        """The float64 values, each bitwise ScaledPoint.raw: the window
+        formula (u + 2) / 3^(n+1) on every point, then the few points off
+        the windows (gaps, the hole and 0) repaired by index."""
+        return _raw_into(self, np.empty(self.u.shape))
 
     def point(self, i: int) -> ScaledPoint:
         return ScaledPoint(Locus(int(self.locus.flat[i])),
                            int(self.n.flat[i]), float(self.u.flat[i]))
+
+
+def _raw_into(b: PointBatch, out: np.ndarray) -> np.ndarray:
+    """b.raw() written into out, shaped like b, which it returns."""
+    # divide by the power rather than multiplying by its reciprocal so
+    # batch and scalar raw views agree bitwise
+    np.add(b.u, 2.0, out=out)
+    out /= _pow3_batch(b.n + 1)
+    off = _indices(b.locus != int(Locus.INJ))
+    if off[0].size:
+        locus, n, u = b.locus[off], b.n[off], b.u[off]
+        out[off] = np.where(locus == int(Locus.GAP), u / _pow3_batch(n),
+                            np.where(locus == int(Locus.ZERO), 0.0, u))
+    return out

@@ -17,7 +17,7 @@ subtraction would return garbage.
 
 Every analysis walks the word tree with word_levels, the one breadth-first
 level walker, or pull_back_word, one word inside out; both take any state
-with pull_back and stack. Single points go through inverse_branch, the
+with pull_back and children. Single points go through inverse_branch, the
 point form of the pull-back kernel (CookieMap.inverse_point, which states
 CookieMap.inverse_batch's branch rules for one point and reads the tables
 in Python floats), bitwise the batch's result.
@@ -160,12 +160,13 @@ def pull_back_word(state, cmap: CookieMap, bits: str):
 def word_levels(state, cmap: CookieMap, levels: int):
     """The breadth-first word-tree walk: yield the next `levels` levels.
 
-    Each level stacks both pullbacks of the one before it, the 0-pullback
-    first. Prepending the symbol s to a word with index i among 2^j words
-    gives index s * 2^j + i, so rows stay in lexicographic word order.
+    Each level is state.children(cmap): the rows of both pullbacks of the
+    level before it, the 0-pullback first. Prepending the symbol s to a
+    word with index i among 2^j words gives index s * 2^j + i, so rows
+    stay in lexicographic word order.
     """
     for _ in range(levels):
-        state = state.stack(state.pull_back(cmap, 0), state.pull_back(cmap, 1))
+        state = state.children(cmap)
         yield state
 
 
@@ -230,6 +231,11 @@ class IntervalSet:
         """The rows of a followed by the rows of b."""
         return cls(**{k: np.concatenate([getattr(a, k), getattr(b, k)])
                       for k in cls.__slots__})
+
+    def children(self, cmap: CookieMap) -> "IntervalSet":
+        """The next word-tree level: the stacked rows of pull_back(0) and
+        pull_back(1)."""
+        return self.stack(self.pull_back(cmap, 0), self.pull_back(cmap, 1))
 
     @property
     def size(self) -> int:

@@ -459,6 +459,26 @@ def _probe_batch(rng, size):
                                                                 size))
 
 
+def test_zero_branch_builds_only_the_tables_of_its_windows(cmap):
+    """The 0-branch flows every point and repairs those off the windows;
+    a repaired point reads a window point's table, so gaps deeper than
+    every window (blocks 5 and 8), the hole and 0 build no table."""
+    points = [ScaledPoint.in_window(1, 0.3), ScaledPoint.in_window(2, 0.7),
+              ScaledPoint(Locus.GAP, 40, 0.4),
+              ScaledPoint(Locus.GAP, 300, 0.6),
+              ScaledPoint(Locus.HOLE, 0, 0.5), ScaledPoint.zero()]
+    b = PointBatch.from_points(points)
+    assert b.size > cookie_module._POINT_BATCH_MAX
+    fresh = CookieMap(cmap.constants)
+    child, extra = fresh.inverse_batch(0, b)
+    # blocks(2) = blocks(3) = 1
+    assert set(fresh.engine._table_rows) == {-fresh.schedule.block_time(1)}
+    # the point route's preimages and increments, bitwise
+    want = [cmap.inverse_point(0, p) for p in points]
+    assert [child.point(i) for i in range(b.size)] == [q for q, _ in want]
+    assert extra.tobytes() == np.array([inc for _, inc in want]).tobytes()
+
+
 def test_small_batches_match_the_block_route(cmap, monkeypatch):
     # batches up to one past the point route's cap, against the block
     # route of the same call (cap 0), bitwise

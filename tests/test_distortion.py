@@ -217,6 +217,43 @@ def test_mixed_depth_refine_matches_per_depth_refine(cmap):
         assert np.all(rep.per_word >= np.exp(values[0] - values[1]))
 
 
+def _vstack(grids):
+    return _PointGrid(*(np.vstack([getattr(g, k) for g in grids])
+                        for k in _PointGrid.__slots__))
+
+
+def _every_locus_grid(cmap):
+    """The 65-point root grid above the rows of the depth-3 words: 0, the
+    hole, gaps and windows from J_0 down, each locus present."""
+    root = _PointGrid.root(65)
+    *_, level = word_levels(root, cmap, 3)
+    state = _vstack([root, level])
+    assert set(state.locus.ravel().tolist()) == set(map(int, Locus))
+    return state
+
+
+def _window_grid(cmap):
+    """Rows of uniform grids on J_0, J_1, J_5 and J_40: windows only."""
+    return _vstack([_PointGrid.window(n, 65) for n in (0, 1, 5, 40)])
+
+
+@pytest.mark.parametrize("make", [_every_locus_grid, _window_grid])
+def test_level_matches_the_stacked_pull_backs(cmap, make):
+    """One word_levels level, both pull-backs written into one new level,
+    against the two pull-backs stacked: bitwise, and on fresh engines the
+    same tables built."""
+    state = make(cmap)
+    walked, stacked = CookieMap(cmap.constants), CookieMap(cmap.constants)
+    (got,) = word_levels(state, walked, 1)
+    halves = [state.pull_back(stacked, s) for s in (0, 1)]
+    want = _vstack(halves)
+    for k in _PointGrid.__slots__:
+        assert getattr(got, k).dtype == getattr(want, k).dtype
+        assert getattr(got, k).tobytes() == getattr(want, k).tobytes(), k
+    assert set(walked.engine._table_rows) == set(stacked.engine._table_rows)
+    assert walked.engine._table_rows
+
+
 def test_padding_symbols_leave_a_word_untouched(cmap):
     s = np.linspace(0.0, 1.0, 33)
     word = np.array([0, 1, 1, 0, 1], dtype=np.int8)

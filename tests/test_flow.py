@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -415,12 +416,12 @@ def _ref_hermite(knots, theta):
 
 def _gather_table_flow(engine, times, which, x):
     """table_flow as a two-index gather of each point's 2 x 2 knot block
-    from the (times x knots x 2) stack and the frozen formulas, all points
-    at once; the tables must already exist."""
+    from the knot columns of the (times x knots x 4) stack and the frozen
+    formulas, all points at once; the tables must already exist."""
     rows = np.array([engine._table_rows[float(t)] for t in times])
     cell, theta = _ref_cells(x)
     knots = engine._tables[rows[which][..., None],
-                           cell[..., None] + np.array([0, 1])]
+                           cell[..., None] + np.array([0, 1]), :2]
     d, log_slope = _ref_log_slope(x, _ref_hermite(knots, theta))
     return x + d, log_slope
 
@@ -524,7 +525,70 @@ def test_threads_share_a_fresh_engine_bitwise(cmap):
             assert _same_bytes(y, want[0][p])
             assert _same_bytes(log_slope, want[1][p])
     # each time was built once: a lost update would add a row
-    assert len(engine._table_rows) == engine._tables.shape[0] == len(times)
+    assert sorted(engine._table_rows.values()) == list(range(len(times)))
+
+
+def test_growing_the_stack_keeps_every_table(consts):
+    """The stack starts at 16 tables; a 17th time doubles it, and the
+    16 tables copied into the new stack stay bitwise, as do their
+    lookups."""
+    engine = FlowEngine(tol=consts.tol)
+    times = [s * consts.T / 2 ** j for j in range(8) for s in (1.0, -1.0)]
+    x = np.linspace(0.0, 1.0, 1001)
+    which = np.arange(x.size) % len(times)
+    before = engine.table_flow(times, which, x)
+    assert engine._tables.shape[0] == len(times) == 16
+    tables = engine._tables.copy()
+    engine.table_point(consts.T / 2 ** 8, 0.5)
+    assert engine._tables.shape[0] == 32
+    assert engine._tables[:16].tobytes() == tables.tobytes()
+    assert engine._table_rows[consts.T / 2 ** 8] == 16
+    for got, want in zip(engine.table_flow(times, which, x), before):
+        assert _same_bytes(got, want)
+
+
+def test_threads_read_while_the_stack_grows(consts):
+    """Three threads (more than the cores) look up the 16 tables of a
+    full stack again and again while a fourth builds two more times,
+    which doubles the stack, with the interpreter switching threads as
+    often as it can: a reader of either stack sees every table bitwise,
+    and the new tables land in rows 16 and 17."""
+    times = [s * consts.T / 2 ** j for j in range(9) for s in (1.0, -1.0)]
+    x = np.linspace(0.0, 1.0, 257)
+    which = np.arange(x.size) % 16
+    engine = FlowEngine(tol=consts.tol)
+    want = engine.table_flow(times[:16], which, x)
+    assert engine._tables.shape[0] == 16
+    grown = threading.Event()
+
+    def read():
+        got = [engine.table_flow(times[:16], which, x)]
+        while not grown.is_set():
+            got.append(engine.table_flow(times[:16], which, x))
+        return got
+
+    def grow():
+        try:
+            for t in times[16:]:
+                engine.table_point(t, 0.5)
+        finally:
+            grown.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            readers = [pool.submit(read) for _ in range(3)]
+            pool.submit(grow).result(timeout=120)
+            runs = [f.result(timeout=120) for f in readers]
+    finally:
+        sys.setswitchinterval(interval)
+    assert engine._tables.shape[0] == 32
+    assert [engine._table_rows[t] for t in times[16:]] == [16, 17]
+    for got in runs:
+        for y, log_slope in got:
+            assert _same_bytes(y, want[0])
+            assert _same_bytes(log_slope, want[1])
 
 
 def test_one_point_lookup_copies_no_table(cmap):
@@ -537,7 +601,7 @@ def test_one_point_lookup_copies_no_table(cmap):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one table is (TABLE_CELLS + 1) x 2 floats, 256 KiB
+    # one table is (TABLE_CELLS + 1) x 4 floats, 512 KiB
     assert peak < 64 * 1024
     # np.take copies nothing from a C-contiguous stack
     assert engine._tables.flags.c_contiguous
@@ -707,7 +771,8 @@ def test_right_hand_sides_match_their_where_forms_bitwise(consts):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for t in (1.0, -1.0, 0.5, 1.0 / 64.0):
-            assert _same_bytes(engine._build_table(t), _ref_table(t)), t
+            assert _same_bytes(engine._build_table(t)[:, :2],
+                               _ref_table(t)), t
         for t in (1.0, -0.5):
             assert _same_bytes(np.stack(engine.evolve(t, grid, order=2)),
                                _ref_evolve(t, grid, 2)), t
