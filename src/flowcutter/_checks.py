@@ -48,9 +48,18 @@ def real(value, what: str, least: float, most: float) -> float:
     return value
 
 
+def reals(values: np.ndarray, what: str, least: float, most: float) -> None:
+    """DomainError unless every entry of the float array values is in
+    [least, most], nan never: the rule of real for each entry."""
+    bad = ~((values >= least) & (values <= most))
+    if bad.any():
+        raise DomainError(f"{what} must be finite and in [{least:g}, "
+                          f"{most:g}], got {float(values[bad].flat[0])!r}")
+
+
 def symbol(value) -> int:
-    """value as the int 0 or 1, else DomainError. Only an array of symbols
-    may also hold the padding -1 (CookieMap.inverse_batch checks those)."""
+    """value as the int 0 or 1, else DomainError: every pull-back takes one
+    branch symbol, so an array of symbols is refused too."""
     value = integer(value, "branch symbol")
     if value not in (0, 1):
         raise DomainError(f"branch symbol must be 0 or 1, got {value!r}")

@@ -35,9 +35,8 @@ LN3 = math.log(3.0)
 # (inverse_point, through FlowEngine.table_point), larger ones in one table
 # lookup (block_flow): the point loop pays per point, the block route a
 # fixed numpy cost per call. Medians of 15 rounds on a 2-core VM, batches
-# of 3/4 deep window points, point loop against block route: 4 points 61
-# against 144 us with symbols -1, 0 and 1 mixed, 87 against 100 us all 0;
-# 8 points 135 against 121 and 149 against 87 us.
+# of 3/4 deep window points pulled back by the 0-branch, point loop against
+# block route: 4 points 87 against 100 us, 8 points 149 against 87 us.
 _POINT_BATCH_MAX = 4
 # The raw steps of the junction check, 1e-2 down to 1e-9, each the one
 # before divided by 10.0 (from 1e-6 on, 1e-2 / 10.0 ** j rounds 1 ulp away)
@@ -268,55 +267,28 @@ class CookieMap:
         return ScaledPoint(Locus.INJ, p.n + 1, y), -log_slope
 
     def inverse_batch(self, symbol, b: PointBatch) -> tuple[PointBatch, np.ndarray]:
-        """Inverse branches on a batch; returns (preimage, log F' - ln 3).
+        """Inverse branch symbol (0 or 1) on a batch; returns (preimage,
+        log F' - ln 3). Any other symbol, an array of them included,
+        raises DomainError.
 
-        symbol is 0 or 1 for the whole batch, or an integer array shaped
-        like the batch with one symbol per point, where -1 is padding that
-        leaves its point unchanged (with increment 0.0); any other symbol
-        raises DomainError. The reported log increment is the slope of F
-        at the *preimage*, obtained for free from the backward flow's log
-        slope, since phi_t'(phi_{-t}(u)) * phi_{-t}'(u) = 1. The 1-branch
-        is affine: its preimages are the raw values (PointBatch.raw). The
-        0-branch window points flow through the engine's displacement
-        tables, so each preimage and increment is a pure function of its
-        own point and symbol: the results are bitwise the same whatever
-        batch, shard or thread computes them. The symbols are checked
-        first; then a batch of at most _POINT_BATCH_MAX points goes
-        through inverse_point one point at a time. A larger one takes the
-        block rules of _pull_back_into: the 0-branch flows every point by
-        one block_flow call and repairs the few points off the windows by
-        index, and a symbol array is split once per symbol into those
-        rules.
+        The reported log increment is the slope of F at the *preimage*,
+        obtained for free from the backward flow's log slope, since
+        phi_t'(phi_{-t}(u)) * phi_{-t}'(u) = 1. The 1-branch is affine:
+        its preimages are the raw values (PointBatch.raw). The 0-branch
+        window points flow through the engine's displacement tables, so
+        each preimage and increment is a pure function of its own point
+        and the symbol: the results are bitwise the same whatever batch,
+        shard or thread computes them. A batch of at most _POINT_BATCH_MAX
+        points goes through inverse_point one point at a time; a larger
+        one takes the block rules of _pull_back_into, where the 0-branch
+        flows every point by one block_flow call and repairs the few
+        points off the windows by index.
         """
-        if np.ndim(symbol) == 0:
-            symbol = _checks.symbol(symbol)
-        else:
-            symbol = np.asarray(symbol)
-            if (symbol.dtype.kind not in "iu" or symbol.shape != b.u.shape
-                    or symbol.size
-                    and not -1 <= symbol.min() <= symbol.max() <= 1):
-                raise DomainError(f"branch symbols must be an integer array "
-                                  f"of -1, 0 or 1 shaped {b.u.shape}, got "
-                                  f"{symbol!r}")
+        symbol = _checks.symbol(symbol)
         if b.size <= _POINT_BATCH_MAX:
             return self._inverse_points(symbol, b)
-        if np.ndim(symbol) == 0:
-            out, extra = _empty_like(b), np.empty(b.u.shape)
-            self._pull_back_into(symbol, b, out, extra)
-            return out, extra
-        out = PointBatch(b.locus.copy(), b.n.copy(), b.u.copy())
-        extra = np.zeros(b.u.shape)
-        i = _indices(symbol == 1)
-        if i[0].size:
-            out.locus[i], out.n[i] = int(Locus.INJ), 0
-            out.u[i] = PointBatch(b.locus[i], b.n[i], b.u[i]).raw()
-        i = _indices(symbol == 0)
-        if i[0].size:
-            part = PointBatch(b.locus[i], b.n[i], b.u[i])
-            moved, delta = _empty_like(part), np.empty(i[0].size)
-            self._pull_back_into(0, part, moved, delta)
-            out.locus[i], out.n[i], out.u[i] = moved.locus, moved.n, moved.u
-            extra[i] = delta
+        out, extra = _empty_like(b), np.empty(b.u.shape)
+        self._pull_back_into(symbol, b, out, extra)
         return out, extra
 
     def _pull_back_into(self, symbol: int, b: PointBatch, out: PointBatch,
@@ -359,15 +331,10 @@ class CookieMap:
             out.u[off] = b.u[off]
             extra[off] = 0.0
 
-    def _inverse_points(self, symbol, b: PointBatch
+    def _inverse_points(self, symbol: int, b: PointBatch
                         ) -> tuple[PointBatch, np.ndarray]:
-        """inverse_batch of checked symbols, one inverse_point per point;
-        a padding symbol -1 keeps its point, with increment 0.0."""
-        symbols = (symbol.ravel().tolist() if np.ndim(symbol)
-                   else [symbol] * b.size)
-        pulled = [(b.point(i), 0.0) if s == -1
-                  else self.inverse_point(s, b.point(i))
-                  for i, s in enumerate(symbols)]
+        """inverse_batch of a checked symbol, one inverse_point per point."""
+        pulled = [self.inverse_point(symbol, b.point(i)) for i in range(b.size)]
         shape = b.u.shape
         return PointBatch(
             np.array([int(q.locus) for q, _ in pulled],

@@ -44,7 +44,8 @@ def certified_bracket(constants) -> tuple[float, float]:
 
 def pressure_sum(log_sizes: np.ndarray, s: float) -> float:
     """log of sum_w |I_w|^s, stable at any depth; s is a real in [0, 1],
-    the bracket of the pressure root, else DomainError.
+    the bracket of the pressure root, and log_sizes a nonempty array of
+    finite reals, else DomainError.
 
     The shifted log-sum-exp as scipy.special.logsumexp computes it, and
     bitwise equal to it: the m terms equal to the maximum a_max are
@@ -52,7 +53,11 @@ def pressure_sum(log_sizes: np.ndarray, s: float) -> float:
     by m, and the result is log1p(sum) + log(m) + a_max.
     """
     s = _checks.real(s, "pressure exponent", 0.0, 1.0)
-    a = s * np.asarray(log_sizes, dtype=np.float64)
+    a = np.asarray(log_sizes)
+    if a.dtype.kind not in "iuf" or not a.size or not np.isfinite(a).all():
+        raise DomainError(f"log sizes must be a nonempty array of finite "
+                          f"reals, got {log_sizes!r}")
+    a = s * a.astype(np.float64, copy=False)
     a_max = np.max(a)
     top = a == a_max
     m = np.float64(np.count_nonzero(top))
@@ -63,7 +68,7 @@ def pressure_sum(log_sizes: np.ndarray, s: float) -> float:
 def pressure_root(log_sizes: np.ndarray) -> float:
     """Unique root of sum_w |I_w|^s = 1 by bisection on [0, 1], to a
     bracket of width PRESSURE_TOL: 34 halvings, the midpoint of the last
-    bracket returned."""
+    bracket returned. log_sizes is checked as pressure_sum checks it."""
     lo, hi = 0.0, 1.0
     if pressure_sum(log_sizes, lo) <= 0.0 or pressure_sum(log_sizes, hi) >= 0.0:
         raise BoundViolationError(

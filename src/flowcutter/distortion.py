@@ -26,11 +26,12 @@ every depth, the same refine that distortion() runs for one word; words
 enter it as rows of symbols, right-aligned and padded with -1, so a word
 of any length composes through exactly its own symbols.
 
-Every pull-back goes through CookieMap.inverse_batch, whose window flows
-are lookups in per-time displacement tables, a pure function of each point.
-A word's ratio is therefore bitwise the same whether distortion() computes
-it alone or a sweep computes it among other words, depths, shards or
-threads.
+Every pull-back takes one branch symbol, through CookieMap.inverse_batch
+or, for a word-tree level, its block rules _pull_back_into. The window
+flows are lookups in per-time displacement tables, a pure function of
+each point. A word's ratio is therefore bitwise the same whether
+distortion() computes it alone or a sweep computes it among other words,
+depths, shards or threads.
 """
 
 from __future__ import annotations
@@ -195,21 +196,32 @@ class _PointGrid:
                 for i in range(self.extra.shape[0])]
 
 
-def _compose_extras(cmap: CookieMap, symbols: np.ndarray,
+def _positions(symbols: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per word position, innermost first, the tasks that take symbol 0
+    and those that take 1. Row r of symbols is one word, first symbol
+    leftmost, right-aligned and left-padded with -1, which no part lists."""
+    return [(np.flatnonzero(col == 0), np.flatnonzero(col == 1))
+            for col in symbols.T[::-1]]
+
+
+def _compose_extras(cmap: CookieMap, positions: list,
                     s: np.ndarray) -> np.ndarray:
     """log (F^k)' - k ln 3 at the points f_w(s), one word per task.
 
-    symbols has shape (tasks, k) with the first symbol leftmost; the
-    composition runs inside out, one inverse_batch call per position with
-    each task's own symbol. A symbol of -1 is padding and leaves its task
-    untouched, so words of different lengths ride in one batch
-    right-aligned.
+    positions is _positions of the words. The composition runs inside out,
+    and at each position each symbol's tasks are pulled back by one
+    inverse_batch call and written back in place; padded tasks are not
+    touched, so words of different lengths ride in one batch.
     """
     b = PointBatch.from_raw(s)
     extra = np.zeros(s.shape)
-    for col in range(symbols.shape[1] - 1, -1, -1):
-        b, delta = cmap.inverse_batch(symbols[:, col], b)
-        extra += delta
+    for parts in positions:
+        for symbol, i in enumerate(parts):
+            if i.size:
+                child, delta = cmap.inverse_batch(
+                    symbol, PointBatch(b.locus[i], b.n[i], b.u[i]))
+                b.locus[i], b.n[i], b.u[i] = child.locus, child.n, child.u
+                extra[i] += delta
     return extra
 
 
@@ -230,13 +242,14 @@ def _refine_extrema(cmap: CookieMap, symbols: np.ndarray, cells: np.ndarray,
     """Golden-section sharpening of per-word extra maxima and minima.
 
     Row r of symbols is one word, right-aligned and left-padded with -1 as
-    _compose_extras reads it, with its grid extrema (cells, values) from
+    _positions reads it, with its grid extrema (cells, values) from
     _grid_extrema. Brackets are the one-cell neighborhoods of the grid
     extrema in the normalized coordinate; one optimize.golden_max call
     searches them all in lockstep, so words of every length share one
     batched evaluation per iteration, each composing through exactly its
     own symbols. Maximum and minimum tasks ride in the same batch with
-    opposite signs. The result is never below the grid value it refines.
+    opposite signs, the words split once into their positions' tasks. The
+    result is never below the grid value it refines.
     """
     grid_hi, grid_lo = values
     if iters <= 0:
@@ -245,11 +258,10 @@ def _refine_extrema(cmap: CookieMap, symbols: np.ndarray, cells: np.ndarray,
     s_axis = np.linspace(0.0, 1.0, grid)
     cells = cells.ravel()
     sign = np.concatenate([np.ones(rows), -np.ones(rows)])
-    # column-major: each position's symbols, one per task, are contiguous
-    symbols = np.asfortranarray(np.vstack([symbols, symbols]))
+    positions = _positions(np.vstack([symbols, symbols]))
 
     _, best = golden_max(
-        lambda points: sign * _compose_extras(cmap, symbols, points),
+        lambda points: sign * _compose_extras(cmap, positions, points),
         s_axis[np.maximum(cells - 1, 0)],
         s_axis[np.minimum(cells + 1, grid - 1)], iters)
     hi = np.maximum(grid_hi, best[:rows])

@@ -561,9 +561,9 @@ class FlowEngine:
         Parameters
         ----------
         t : float or ndarray
-            Flow time(s), |t| <= 1, broadcast against x.
+            Flow time(s), |t| <= 1, broadcast against x; else DomainError.
         x : ndarray
-            Initial positions in [0,1].
+            Initial positions in [0,1]; else DomainError, as flow does.
         order : int
             0, 1 or 2 return (y,), (y, d1) or (y, d1, d2); else DomainError.
         """
@@ -571,6 +571,8 @@ class FlowEngine:
         if order > 2:
             raise DomainError(f"variational order must be <= 2, got {order}")
         x, flat_t = _flatten(x, t)
+        _checks.reals(flat_t, "flow time", -1.0, 1.0)
+        _checks.reals(x, "position", 0.0, 1.0)
         yf, _ = self._solve(flat_t, np.ravel(x), order)
         return tuple(row.reshape(x.shape) for row in yf)
 

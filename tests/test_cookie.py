@@ -487,8 +487,7 @@ def test_small_batches_match_the_block_route(cmap, monkeypatch):
     for size in range(1, cookie_module._POINT_BATCH_MAX + 2):
         for _ in range(4):
             b = _probe_batch(rng, size)
-            cases += [(s, b) for s in (0, 1, np.int8(1),
-                                       rng.integers(-1, 2, size).astype(np.int8))]
+            cases += [(s, b) for s in (0, 1, np.int8(1))]
     got = [cmap.inverse_batch(s, b) for s, b in cases]
     monkeypatch.setattr(cookie_module, "_POINT_BATCH_MAX", 0)
     for (s, b), (child, extra) in zip(cases, got):

@@ -108,6 +108,20 @@ def test_pressure_root_meets_its_tolerance(counted_pressure):
     assert len(counted_pressure) <= 36
 
 
+@pytest.mark.parametrize("log_sizes", [
+    np.array([np.nan]), np.array([]), np.array([-np.inf, -1.0]),
+    np.array([-1.0, np.inf]), np.array(["-1.0"]), np.array([True, False]),
+], ids=["nan", "empty", "-inf", "inf", "str", "bool"])
+def test_pressure_rejects_a_bad_cover(log_sizes):
+    # a nan cover read as a dimension near 0, an empty one raised numpy's
+    # ValueError, and a -inf size at s = 0 gave nan with a warning
+    with pytest.raises(DomainError, match="log sizes"):
+        pressure_root(log_sizes)
+    for s in (0.0, 0.5, 1.0):
+        with pytest.raises(DomainError, match="log sizes"):
+            pressure_sum(log_sizes, s)
+
+
 def test_validation(cmap):
     with pytest.raises(DomainError):
         dimension_estimate(cmap, 8, method="hausdorff")

@@ -10,8 +10,8 @@ from flowcutter import (CookieMap, DomainError, FlowEngine, SizeBoundReport, Sca
                         distortion, audit_interval_sizes, sbd_profile, sbd_witness,
                         theoretical_bound)
 from flowcutter.distortion import (_PointGrid, _compose_extras, _grid_extrema,
-                                   _refine_extrema, _window_spreads,
-                                   _SPREAD_BLOCK_ROWS)
+                                   _positions, _refine_extrema,
+                                   _window_spreads, _SPREAD_BLOCK_ROWS)
 from flowcutter import flow as flow_module
 from flowcutter.optimize import golden_max, golden_min
 from flowcutter.scaled import Locus, PointBatch
@@ -254,29 +254,6 @@ def test_level_matches_the_stacked_pull_backs(cmap, make):
     assert walked.engine._table_rows
 
 
-def test_padding_symbols_leave_a_word_untouched(cmap):
-    s = np.linspace(0.0, 1.0, 33)
-    word = np.array([0, 1, 1, 0, 1], dtype=np.int8)
-    alone = _compose_extras(cmap, np.tile(word, (s.size, 1)), s)
-    padded = np.concatenate([np.full(3, -1, dtype=np.int8), word])
-    mixed = _compose_extras(cmap, np.tile(padded, (s.size, 1)), s)
-    assert np.array_equal(alone, mixed)
-    assert np.any(alone != 0.0)
-
-
-def _masked_pull_back(cmap, symbols, b):
-    # one position as two masked inverse_batch calls, one per symbol
-    locus, n, u = b.locus.copy(), b.n.copy(), b.u.copy()
-    extra = np.zeros(b.u.shape)
-    for value in (0, 1):
-        m = symbols == value
-        if m.any():
-            child, extra[m] = cmap.inverse_batch(
-                value, PointBatch(b.locus[m], b.n[m], b.u[m]))
-            locus[m], n[m], u[m] = child.locus, child.n, child.u
-    return PointBatch(locus, n, u), extra
-
-
 def _compose_extras_by_masks(cmap, symbols, s):
     # _compose_extras as it was, with two masked pull-backs per position
     b = PointBatch.from_raw(s)
@@ -296,51 +273,52 @@ def _compose_extras_by_masks(cmap, symbols, s):
     return extra
 
 
-def test_mixed_symbol_pull_back_matches_two_masked_calls(cmap):
-    rng = np.random.default_rng(29)
-    points = [ScaledPoint.zero(), ScaledPoint.from_raw(0.5),
-              ScaledPoint(Locus.HOLE, 0, 0.4), ScaledPoint(Locus.GAP, 1, 0.45),
-              ScaledPoint(Locus.GAP, 9, 0.6), ScaledPoint.in_window(0, 0.0),
-              ScaledPoint.in_window(0, 1.0), ScaledPoint.from_raw(0.8)]
-    for n in (1, 2, 3, 7, 40, 300):
-        points += [ScaledPoint.in_window(n, float(u))
-                   for u in (0.0, 1.0, *rng.uniform(0.0, 1.0, 4))]
-    b = PointBatch.from_points(points * 3)
-    assert set(b.locus.tolist()) == set(map(int, Locus))
-    symbols = np.repeat(np.array([-1, 0, 1], dtype=np.int8), len(points))
-    got = cmap.inverse_batch(symbols, b)
-    want = _masked_pull_back(cmap, symbols, b)
-    for x, y in zip((got[0].locus, got[0].n, got[0].u, got[1]),
-                    (want[0].locus, want[0].n, want[0].u, want[1])):
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-    # padding leaves its points as they were, with a zero increment
-    pad = symbols == -1
-    assert np.array_equal(got[0].u[pad], b.u[pad]) and not got[1][pad].any()
+def test_padding_symbols_leave_a_word_untouched(cmap):
+    s = np.linspace(0.0, 1.0, 33)
+    word = np.array([0, 1, 1, 0, 1], dtype=np.int8)
+    alone = _compose_extras(cmap, _positions(np.tile(word, (s.size, 1))), s)
+    padded = np.tile(np.concatenate([np.full(3, -1, dtype=np.int8), word]),
+                     (s.size, 1))
+    mixed = _compose_extras(cmap, _positions(padded), s)
+    assert alone.tobytes() == mixed.tobytes()
+    assert mixed.tobytes() == _compose_extras_by_masks(cmap, padded, s).tobytes()
+    assert np.any(alone != 0.0)
 
+
+def test_mixed_symbol_pull_back_matches_two_masked_calls(cmap):
     # whole compositions of mixed lengths, on a grid through every locus
+    rng = np.random.default_rng(29)
     s = np.concatenate([[0.0, 0.15, 0.25, 0.5, 0.7, 1.0],
                         rng.uniform(0.0, 1.0, 60)])
+    assert set(PointBatch.from_raw(s).locus.tolist()) >= {
+        int(Locus.ZERO), int(Locus.GAP), int(Locus.HOLE), int(Locus.INJ)}
     words = rng.integers(-1, 2, (s.size, 6)).astype(np.int8)
     words[:, :3] = np.where(words[:, :3] == 1, -1, words[:, :3])
-    got = _compose_extras(cmap, words, s)
+    got = _compose_extras(cmap, _positions(words), s)
     assert got.tobytes() == _compose_extras_by_masks(cmap, words, s).tobytes()
     assert np.any(got != 0.0)
 
 
+def test_positions_list_each_symbol_innermost_first():
+    words = np.array([[-1, 0, 1], [1, 1, 0], [-1, -1, 0]], dtype=np.int8)
+    got = [tuple(i.tolist() for i in parts) for parts in _positions(words)]
+    assert got == [([1, 2], [0]), ([0], [1]), ([], [1])]
+
+
 def test_inverse_batch_rejects_bad_symbol_arrays(cmap):
-    b = PointBatch.from_raw(np.array([0.1, 0.5, 0.8]))
-    for bad in ([0, 2, 1], [-2, 0, 0], [0.0, 1.0, 0.0]):
-        with pytest.raises(DomainError):
-            cmap.inverse_batch(np.array(bad), b)
-    with pytest.raises(DomainError):
-        cmap.inverse_batch(-1, b)
-    # a symbol array is shaped like its batch, on the block route (5
-    # points) and the point route (2 points) alike: none broadcasts
-    for raw, wrong in (([0.1, 0.2, 0.5, 0.8, 0.9], 2), ([0.1, 0.5], 3)):
+    # one branch symbol per call: every array of them, a valid one
+    # included, on the point route (2 points) and the block route (5
+    # points) alike
+    for raw in ([0.1, 0.5], [0.1, 0.2, 0.5, 0.8, 0.9]):
         b = PointBatch.from_raw(np.array(raw))
-        for bad in (np.zeros(1, int), np.ones(1, int), np.zeros(wrong, int),
-                    np.zeros((len(raw), 1), int)):
-            with pytest.raises(DomainError, match="shaped"):
+        for bad in (np.zeros(len(raw), int), np.ones(len(raw), np.int8),
+                    np.array([0, 1] + [0] * (len(raw) - 2)),
+                    np.zeros(1, int), np.zeros((len(raw), 1), int),
+                    np.full(len(raw), -1), np.array([0.0] * len(raw))):
+            with pytest.raises(DomainError, match="branch symbol"):
+                cmap.inverse_batch(bad, b)
+        for bad in (-1, 2, 1.0, True):
+            with pytest.raises(DomainError, match="branch symbol"):
                 cmap.inverse_batch(bad, b)
 
 

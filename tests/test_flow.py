@@ -238,6 +238,22 @@ def test_domain_errors(engine):
         engine.flow(0.5, -0.1)
 
 
+@pytest.mark.parametrize("t,x", [
+    (0.5, [1.5]), (0.5, [np.nan]), (0.5, [-1e-12]), (0.5, [0.2, np.inf]),
+    (5.0, [0.3]), (np.nan, [0.3]), (-np.inf, [0.3]),
+    ([0.5, -1.5], [0.3, 0.4]),
+])
+def test_evolve_rejects_what_flow_rejects(engine, t, x):
+    # a stray position came back as the fixed point it was clipped to, a
+    # nan one as nan with slope 1, and a time outside [-1, 1] was flowed
+    for order in (0, 1, 2):
+        with pytest.raises(DomainError, match="flow time|position"):
+            engine.evolve(t, x, order=order)
+    # the ends of both ranges are inside them
+    y, d1 = engine.evolve(np.array([-1.0, 1.0]), np.array([0.0, 1.0]))
+    assert y.tolist() == [0.0, 1.0] and np.all(np.isfinite(d1))
+
+
 def test_error_proxy_is_tracked(engine):
     s = engine.flow(1.0, 0.37)
     assert 0.0 <= s.err < 1e-10
