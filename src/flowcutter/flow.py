@@ -96,7 +96,7 @@ _QUIET = dict(divide="ignore", over="ignore", invalid="ignore")
 # points (2-core Xeon VM, medians of 8 rounds) 2^13 took 46 ns a point,
 # 2^12 and 2^14 to 2^16 49-58, 2^11 73 and 2^17 94; the unblocked lookup
 # took about 100. A lookup peaks at its outputs plus one block's
-# temporaries.
+# temporaries. lookup_blocks hands the blocks out.
 _BLOCK = 1 << 13
 
 
@@ -283,19 +283,25 @@ def _lookup_block(table: np.ndarray, starts: np.ndarray, which, x
     return y, log_slope
 
 
+def lookup_blocks(size: int):
+    """The slices of range(size) into blocks of at most _BLOCK points, in
+    order: the blocks of a table lookup, for a caller that runs several
+    lookups on the same points while a block stays in cache."""
+    return (slice(lo, lo + _BLOCK) for lo in range(0, size, _BLOCK))
+
+
 def _table_lookup(table: np.ndarray, starts: np.ndarray, which, x
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """_lookup_block over blocks of at most _BLOCK points, each written
-    into its slice of the two outputs (the table route of the module
-    docstring). Shaped like x; a batch of one block is one call.
+    """_lookup_block over lookup_blocks, each written into its slice of
+    the two outputs (the table route of the module docstring). Shaped
+    like x; a batch of one block is one call.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size <= _BLOCK:
         return _lookup_block(table, starts, which, x)
     flat, which = x.ravel(), np.ravel(which)
     y, log_slope = np.empty(flat.size), np.empty(flat.size)
-    for lo in range(0, flat.size, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
+    for block in lookup_blocks(flat.size):
         y[block], log_slope[block] = _lookup_block(
             table, starts, which[block], flat[block])
     return y.reshape(x.shape), log_slope.reshape(x.shape)

@@ -13,7 +13,10 @@ the chart x = (u + 2)/3^(n+1), the word 0^j being the row [-2, 1]. Widths
 ride along as their own variable: a narrow width by the mean-value rule
 on the tables, a wide one by the cancellation-free pair flow, so log
 sizes keep full relative precision at depths where raw endpoint
-subtraction would return garbage.
+subtraction would return garbage. IntervalSet.pull_back writes a
+pull-back into a new set or into given rows, children into the two
+halves of one new level. Its 0-branch reads the rows in the lookup
+kernel's blocks and repairs the rows 0^j by index.
 
 Every analysis walks the word tree with word_levels, the one breadth-first
 level walker, or pull_back_word, one word inside out; both take any state
@@ -35,6 +38,7 @@ import numpy as np
 from . import _checks
 from .cookie import LN3, CookieMap
 from .errors import DomainError
+from .flow import lookup_blocks
 from .scaled import ScaledPoint, _pow3_batch
 
 DEPTH_CAP = 20
@@ -189,9 +193,11 @@ def _mean_value_width(cmap: CookieMap, k: np.ndarray, x: np.ndarray,
     """The width phi_t(x + w) - phi_t(x), t = -block_time(k), as w times the
     Gauss-Legendre mean of phi_t' = exp(log slope) over [x, x + w].
 
-    Every node is a table lookup, one node at a time over all rows (a
-    nodes x rows batch would hold all of them at once); each row's width
-    is a pure function of its own (k, x, w).
+    Every node is a table lookup, one node at a time over all the rows
+    given (a nodes x rows batch would hold all of them at once); each
+    row's width is a pure function of its own (k, x, w). IntervalSet's
+    0-branch calls it on one lookup block at a time, right after that
+    block's left ends.
     """
     mean = np.zeros_like(w)
     for node, weight in zip(WIDTH_NODES, WIDTH_WEIGHTS):
@@ -207,10 +213,8 @@ class IntervalSet:
     chart index n, left chart coordinate u_lo and width d, never recomputed
     by subtraction. Chart n on [0, 1] is the window J_n and u = -2 is the
     point 0, so the word 0^j is the row [-2, 1] of chart j, [0, 3^-j]; every
-    other word lies in one window. The 0-branch moves only the rows inside
-    their window: the left end by the tables, a width d <= WIDTH_RULE_MAX by
-    the mean-value rule on the tables, a wider one by the pair flow
-    FlowEngine.evolve_interval.
+    other word lies in one window. One kernel, pull_back, also writes
+    children.
     """
 
     __slots__ = ("n", "u_lo", "d")
@@ -227,51 +231,84 @@ class IntervalSet:
                    d=np.array([3.0]))
 
     @classmethod
-    def stack(cls, a: "IntervalSet", b: "IntervalSet") -> "IntervalSet":
-        """The rows of a followed by the rows of b."""
-        return cls(**{k: np.concatenate([getattr(a, k), getattr(b, k)])
-                      for k in cls.__slots__})
+    def _empty(cls, rows: int) -> "IntervalSet":
+        return cls(n=np.empty(rows, dtype=np.int32), u_lo=np.empty(rows),
+                   d=np.empty(rows))
 
     def children(self, cmap: CookieMap) -> "IntervalSet":
-        """The next word-tree level: the stacked rows of pull_back(0) and
-        pull_back(1)."""
-        return self.stack(self.pull_back(cmap, 0), self.pull_back(cmap, 1))
+        """The next word-tree level: the rows of pull_back(0) above those
+        of pull_back(1), each written by pull_back straight into its half
+        of one new level, bitwise the stacked pull-backs."""
+        rows = self.size
+        level = IntervalSet._empty(2 * rows)
+        for symbol, half in ((0, slice(rows)), (1, slice(rows, None))):
+            self.pull_back(cmap, symbol, out=IntervalSet(
+                *(getattr(level, key)[half] for key in self.__slots__)))
+        return level
 
     @property
     def size(self) -> int:
         return self.n.size
 
-    def pull_back(self, cmap: CookieMap, symbol: int) -> "IntervalSet":
-        """Apply one inverse branch to every interval in the family."""
-        if _checks.symbol(symbol) == 1:
+    def pull_back(self, cmap: CookieMap, symbol: int, *,
+                  out: "IntervalSet | None" = None) -> "IntervalSet":
+        """Apply one inverse branch to every interval in the family and
+        return the rows, written into out if it is given (children passes
+        the halves of one new level), else into a new set. symbol is the
+        integer 0 or 1, else DomainError; out must hold as many rows, else
+        DomainError, with int32 n and float64 u_lo and d as a new set has.
+
+        The 1-branch divides every row by 3^(n+1). The 0-branch reads the
+        rows in the lookup kernel's blocks (flow.lookup_blocks): a block's
+        left ends flow by one block_flow call and its widths by the
+        mean-value rule while the block is in cache. Each row is a pure
+        function of its own (n, u_lo, d), so no row depends on its block.
+        The rows wider than WIDTH_RULE_MAX are then solved again by one
+        evolve_interval call, the batch of every such row in the set, and
+        the rows 0^j (u_lo < 0) are put back by index: they take n + 1
+        only. Their lookups read a block index of a row in a window, so
+        they build no table, and a set with no row in a window makes no
+        lookup.
+        """
+        symbol = _checks.symbol(symbol)
+        if out is None:
+            out = IntervalSet._empty(self.size)
+        elif out.size != self.size:
+            raise DomainError(f"out has {out.size} rows, the set {self.size}")
+        if symbol == 1:
             # (x + 2)/3: the new chart coordinate is the raw x, so all rows
             # land in chart 0; each divides by the correctly rounded
             # 3^(n+1), as PointBatch.raw does
             pow3 = _pow3_batch(self.n + 1)
-            d = self.d / pow3
+            d = np.divide(self.d, pow3, out=out.d)
             # a positive raw width below _TINY loses its digits, or its
             # size if it rounds to 0; a zero width (a point) stays one
             if d.size and d.min() < _TINY and self.d[d < _TINY].any():
                 raise DomainError("word too long: its width underflows")
-            return IntervalSet(n=np.zeros(self.size, dtype=np.int32),
-                               u_lo=(self.u_lo + 2.0) / pow3, d=d)
+            out.n.fill(0)
+            np.add(self.u_lo, 2.0, out=out.u_lo)
+            out.u_lo /= pow3
+            return out
+        np.add(self.n, 1, out=out.n)
         # the rows 0^j (u_lo = -2) only take n + 1: the 0-branch maps
         # [0, 3^-n] onto [0, 3^-(n+1)]
         inside = self.u_lo >= 0.0
-        k = cmap.schedule.blocks(self.n + 1)
-        u_lo, d = self.u_lo.copy(), self.d.copy()
-        if inside.any():
-            u_lo[inside] = cmap.block_flow(k[inside], self.u_lo[inside])[0]
-        narrow = inside & (self.d <= WIDTH_RULE_MAX)
-        if narrow.any():
-            d[narrow] = _mean_value_width(cmap, k[narrow], self.u_lo[narrow],
-                                          self.d[narrow])
-        wide = inside & ~narrow
-        if wide.any():
-            t = -cmap.schedule.flow_times(self.n[wide] + 1)
-            _, d[wide] = cmap.engine.evolve_interval(t, self.u_lo[wide],
-                                                     self.d[wide])
-        return IntervalSet(n=(self.n + 1).astype(np.int32), u_lo=u_lo, d=d)
+        off = np.flatnonzero(~inside)
+        if off.size < self.size:
+            k = cmap.schedule.blocks(out.n)
+            k[off] = k[np.argmax(inside)]
+            for block in lookup_blocks(self.size):
+                u_lo, d = self.u_lo[block], self.d[block]
+                out.u_lo[block] = cmap.block_flow(k[block], u_lo)[0]
+                out.d[block] = _mean_value_width(cmap, k[block], u_lo, d)
+            wide = np.flatnonzero(inside & ~(self.d <= WIDTH_RULE_MAX))
+            if wide.size:
+                t = -cmap.schedule.flow_times(out.n[wide])
+                _, out.d[wide] = cmap.engine.evolve_interval(
+                    t, self.u_lo[wide], self.d[wide])
+        out.u_lo[off] = self.u_lo[off]
+        out.d[off] = self.d[off]
+        return out
 
     def log_sizes(self) -> np.ndarray:
         """ln |I_w| per row, full relative precision."""

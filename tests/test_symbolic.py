@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from flowcutter import (CookieMap, DepthCapError, DomainError, FlowEngine,
                         interval_table, inverse_branch)
 import flowcutter.cookie as cookie_module
 from flowcutter.cookie import LN3
-from flowcutter.symbolic import WIDTH_RULE_MAX, IntervalSet, word_levels
+from flowcutter.scaled import _pow3_batch
+from flowcutter.symbolic import (WIDTH_NODES, WIDTH_RULE_MAX, WIDTH_WEIGHTS,
+                                 IntervalSet, word_levels)
 
 words = st.text(alphabet="01", min_size=0, max_size=40)
 
@@ -363,12 +366,18 @@ def _take(state, index):
                          for key in IntervalSet.__slots__))
 
 
+def _concatenate(a, b):
+    """The rows of a followed by the rows of b."""
+    return IntervalSet(*(np.concatenate([getattr(a, key), getattr(b, key)])
+                         for key in IntervalSet.__slots__))
+
+
 def test_table_widths_match_high_precision_ode(cmap):
     oracle = CookieMap(cmap.constants, FlowEngine(tol=1e-14))
     want = IntervalSet.root()
     for _ in range(16):
-        want = IntervalSet.stack(_ode_pull_back(want, oracle),
-                                 want.pull_back(oracle, 1))
+        want = _concatenate(_ode_pull_back(want, oracle),
+                            want.pull_back(oracle, 1))
     got = interval_table(cmap, 16)
     dev = float(np.max(np.abs(got.log_sizes() - want.log_sizes())))
     print(f"depth 16: max |d log|I_w|| = {dev:.2e} against the tol-1e-14 ODE")
@@ -391,6 +400,155 @@ def test_table_widths_match_high_precision_ode(cmap):
     t = -cmap.schedule.flow_times(n + 1)
     _, slope = oracle.engine.evolve(t, u_lo, order=1)
     assert got == pytest.approx(w * slope, rel=1e-13)
+
+
+def _pull_back_by_masks(state, cmap, symbol):
+    # IntervalSet.pull_back as it was, before its one kernel: the 0-branch
+    # gathers and scatters the rows inside their window through masks
+    if symbol == 1:
+        pow3 = _pow3_batch(state.n + 1)
+        return IntervalSet(np.zeros(state.size, dtype=np.int32),
+                           (state.u_lo + 2.0) / pow3, state.d / pow3)
+    inside = state.u_lo >= 0.0
+    k = cmap.schedule.blocks(state.n + 1)
+    u_lo, d = state.u_lo.copy(), state.d.copy()
+    if inside.any():
+        u_lo[inside] = cmap.block_flow(k[inside], state.u_lo[inside])[0]
+    narrow = inside & (state.d <= WIDTH_RULE_MAX)
+    if narrow.any():
+        x, w = state.u_lo[narrow], state.d[narrow]
+        mean = np.zeros_like(w)
+        for node, weight in zip(WIDTH_NODES, WIDTH_WEIGHTS):
+            _, log_slope = cmap.block_flow(k[narrow], x + node * w)
+            mean += weight * np.exp(log_slope)
+        d[narrow] = w * mean
+    wide = inside & ~narrow
+    if wide.any():
+        t = -cmap.schedule.flow_times(state.n[wide] + 1)
+        _, d[wide] = cmap.engine.evolve_interval(t, state.u_lo[wide],
+                                                 state.d[wide])
+    return IntervalSet((state.n + 1).astype(np.int32), u_lo, d)
+
+
+def _children_by_masks(state, cmap):
+    return _concatenate(_pull_back_by_masks(state, cmap, 0),
+                        _pull_back_by_masks(state, cmap, 1))
+
+
+def _assert_same_rows(got, want):
+    for key in IntervalSet.__slots__:
+        assert getattr(got, key).dtype == getattr(want, key).dtype, key
+        assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
+
+
+def _fresh_recorded_maps(cmap, monkeypatch):
+    """Two fresh maps, and per map the bytes of every (t, x_lo, width)
+    batch its engine hands evolve_interval."""
+    maps, handed = [], []
+    for _ in range(2):
+        fresh, batches = CookieMap(cmap.constants), []
+
+        def recorded(t, x_lo, width, solve=fresh.engine.evolve_interval,
+                     batches=batches):
+            batches.append(b"|".join(np.asarray(a, dtype=np.float64).tobytes()
+                                     for a in (t, x_lo, width)))
+            return solve(t, x_lo, width)
+
+        monkeypatch.setattr(fresh.engine, "evolve_interval", recorded)
+        maps.append(fresh)
+        handed.append(batches)
+    return maps, handed
+
+
+def test_interval_levels_match_the_masked_pull_backs(cmap, monkeypatch):
+    """Every level of a depth-15 walk, bitwise the masked pull-backs
+    stacked, with the same tables built level by level on fresh engines
+    and the same wide-row batches handed to the pair flow. The 0-half of
+    the last level reads 2^14 rows, two row blocks."""
+    (walked, masked), handed = _fresh_recorded_maps(cmap, monkeypatch)
+    want = IntervalSet.root()
+    for depth, got in enumerate(
+            word_levels(IntervalSet.root(), walked, 15), 1):
+        want = _children_by_masks(want, masked)
+        _assert_same_rows(got, want)
+        assert (list(walked.engine._table_rows)
+                == list(masked.engine._table_rows)), depth
+    assert got.size == 1 << 15
+    assert handed[0] == handed[1] and handed[0]
+
+
+_FAMILIES = {
+    # no row in a window: no lookup, so no table
+    "only 0^j": ([0, 3, 7], [-2.0, -2.0, -2.0], [3.0, 3.0, 3.0]),
+    # the 0^j row's own block (k = 2) is not the live row's (k = 5)
+    "0^j beside n = 40": ([5, 40], [-2.0, 0.3], [3.0, 1e-5]),
+    # widths on both sides of the rule's threshold, in four windows
+    "threshold": (np.repeat([0, 1, 5, 40], 6), np.tile([0.02, 0.5, 0.97], 8),
+                  np.tile(np.repeat(WIDTH_RULE_MAX * np.array(
+                      [1.0 - 1e-9, 1.0 + 1e-9]), 3), 4)),
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_hand_made_rows_match_the_masked_pull_backs(cmap, monkeypatch,
+                                                    family):
+    rows = _common_rows(*_FAMILIES[family])
+    (new, old), handed = _fresh_recorded_maps(cmap, monkeypatch)
+    _assert_same_rows(rows.children(new), _children_by_masks(rows, old))
+    for symbol in (0, 1):
+        _assert_same_rows(rows.pull_back(new, symbol),
+                          _pull_back_by_masks(rows, old, symbol))
+    assert list(new.engine._table_rows) == list(old.engine._table_rows)
+    assert handed[0] == handed[1]
+    if family == "only 0^j":
+        assert not new.engine._table_rows
+    else:
+        assert new.engine._table_rows
+    if family == "threshold":
+        assert handed[0]
+
+
+def test_pull_back_writes_into_given_rows(cmap):
+    rows = _common_rows(*_FAMILIES["threshold"])
+    for symbol in (0, 1):
+        out = IntervalSet(np.zeros(rows.size, dtype=np.int32),
+                          np.zeros(rows.size), np.zeros(rows.size))
+        assert rows.pull_back(cmap, symbol, out=out) is out
+        _assert_same_rows(out, rows.pull_back(cmap, symbol))
+    for size in (rows.size - 1, rows.size + 1):
+        with pytest.raises(DomainError, match="rows"):
+            rows.pull_back(cmap, 0, out=IntervalSet._empty(size))
+
+
+def test_children_pulls_back_through_pull_back(cmap, monkeypatch):
+    # each half of a level is one pull_back call, so a wrapper of
+    # IntervalSet.pull_back sees every row of the walk
+    calls, pull_back = [], IntervalSet.pull_back
+
+    def recorded(state, cmap, symbol, **kwargs):
+        out = pull_back(state, cmap, symbol, **kwargs)
+        calls.append((symbol, out.size))
+        return out
+
+    monkeypatch.setattr(IntervalSet, "pull_back", recorded)
+    rows = _common_rows(*_FAMILIES["threshold"])
+    rows.children(cmap)
+    assert calls == [(0, rows.size), (1, rows.size)]
+
+
+def test_interval_level_peaks_below_its_new_rows(cmap):
+    *_, level = word_levels(IntervalSet.root(), cmap, 16)
+    assert level.size == 1 << 16
+    level.children(cmap)            # builds every table the next level reads
+    tracemalloc.start()
+    try:
+        new = level.children(cmap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = sum(getattr(new, key).nbytes for key in IntervalSet.__slots__)
+    # 1.43 times; the masked pull-backs, stacked, peaked at 2.43 times
+    assert peak < 1.6 * size
 
 
 def test_narrow_width_pull_back_is_batch_independent(cmap):
