@@ -278,7 +278,7 @@ class CookieMap:
         window points flow through the engine's displacement tables, so
         each preimage and increment is a pure function of its own point
         and the symbol: the results are bitwise the same whatever batch,
-        shard or thread computes them. A batch of at most _POINT_BATCH_MAX
+        group or thread computes them. A batch of at most _POINT_BATCH_MAX
         points goes through inverse_point one point at a time; a larger
         one takes the block rules of _pull_back_into, where the 0-branch
         flows every point by one block_flow call and repairs the few

@@ -14,13 +14,14 @@ sbd_profile takes one such pair as one more row of its search: a uniform
 grid on J_{2^k-1} pulled back through 0^(2^k).
 
 All sweeps run on (words x grid) arrays, walked by symbolic.word_levels
-(level j+1 stacks both pullbacks of level j) from [0,1], and below a
-shallow level from each of its rows, one shard each. The grid of a word
+(level j+1 stacks both pullbacks of level j) from [0,1] while a level fits
+one budget of points, _LEVEL_POINTS, and below the last level that fits in
+groups of its rows, each group's levels within the budget. The grid of a word
 is always the inverse image of one fixed uniform grid on [0,1], so the
 grid position of a sample IS its normalized image coordinate under F^k,
 which the profile search uses directly. The walk keeps of each level
 only what its caller reads: each word's grid extrema for bd_sweep, the
-level's windowed spreads for sbd_profile. bd_sweep then sharpens the
+word's windowed spreads for sbd_profile. bd_sweep then sharpens the
 extrema with one golden-section pass run in lockstep across every word of
 every depth, the same refine that distortion() runs for one word; words
 enter it as rows of symbols, right-aligned and padded with -1, so a word
@@ -31,7 +32,7 @@ or, for a word-tree level, its block rules _pull_back_into. The window
 flows are lookups in per-time displacement tables, a pure function of
 each point. A word's ratio is therefore bitwise the same whether
 distortion() computes it alone or a sweep computes it among other words,
-depths, shards or threads.
+depths, groups or threads.
 """
 
 from __future__ import annotations
@@ -189,11 +190,12 @@ class _PointGrid:
             extra += self.extra
         return level
 
-    def rows(self) -> list["_PointGrid"]:
-        """Each row as a grid of its own, top to bottom."""
-        return [_PointGrid(*(getattr(self, k)[i:i + 1]
+    def groups(self, size: int) -> list["_PointGrid"]:
+        """Consecutive runs of size rows, each a grid of its own, top to
+        bottom."""
+        return [_PointGrid(*(getattr(self, k)[i:i + size]
                              for k in self.__slots__))
-                for i in range(self.extra.shape[0])]
+                for i in range(0, self.extra.shape[0], size)]
 
 
 def _positions(symbols: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -274,9 +276,23 @@ def _refine_extrema(cmap: CookieMap, symbols: np.ndarray, cells: np.ndarray,
 # ----------------------------------------------------------------------
 
 # Words per _refine_extrema call of bd_sweep: sweeps to depth 14 (2^15 - 2
-# words) refine in one call, and the chunks of deeper sweeps keep the
-# refine within the working set of the walk.
+# words) refine in one call, and deeper sweeps refine in chunks, so the
+# refine's working set stays fixed while the walk's is held to
+# _LEVEL_POINTS. One chunk is 2^16 golden-section tasks (a maximum and a
+# minimum per word); its tracemalloc peak is about 18 MiB (depth-15 words,
+# 24 iterations), twice the 9 MiB of a whole depth-13 walk at the budget.
 _REFINE_CHUNK_WORDS = 1 << 15
+
+# Points per word-tree level that _run_shards holds at once, its working
+# set (a _PointGrid point is 21 bytes, so 2^18 points are 5.5 MB). At the
+# default grid that is 1 020 rows; one row's subtree fits it to depth 16
+# for every grid up to 1 024 points. Medians of seven bench/worker.py runs
+# each (seed 7, 2-core Xeon VM, numpy 2.4): sbd_profile(13, threads=2)
+# wall 0.361 / 0.299 / 0.263 / 0.266 s and peak RSS 46.4 / 49.0 / 54.6 /
+# 69.9 MiB at 2^16 / 2^17 / 2^18 / 2^19 points, against 0.263 s and
+# 84.5 MiB for 2^11-row shards; bd_sweep(11) wall 0.24-0.26 s at every
+# budget, peak RSS 44.5 / 45.1 / 48.5 / 53.9 MiB against 59.2 MiB unsplit.
+_LEVEL_POINTS = 1 << 18
 
 # Rows per block of _window_spreads, so that a block's rows and its max/min
 # pyramid stay in cache (128 x 257 floats is 257 KiB an array). On one
@@ -287,24 +303,25 @@ _REFINE_CHUNK_WORDS = 1 << 15
 _SPREAD_BLOCK_ROWS = 128
 
 
-def _window_spreads(extra: np.ndarray, window_cells) -> list[float]:
-    """Largest max-minus-min of extra over index windows, one per span.
+def _window_spreads(extra: np.ndarray, window_cells) -> np.ndarray:
+    """Each row's largest max-minus-min of extra over index windows, per span.
 
     For each span in window_cells, each row is scanned with windows of
     span + 1 consecutive entries, or the whole row when it is shorter; the
-    result lists one spread per span, in the order given. Window maxima
-    and minima come from doubling: the extrema over spans of 1, 2, 4, ...
-    entries, built once per block of rows and shared by every span, and a
-    window's extremum as that of two overlapping power-of-two spans. Only
-    comparisons are involved, so each result is exact, and equal to the
-    spread of a "nearest"-mode max/min filter: a window clipped at a row's
-    end is a subset of a full window.
+    result has one row per span, in the order given, and one column per row
+    of extra. Window maxima and minima come from doubling: the extrema over
+    spans of 1, 2, 4, ... entries, built once per block of rows and shared
+    by every span, and a window's extremum as that of two overlapping
+    power-of-two spans. Only comparisons are involved, so each result is
+    exact, and equal to the spread of a "nearest"-mode max/min filter: a
+    window clipped at a row's end is a subset of a full window.
     """
     sizes = [min(int(c) + 1, extra.shape[1]) for c in window_cells]
-    best = np.full(len(sizes), -np.inf)
+    best = np.empty((len(sizes), extra.shape[0]))
     by_size = sorted(range(len(sizes)), key=sizes.__getitem__)
     for start in range(0, extra.shape[0], _SPREAD_BLOCK_ROWS):
-        hi = lo = extra[start:start + _SPREAD_BLOCK_ROWS]
+        block = slice(start, start + _SPREAD_BLOCK_ROWS)
+        hi = lo = extra[block]
         span = 1
         for i in by_size:
             while 2 * span <= sizes[i]:
@@ -314,8 +331,8 @@ def _window_spreads(extra: np.ndarray, window_cells) -> list[float]:
             shift = sizes[i] - span
             spread = (np.maximum(hi[:, :hi.shape[1] - shift], hi[:, shift:])
                       - np.minimum(lo[:, :lo.shape[1] - shift], lo[:, shift:]))
-            best[i] = np.maximum(best[i], spread.max())
-    return best.tolist()
+            best[i, block] = spread.max(axis=1)
+    return best
 
 
 def _run_shards(cmap: CookieMap, k_max: int, grid: int, keep,
@@ -323,47 +340,49 @@ def _run_shards(cmap: CookieMap, k_max: int, grid: int, keep,
     """Walk the word tree once, keeping keep(extra) of every level.
 
     keep maps a level's (rows x grid) extras to a tuple of arrays whose
-    last axis runs over the level's rows (bd_sweep: _grid_extrema) or
-    holds one column (sbd_profile: the level's window spreads). Depths
-    1..d (d = _default_shard_depth(k_max)) are walked from [0,1]; row i of
-    depth d seeds shard i, which walks the depths below it: the words that
-    end in word i. Sharding bounds the working set (each shard holds
-    2^(k-d) rows at depth k) and gives the thread pool independent units.
-    The merge interleaves the shards' last axes, so row j of shard i lands
-    at j 2^d + i, the row of its word in lex order; a shard that returns
-    a wrong number of levels or rows raises. Nothing depends on the thread
-    count, so the result is bit-identical for any. Returns keep's arrays,
-    each concatenated along its last axis over depths 1..k_max.
+    last axis runs over the level's rows (bd_sweep: _grid_extrema;
+    sbd_profile: each row's window spreads). No level holds more than
+    _LEVEL_POINTS points when one row's subtree fits: the walk goes
+    breadth-first from [0,1] while the next level fits, to depth d; then it
+    splits depth d into groups of B consecutive rows, B the largest power
+    of two (at least 1) whose deepest level, B 2^(k_max - d) rows, fits,
+    and walks each group alone, on a pool of up to `threads` workers when
+    there are two groups or more. The merge interleaves the groups' last
+    axes: row s of group g, p symbols further down, with prefix q of those
+    p symbols, is word q 2^d + g B + s, the row of its word in lex order; a
+    group that returns a wrong number of levels or rows raises. Nothing
+    depends on the thread count, so the result is bit-identical for any.
+    Returns keep's arrays, each concatenated along its last axis over
+    depths 1..k_max.
     """
     threads = _checks.integer(threads, "threads", 1)
-    d = _default_shard_depth(k_max)
+    rows = max(1, _LEVEL_POINTS // grid)
+    d = min(k_max, rows.bit_length() - 1)
+    block = 1 << min(d, max(0, (rows >> (k_max - d)).bit_length() - 1))
     state = _PointGrid.root(grid)
     levels = []
     for state in word_levels(state, cmap, d):
         levels.append(keep(state.extra))
+    seeds = state.groups(block)
 
     def run(seed):
         return [keep(level.extra)
                 for level in word_levels(seed, cmap, k_max - d)]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            shards = list(pool.map(run, state.rows()))
+    if threads > 1 and len(seeds) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(seeds))) as pool:
+            groups = list(pool.map(run, seeds))
     else:
-        shards = [run(seed) for seed in state.rows()]
+        groups = [run(seed) for seed in seeds]
 
-    for _, *parts in zip(range(d + 1, k_max + 1), *shards, strict=True):
+    for p, *parts in zip(range(1, k_max - d + 1), *groups, strict=True):
         levels.append(tuple(
-            np.stack(arrays, axis=-1).reshape(*arrays[0].shape[:-1],
-                                              arrays[0].shape[-1] << d)
+            np.stack([a.reshape(*a.shape[:-1], 1 << p, block)
+                      for a in arrays], axis=-2).reshape(
+                          *arrays[0].shape[:-1], 1 << (d + p))
             for arrays in zip(*parts, strict=True)))
     return tuple(np.concatenate(arrays, axis=-1)
                  for arrays in zip(*levels, strict=True))
-
-
-def _default_shard_depth(k_max: int) -> int:
-    # keep each shard near or below ~2^11 rows at full depth
-    return max(0, min(6, k_max - 11))
 
 
 # ----------------------------------------------------------------------
@@ -509,8 +528,7 @@ def sbd_profile(cmap: CookieMap, k_max: int, scales=DEFAULT_SCALES,
                           f"{grid}-point witness row, got {max(scales):g}")
     window_cells = [int((grid - 1) // r) for r in scales]
     found, = _run_shards(
-        cmap, k_max, grid,
-        lambda extra: (np.array(_window_spreads(extra, window_cells))[:, None],),
+        cmap, k_max, grid, lambda extra: (_window_spreads(extra, window_cells),),
         threads)
 
     k = next((k for k in range(_WITNESS_BLOCK_MAX)
@@ -522,7 +540,7 @@ def sbd_profile(cmap: CookieMap, k_max: int, scales=DEFAULT_SCALES,
         row.extra, [(grid - 1) * 3.0 ** (m + 1) // r for r in scales])
     return [SbdProfile(r=r, beta_hat=float(np.exp(max(searched, spread))))
             for r, searched, spread in zip(scales, found.max(axis=1).tolist(),
-                                           witness)]
+                                           witness[:, 0].tolist())]
 
 
 def audit_interval_sizes(cmap: CookieMap, n_max: int, k_max: int,

@@ -9,8 +9,8 @@ import pytest
 from flowcutter import (CookieMap, DomainError, FlowEngine, SizeBoundReport, ScaledPoint, bd_sweep,
                         distortion, audit_interval_sizes, sbd_profile, sbd_witness,
                         theoretical_bound)
-from flowcutter.distortion import (_PointGrid, _compose_extras, _grid_extrema,
-                                   _positions, _refine_extrema,
+from flowcutter.distortion import (DEFAULT_GRID, _PointGrid, _compose_extras,
+                                   _grid_extrema, _positions, _refine_extrema,
                                    _window_spreads, _SPREAD_BLOCK_ROWS)
 from flowcutter import flow as flow_module
 from flowcutter.optimize import golden_max, golden_min
@@ -104,16 +104,46 @@ def test_sweep_matches_single_word_evaluations(cmap):
             assert rep.per_word[i] == solo
 
 
-def _shard_at(monkeypatch, depth):
-    """Make every sweep shard the word tree at the given depth."""
-    monkeypatch.setattr(distortion_module, "_default_shard_depth",
-                        lambda k_max: depth)
+def _level_rows(monkeypatch, rows, grid):
+    """Let a word-tree level of the sweeps hold `rows` rows of `grid` points.
+
+    At depth k_max the walk then runs unsplit when 2^k_max <= rows, and
+    otherwise breadth-first to the depth d of the largest 2^d <= rows and
+    then in groups of B rows of depth d, B the largest power of two with
+    B 2^(k_max - d) <= rows, or 1 (a single group, the root, when rows is 1).
+    """
+    monkeypatch.setattr(distortion_module, "_LEVEL_POINTS", rows * grid)
 
 
-def test_sweep_thread_count_does_not_change_bits(cmap, monkeypatch):
-    _shard_at(monkeypatch, 2)
+def _walks(monkeypatch):
+    """Record each word_levels call of the sweeps as (seed rows, levels)."""
+    calls = []
+
+    def recorded(state, cmap, levels):
+        calls.append((state.extra.shape[0], levels))
+        return word_levels(state, cmap, levels)
+
+    monkeypatch.setattr(distortion_module, "word_levels", recorded)
+    return calls
+
+
+# (rows a level holds, the word_levels calls it makes) at k_max = 6: one
+# group below d = 0, one-row groups below d = 2, four-row groups below
+# d = 4, and one group that walks no level below d = 6
+LAYOUTS_AT_6 = {"d = 0": (1, [(1, 0), (1, 6)]),
+                "one-row groups": (4, [(1, 2)] + [(1, 4)] * 4),
+                "multi-row groups": (16, [(1, 4)] + [(4, 2)] * 4),
+                "no split": (64, [(1, 6), (64, 0)])}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS_AT_6)
+def test_sweep_thread_count_does_not_change_bits(cmap, monkeypatch, layout):
+    rows, walks = LAYOUTS_AT_6[layout]
+    _level_rows(monkeypatch, rows, 65)
+    calls = _walks(monkeypatch)
     a = bd_sweep(cmap, 6, grid=65, refine_iters=8, threads=1)
     b = bd_sweep(cmap, 6, grid=65, refine_iters=8, threads=3)
+    assert calls == walks + walks
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.per_word, rb.per_word)
         assert ra.c_k == rb.c_k
@@ -126,21 +156,23 @@ def test_sweep_rejects_nonpositive_threads(cmap, threads):
 
 
 def test_sweep_sharding_covers_all_depths(cmap, monkeypatch):
-    # shard depth k_max leaves the shards no levels to walk
+    # rows 1: d = 0, one group; 2 and 4: one-row groups; 8 and 12: groups
+    # of 2 rows below d = 3; 16: two groups of 8; 32: no split, the groups
+    # walk no level
     k_max = 5
     for refine_iters in (0, 8):
-        _shard_at(monkeypatch, 0)
+        _level_rows(monkeypatch, 2 ** k_max, 65)
         plain = bd_sweep(cmap, k_max, grid=65, refine_iters=refine_iters)
-        for depth in range(1, k_max + 1):
-            _shard_at(monkeypatch, depth)
+        for rows in (1, 2, 3, 4, 8, 12, 16, 32):
+            _level_rows(monkeypatch, rows, 65)
             sharded = bd_sweep(cmap, k_max, grid=65,
                                refine_iters=refine_iters)
             for ra, rb in zip(plain, sharded):
-                assert np.array_equal(ra.per_word, rb.per_word), depth
+                assert np.array_equal(ra.per_word, rb.per_word), rows
 
 
 def test_sweep_refines_once(cmap, monkeypatch):
-    _shard_at(monkeypatch, 0)
+    _level_rows(monkeypatch, 1, 65)
     plain = bd_sweep(cmap, 6, grid=65, refine_iters=8)
     calls = []
 
@@ -148,7 +180,7 @@ def test_sweep_refines_once(cmap, monkeypatch):
         calls.append(args[1].shape[0])
         return _refine_extrema(*args, **kwargs)
 
-    _shard_at(monkeypatch, 3)
+    _level_rows(monkeypatch, 16, 65)
     monkeypatch.setattr(distortion_module, "_refine_extrema", counted)
     sharded = bd_sweep(cmap, 6, grid=65, refine_iters=8)
     # one call over every word of every depth
@@ -157,11 +189,14 @@ def test_sweep_refines_once(cmap, monkeypatch):
         assert np.array_equal(ra.per_word, rb.per_word)
 
 
-@pytest.mark.parametrize("short", ["one shard a level", "every shard a level",
-                                   "one shard a row"])
-def test_merge_rejects_a_short_shard(cmap, monkeypatch, short):
-    # the top walk is the first word_levels call, the shards the next four
-    _shard_at(monkeypatch, 2)
+@pytest.mark.parametrize("short", ["one group a level", "every group a level",
+                                   "one group a row"])
+@pytest.mark.parametrize("rows, walks", [(4, [2, 3, 3, 3, 3]),
+                                         (8, [3, 2, 2, 2, 2])],
+                         ids=["one-row groups", "two-row groups"])
+def test_merge_rejects_a_short_shard(cmap, monkeypatch, short, rows, walks):
+    # the top walk is the first word_levels call, the groups the next four
+    _level_rows(monkeypatch, rows, 33)
     calls = []
 
     def shortened(state, cmap, levels):
@@ -177,8 +212,58 @@ def test_merge_rejects_a_short_shard(cmap, monkeypatch, short):
     monkeypatch.setattr(distortion_module, "word_levels", shortened)
     with pytest.raises(ValueError):
         bd_sweep(cmap, 5, grid=33, refine_iters=0)
-    # the merge raises, after the top walk and all four shards
-    assert calls == [2, 3, 3, 3, 3]
+    # the merge raises, after the top walk and all four groups
+    assert calls == walks
+
+
+@pytest.mark.parametrize("grid", [33, 65, 257])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_walk_holds_its_level_budget(cmap, monkeypatch, grid, threads):
+    # 2^13 points: a one-row group's deepest level fits up to k_max = 8 at
+    # grid 257; the kept extras, transposed, put each row in its word's
+    # column, so the merge must return the breadth-first walk's levels
+    budget = 1 << 13
+    monkeypatch.setattr(distortion_module, "_LEVEL_POINTS", budget)
+    walked = []
+
+    def watched(state, cmap, levels):
+        for level in word_levels(state, cmap, levels):
+            walked.append(level.extra.size)
+            yield level
+
+    def keep(extra):
+        kept.append(extra.size)
+        return (extra.T,)
+
+    monkeypatch.setattr(distortion_module, "word_levels", watched)
+    levels = list(word_levels(_PointGrid.root(grid), cmap, 8))
+    for k_max in range(1, 9):
+        walked, kept = [], []
+        columns, = distortion_module._run_shards(cmap, k_max, grid, keep,
+                                                 threads)
+        assert max(walked) <= budget and max(kept) <= budget, k_max
+        assert sum(kept) == sum(walked) == (2 ** (k_max + 1) - 2) * grid
+        want = np.concatenate([level.extra.T for level in levels[:k_max]],
+                              axis=1)
+        assert np.array_equal(columns, want), k_max
+
+
+@pytest.mark.parametrize("rows, workers", [(1, None), (64, None), (2, 2),
+                                           (4, 3), (16, 3)],
+                         ids=["d = 0", "no split", "two groups",
+                              "four one-row groups", "four four-row groups"])
+def test_pool_starts_only_for_two_groups(cmap, monkeypatch, rows, workers):
+    pools = []
+
+    class Recorded(distortion_module.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(distortion_module, "ThreadPoolExecutor", Recorded)
+    _level_rows(monkeypatch, rows, 33)
+    bd_sweep(cmap, 6, grid=33, refine_iters=0, threads=3)
+    assert pools == ([] if workers is None else [workers])
 
 
 def test_long_words_compose_through_every_symbol(cmap):
@@ -190,12 +275,13 @@ def test_long_words_compose_through_every_symbol(cmap):
         assert distortion(cmap, "1" * 300 + w) == alone, w
 
 
-@pytest.mark.parametrize("shard_depth", [0, 2, 3])
-def test_single_word_distortion_is_its_sweep_entry(cmap, shard_depth,
-                                                   monkeypatch):
+@pytest.mark.parametrize("rows", [1, 4, 8, 32],
+                         ids=["d = 0", "one-row groups", "multi-row groups",
+                              "no split"])
+def test_single_word_distortion_is_its_sweep_entry(cmap, rows, monkeypatch):
     # every result is a pure per-point function, so neither the batch nor
-    # the shard a word is swept in moves a bit
-    _shard_at(monkeypatch, shard_depth)
+    # the group a word is swept in moves a bit
+    _level_rows(monkeypatch, rows, DEFAULT_GRID)
     reports = bd_sweep(cmap, 5)
     for rep in reports:
         for i in range(2 ** rep.depth):
@@ -454,7 +540,7 @@ def _filter_spread(extra, window_cells):
     size = window_cells + 1
     hi = ndimage.maximum_filter1d(extra, size=size, axis=1, mode="nearest")
     lo = ndimage.minimum_filter1d(extra, size=size, axis=1, mode="nearest")
-    return float(np.max(hi - lo))
+    return np.max(hi - lo, axis=1)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 29, 86, 300])
@@ -466,8 +552,8 @@ def test_window_spread_matches_scipy_filters(cmap, size):
     levels = word_levels(_PointGrid.root(257), cmap, 6)
     rows.append(list(levels)[-1].extra)
     for extra in rows:
-        assert (_window_spreads(extra, [size - 1])
-                == [_filter_spread(extra, size - 1)])
+        assert np.array_equal(_window_spreads(extra, [size - 1]),
+                              [_filter_spread(extra, size - 1)])
 
 
 def _single_span_spread(extra, window_cells):
@@ -483,7 +569,7 @@ def _single_span_spread(extra, window_cells):
     shift = size - span
     hi = np.maximum(hi[:, :hi.shape[1] - shift], hi[:, shift:])
     lo = np.minimum(lo[:, :lo.shape[1] - shift], lo[:, shift:])
-    return float(np.max(hi - lo))
+    return np.max(hi - lo, axis=1)
 
 
 def test_blocked_spreads_match_one_pyramid_per_span(cmap):
@@ -503,7 +589,8 @@ def test_blocked_spreads_match_one_pyramid_per_span(cmap):
         for rows in (1, block - 1, block, block + 1, tall):
             extra = source[:rows]
             want = [_single_span_spread(extra, c) for c in spans]
-            assert _window_spreads(extra, spans) == want, (name, rows)
+            assert np.array_equal(_window_spreads(extra, spans), want), (
+                name, rows)
 
 
 def test_blocked_spreads_stay_below_one_copy_of_a_level():
@@ -573,13 +660,18 @@ def test_profile_rejects_scales_beyond_the_witness_row(cmap):
     assert prof[0].beta_hat > prof[1].beta_hat > 1.0
 
 
-def test_profile_thread_count_does_not_change_bits(consts, monkeypatch):
+@pytest.mark.parametrize("layout", LAYOUTS_AT_6)
+def test_profile_thread_count_does_not_change_bits(consts, monkeypatch,
+                                                   layout):
     # each run on a fresh engine, so that the threads race to build the
     # flow tables on first use
-    _shard_at(monkeypatch, 2)
+    rows, walks = LAYOUTS_AT_6[layout]
+    _level_rows(monkeypatch, rows, 65)
+    calls = _walks(monkeypatch)
     runs = [sbd_profile(CookieMap(consts, FlowEngine(tol=consts.tol)), 6,
                         scales=(1.0, 3.0, 27.0), grid=65, threads=threads)
             for threads in (1, 3)]
+    assert calls == walks + walks
     assert runs[0] == runs[1]
 
 
