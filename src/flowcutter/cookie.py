@@ -31,13 +31,6 @@ from .scaled import (Locus, PointBatch, ScaledPoint, _indices, _pow3,
                      _raw_into)
 
 LN3 = math.log(3.0)
-# Batches of at most this many points are pulled back one point at a time
-# (inverse_point, through FlowEngine.table_point), larger ones in one table
-# lookup (block_flow): the point loop pays per point, the block route a
-# fixed numpy cost per call. Medians of 15 rounds on a 2-core VM, batches
-# of 3/4 deep window points pulled back by the 0-branch, point loop against
-# block route: 4 points 87 against 100 us, 8 points 149 against 87 us.
-_POINT_BATCH_MAX = 4
 # The raw steps of the junction check, 1e-2 down to 1e-9, each the one
 # before divided by 10.0 (from 1e-6 on, 1e-2 / 10.0 ** j rounds 1 ulp away)
 _C1_STEPS = tuple(itertools.accumulate(range(7), lambda h, _: h / 10.0,
@@ -266,82 +259,64 @@ class CookieMap:
             -self.schedule.flow_time(p.n + 1), p.u)
         return ScaledPoint(Locus.INJ, p.n + 1, y), -log_slope
 
-    def inverse_batch(self, symbol, b: PointBatch) -> tuple[PointBatch, np.ndarray]:
+    def inverse_batch(self, symbol, b: PointBatch, *,
+                      out: tuple[PointBatch, np.ndarray] | None = None
+                      ) -> tuple[PointBatch, np.ndarray]:
         """Inverse branch symbol (0 or 1) on a batch; returns (preimage,
-        log F' - ln 3). Any other symbol, an array of them included,
-        raises DomainError.
+        log F' - ln 3), written into out if it is given, else into new
+        arrays. Any other symbol, an array of them included, raises
+        DomainError. out is a (PointBatch, increments) pair whose every
+        array has b's shape, else DomainError, and b's dtypes.
 
         The reported log increment is the slope of F at the *preimage*,
         obtained for free from the backward flow's log slope, since
         phi_t'(phi_{-t}(u)) * phi_{-t}'(u) = 1. The 1-branch is affine:
         its preimages are the raw values (PointBatch.raw). The 0-branch
-        window points flow through the engine's displacement tables, so
-        each preimage and increment is a pure function of its own point
-        and the symbol: the results are bitwise the same whatever batch,
-        group or thread computes them. A batch of at most _POINT_BATCH_MAX
-        points goes through inverse_point one point at a time; a larger
-        one takes the block rules of _pull_back_into, where the 0-branch
-        flows every point by one block_flow call and repairs the few
-        points off the windows by index.
+        flows every point by one block_flow call, as if it sat in a
+        window, then repairs the few that do not by index: a hole point
+        moves into the gap below J_1, a gap point one gap down, 0 stays,
+        each with increment 0.0. A repaired point reads the table of a
+        window point of b, so its wasted lookup builds no table; a batch
+        with no window point makes no lookup. Each preimage and increment
+        is a pure function of its own point and the symbol: the results
+        are bitwise the same whatever batch, group or thread computes
+        them, and bitwise inverse_point's.
         """
         symbol = _checks.symbol(symbol)
-        if b.size <= _POINT_BATCH_MAX:
-            return self._inverse_points(symbol, b)
-        out, extra = _empty_like(b), np.empty(b.u.shape)
-        self._pull_back_into(symbol, b, out, extra)
-        return out, extra
-
-    def _pull_back_into(self, symbol: int, b: PointBatch, out: PointBatch,
-                        extra: np.ndarray) -> None:
-        """Write the preimages of b under the branch symbol (0 or 1) into
-        out, and their increments log F' - ln 3 into extra, all arrays
-        shaped like b: inverse_batch's rules for a batch of any size.
-
-        The 1-branch writes the raw values. The 0-branch flows every point
-        by one block_flow call, as if it sat in a window, then repairs the
-        few that do not by index: a hole point moves into the gap below
-        J_1, a gap point one gap down, 0 stays, each with increment 0.0. A
-        repaired point reads the table of a window point of b, so its
-        wasted lookup builds no table; a batch with no window point makes
-        no lookup.
-        """
+        if out is None:
+            out = (PointBatch(*map(np.empty_like, (b.locus, b.n, b.u))),
+                   np.empty(b.u.shape))
+        pre, extra = out
+        shapes = {a.shape for a in (pre.locus, pre.n, pre.u, extra)}
+        if shapes != {b.u.shape}:
+            raise DomainError(f"out has arrays of shapes {sorted(shapes)}, "
+                              f"the batch {b.u.shape}")
         if symbol == 1:
-            out.locus.fill(int(Locus.INJ))
-            out.n.fill(0)
-            _raw_into(b, out.u)
+            pre.locus.fill(int(Locus.INJ))
+            pre.n.fill(0)
+            _raw_into(b, pre.u)
             extra.fill(0.0)
-            return
-        np.add(b.n, 1, out=out.n)
-        out.locus[...] = b.locus
+            return out
+        np.add(b.n, 1, out=pre.n)
+        pre.locus[...] = b.locus
         window = b.locus == int(Locus.INJ)
         off = _indices(~window)
         if off[0].size < b.size:
-            k = self.schedule.blocks(out.n)
+            k = self.schedule.blocks(pre.n)
             if off[0].size:
                 k[off] = k.flat[np.argmax(window)]
             y, log_slope = self.block_flow(k, b.u)
-            out.u[...] = y
+            pre.u[...] = y
             np.negative(log_slope, out=extra)
         if off[0].size:
             locus, n = b.locus[off], b.n[off]
             hole = locus == int(Locus.HOLE)
-            out.locus[off] = np.where(hole, int(Locus.GAP), locus)
-            out.n[off] = np.where(hole, 1, np.where(locus == int(Locus.GAP),
+            pre.locus[off] = np.where(hole, int(Locus.GAP), locus)
+            pre.n[off] = np.where(hole, 1, np.where(locus == int(Locus.GAP),
                                                     n + 1, n))
-            out.u[off] = b.u[off]
+            pre.u[off] = b.u[off]
             extra[off] = 0.0
-
-    def _inverse_points(self, symbol: int, b: PointBatch
-                        ) -> tuple[PointBatch, np.ndarray]:
-        """inverse_batch of a checked symbol, one inverse_point per point."""
-        pulled = [self.inverse_point(symbol, b.point(i)) for i in range(b.size)]
-        shape = b.u.shape
-        return PointBatch(
-            np.array([int(q.locus) for q, _ in pulled],
-                     b.locus.dtype).reshape(shape),
-            np.array([q.n for q, _ in pulled], b.n.dtype).reshape(shape),
-            np.array([q.u for q, _ in pulled]).reshape(shape),
-        ), np.array([inc for _, inc in pulled]).reshape(shape)
+        return out
 
     def block_flow(self, k: np.ndarray, u: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -495,11 +470,6 @@ class C1BoundaryReport:
     @property
     def midpoint_final_residual(self) -> float:
         return self.midpoint_rows[-1].residual if self.midpoint_rows else 0.0
-
-
-def _empty_like(b: PointBatch) -> PointBatch:
-    """An uninitialised batch with b's shape and dtypes."""
-    return PointBatch(*(np.empty_like(a) for a in (b.locus, b.n, b.u)))
 
 
 @lru_cache(maxsize=8)

@@ -27,12 +27,13 @@ every depth, the same refine that distortion() runs for one word; words
 enter it as rows of symbols, right-aligned and padded with -1, so a word
 of any length composes through exactly its own symbols.
 
-Every pull-back takes one branch symbol, through CookieMap.inverse_batch
-or, for a word-tree level, its block rules _pull_back_into. The window
-flows are lookups in per-time displacement tables, a pure function of
-each point. A word's ratio is therefore bitwise the same whether
-distortion() computes it alone or a sweep computes it among other words,
-depths, groups or threads.
+Every pull-back takes one branch symbol through one call of the batch
+kernel, CookieMap.inverse_batch; a word-tree level has it write both
+pull-backs into the halves of one new grid. The window flows are lookups
+in per-time displacement tables, a pure function of each point. A word's
+ratio is therefore bitwise the same whether distortion() computes it
+alone or a sweep computes it among other words, depths, groups or
+threads.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from .cookie import LN3, CookieMap, interval_J
 from .errors import BoundViolationError, DepthCapError, DomainError
 from .optimize import golden_max
 from .scaled import Locus, PointBatch, ScaledPoint
-from .symbolic import (DEPTH_CAP, IntervalSet, Word, pull_back_word,
-                       word_levels)
+from .symbolic import (DEPTH_CAP, IntervalSet, Word, WordRows,
+                       pull_back_word, word_levels)
 
 LN2 = math.log(2.0)
 
@@ -140,7 +141,7 @@ def theoretical_bound(M: float) -> float:
 # grid state: (words x grid points) with accumulated log-slope extras
 # ----------------------------------------------------------------------
 
-class _PointGrid:
+class _PointGrid(WordRows):
     """Sample grids for a family of words, one row per word.
 
     extra[r, i] holds log (F^k)'(x_{r,i}) - k ln 3 for the depth-k word of
@@ -169,33 +170,24 @@ class _PointGrid:
                    np.full((1, grid), n, dtype=np.int32),
                    np.linspace(0.0, 1.0, grid)[None, :], np.zeros((1, grid)))
 
-    def pull_back(self, cmap: CookieMap, symbol: int) -> "_PointGrid":
-        batch = PointBatch(self.locus, self.n, self.u)
-        child, delta = cmap.inverse_batch(symbol, batch)
-        return _PointGrid(child.locus, child.n, child.u, self.extra + delta)
-
-    def children(self, cmap: CookieMap) -> "_PointGrid":
-        """The next word-tree level: the rows of pull_back(0) above those
-        of pull_back(1), each written straight into its half of one new
-        level, bitwise the stacked pull-backs."""
-        rows = self.extra.shape[0]
-        level = _PointGrid(*(np.empty((2 * rows,) + a.shape[1:], a.dtype)
-                             for a in (self.locus, self.n, self.u,
-                                       self.extra)))
-        batch = PointBatch(self.locus, self.n, self.u)
-        for symbol, half in ((0, slice(rows)), (1, slice(rows, None))):
-            extra = level.extra[half]
-            cmap._pull_back_into(symbol, batch, PointBatch(
-                level.locus[half], level.n[half], level.u[half]), extra)
-            extra += self.extra
-        return level
+    def pull_back(self, cmap: CookieMap, symbol: int, *,
+                  out: "_PointGrid | None" = None) -> "_PointGrid":
+        """Pull every point back by the branch symbol and return the grid,
+        written into out if it is given (word_levels passes the halves of
+        one new level), else into a new grid: one inverse_batch call,
+        whose increments are then added to the extras carried so far."""
+        if out is None:
+            out = self.empty(len(self))
+        cmap.inverse_batch(symbol, PointBatch(self.locus, self.n, self.u),
+                           out=(PointBatch(out.locus, out.n, out.u),
+                                out.extra))
+        out.extra += self.extra
+        return out
 
     def groups(self, size: int) -> list["_PointGrid"]:
         """Consecutive runs of size rows, each a grid of its own, top to
         bottom."""
-        return [_PointGrid(*(getattr(self, k)[i:i + size]
-                             for k in self.__slots__))
-                for i in range(0, self.extra.shape[0], size)]
+        return [self[i:i + size] for i in range(0, len(self), size)]
 
 
 def _positions(symbols: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

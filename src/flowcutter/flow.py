@@ -35,10 +35,10 @@ Two evaluation routes are provided:
   a lookup of one block is a single pass. The point kernel
   (FlowEngine.table_point) evaluates the same formulas on one point in
   Python floats, without numpy's fixed cost per array call; it serves the
-  forward step and the pull-back of single points and small batches. The
-  formulas use only +, -, *, / and floor, never exp or log, so floats and
-  arrays round alike: each result is a pure function of (t, x), bitwise
-  the same whatever kernel, batch or block computes it;
+  forward step and the pull-back of single points. The formulas use only
+  +, -, *, / and floor, never exp or log, so floats and arrays round
+  alike: each result is a pure function of (t, x), bitwise the same
+  whatever kernel, batch or block computes it;
 * the variational route: integrate y' = X(y) jointly with v' = X'(y) v and
   w' = X''(y) v^2 + X'(y) w using the adaptive stepper, in batches
   (evolve) or one column at a time (flow). It serves certification, the

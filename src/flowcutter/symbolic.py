@@ -14,14 +14,16 @@ ride along as their own variable: a narrow width by the mean-value rule
 on the tables, a wide one by the cancellation-free pair flow, so log
 sizes keep full relative precision at depths where raw endpoint
 subtraction would return garbage. IntervalSet.pull_back writes a
-pull-back into a new set or into given rows, children into the two
-halves of one new level. Its 0-branch reads the rows in the lookup
-kernel's blocks and repairs the rows 0^j by index.
+pull-back into a new set or into given rows. Its 0-branch reads the rows
+in the lookup kernel's blocks and repairs the rows 0^j by index.
 
 Every analysis walks the word tree with word_levels, the one breadth-first
-level walker, or pull_back_word, one word inside out; both take any state
-with pull_back and children. Single points go through inverse_branch, the
-point form of the pull-back kernel (CookieMap.inverse_point, which states
+level walker, or pull_back_word, one word inside out. Both take any
+WordRows state with pull_back: intervals here, point grids in
+flowcutter.distortion, whose pull_back is CookieMap.inverse_batch. Every
+level is made by one rule, the two pull-backs written into the two halves
+of one new state. Single points go through inverse_branch, the point form
+of the pull-back kernel (CookieMap.inverse_point, which states
 CookieMap.inverse_batch's branch rules for one point and reads the tables
 in Python floats), bitwise the batch's result.
 """
@@ -154,6 +156,30 @@ def inverse_branch(cmap: CookieMap, symbol: int, p: ScaledPoint) -> ScaledPoint:
     return cmap.inverse_point(symbol, p)[0]
 
 
+class WordRows:
+    """A word-tree state: the arrays named by __slots__, whose first axis
+    runs over the rows, one row per word. word_levels walks any such
+    state with a pull_back(cmap, symbol, *, out=None) that writes into
+    out if it is given."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.__slots__[0]))
+
+    def __getitem__(self, rows: slice):
+        """A run of rows: a state of views of these arrays."""
+        return type(self)(*(getattr(self, key)[rows]
+                            for key in self.__slots__))
+
+    def empty(self, rows: int):
+        """A new state of `rows` uninitialised rows, with these arrays'
+        dtypes and row shapes."""
+        arrays = (getattr(self, key) for key in self.__slots__)
+        return type(self)(*(np.empty((rows, *a.shape[1:]), a.dtype)
+                            for a in arrays))
+
+
 def pull_back_word(state, cmap: CookieMap, bits: str):
     """Pull state (intervals or a point grid) back through bits, inside out."""
     for symbol in reversed(bits):
@@ -161,16 +187,21 @@ def pull_back_word(state, cmap: CookieMap, bits: str):
     return state
 
 
-def word_levels(state, cmap: CookieMap, levels: int):
+def word_levels(state: WordRows, cmap: CookieMap, levels: int):
     """The breadth-first word-tree walk: yield the next `levels` levels.
 
-    Each level is state.children(cmap): the rows of both pullbacks of the
-    level before it, the 0-pullback first. Prepending the symbol s to a
-    word with index i among 2^j words gives index s * 2^j + i, so rows
-    stay in lexicographic word order.
+    One rule makes every level, for intervals and point grids alike: a
+    new state of twice the rows, whose top half pull_back(0) and bottom
+    half pull_back(1) of the level before it write straight into.
+    Prepending the symbol s to a word with index i among 2^j words gives
+    index s * 2^j + i, so rows stay in lexicographic word order.
     """
     for _ in range(levels):
-        state = state.children(cmap)
+        rows = len(state)
+        level = state.empty(2 * rows)
+        state.pull_back(cmap, 0, out=level[:rows])
+        state.pull_back(cmap, 1, out=level[rows:])
+        state = level
         yield state
 
 
@@ -206,15 +237,15 @@ def _mean_value_width(cmap: CookieMap, k: np.ndarray, x: np.ndarray,
     return w * mean
 
 
-class IntervalSet:
+class IntervalSet(WordRows):
     """Chart state (n, u_lo, d) for families of basic intervals.
 
     Row i is the raw interval (u + 2)/3^(n+1), u in [u_lo, min(u_lo + d, 1)]:
     chart index n, left chart coordinate u_lo and width d, never recomputed
     by subtraction. Chart n on [0, 1] is the window J_n and u = -2 is the
     point 0, so the word 0^j is the row [-2, 1] of chart j, [0, 3^-j]; every
-    other word lies in one window. One kernel, pull_back, also writes
-    children.
+    other word lies in one window. One kernel, pull_back, writes every
+    pull-back, word_levels' halves of a level included.
     """
 
     __slots__ = ("n", "u_lo", "d")
@@ -230,22 +261,6 @@ class IntervalSet:
         return cls(n=np.array([0], dtype=np.int32), u_lo=np.array([-2.0]),
                    d=np.array([3.0]))
 
-    @classmethod
-    def _empty(cls, rows: int) -> "IntervalSet":
-        return cls(n=np.empty(rows, dtype=np.int32), u_lo=np.empty(rows),
-                   d=np.empty(rows))
-
-    def children(self, cmap: CookieMap) -> "IntervalSet":
-        """The next word-tree level: the rows of pull_back(0) above those
-        of pull_back(1), each written by pull_back straight into its half
-        of one new level, bitwise the stacked pull-backs."""
-        rows = self.size
-        level = IntervalSet._empty(2 * rows)
-        for symbol, half in ((0, slice(rows)), (1, slice(rows, None))):
-            self.pull_back(cmap, symbol, out=IntervalSet(
-                *(getattr(level, key)[half] for key in self.__slots__)))
-        return level
-
     @property
     def size(self) -> int:
         return self.n.size
@@ -253,10 +268,10 @@ class IntervalSet:
     def pull_back(self, cmap: CookieMap, symbol: int, *,
                   out: "IntervalSet | None" = None) -> "IntervalSet":
         """Apply one inverse branch to every interval in the family and
-        return the rows, written into out if it is given (children passes
-        the halves of one new level), else into a new set. symbol is the
-        integer 0 or 1, else DomainError; out must hold as many rows, else
-        DomainError, with int32 n and float64 u_lo and d as a new set has.
+        return the rows, written into out if it is given (word_levels
+        passes the halves of one new level), else into a new set. symbol
+        is the integer 0 or 1, else DomainError; out must hold as many
+        rows, else DomainError, with this set's dtypes, as a new set has.
 
         The 1-branch divides every row by 3^(n+1). The 0-branch reads the
         rows in the lookup kernel's blocks (flow.lookup_blocks): a block's
@@ -272,7 +287,7 @@ class IntervalSet:
         """
         symbol = _checks.symbol(symbol)
         if out is None:
-            out = IntervalSet._empty(self.size)
+            out = self.empty(self.size)
         elif out.size != self.size:
             raise DomainError(f"out has {out.size} rows, the set {self.size}")
         if symbol == 1:

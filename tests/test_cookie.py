@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import flowcutter.cookie as cookie_module
 import flowcutter.flow as flow_module
 from flowcutter import (CookieMap, DomainError, EscapeError, FlowEngine,
                         Locus, PointBatch, ScaledPoint, TimeSchedule,
@@ -468,35 +467,75 @@ def test_zero_branch_builds_only_the_tables_of_its_windows(cmap):
               ScaledPoint(Locus.GAP, 300, 0.6),
               ScaledPoint(Locus.HOLE, 0, 0.5), ScaledPoint.zero()]
     b = PointBatch.from_points(points)
-    assert b.size > cookie_module._POINT_BATCH_MAX
     fresh = CookieMap(cmap.constants)
     child, extra = fresh.inverse_batch(0, b)
     # blocks(2) = blocks(3) = 1
     assert set(fresh.engine._table_rows) == {-fresh.schedule.block_time(1)}
-    # the point route's preimages and increments, bitwise
+    # the point kernel's preimages and increments, bitwise
     want = [cmap.inverse_point(0, p) for p in points]
     assert [child.point(i) for i in range(b.size)] == [q for q, _ in want]
     assert extra.tobytes() == np.array([inc for _, inc in want]).tobytes()
 
 
-def test_small_batches_match_the_block_route(cmap, monkeypatch):
-    # batches up to one past the point route's cap, against the block
-    # route of the same call (cap 0), bitwise
+def _assert_same_pull_back(got, want):
+    (child, extra), (want_child, want_extra) = got, want
+    for g, w in ((child.locus, want_child.locus), (child.n, want_child.n),
+                 (child.u, want_child.u), (extra, want_extra)):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def test_batches_match_the_point_kernel(cmap):
+    # every batch takes the block rules; each of its points is bitwise
+    # inverse_point's preimage and increment, for batches of 1 to 5 points
     rng = np.random.default_rng(23)
-    cases = []
-    for size in range(1, cookie_module._POINT_BATCH_MAX + 2):
+    for size in range(1, 6):
         for _ in range(4):
             b = _probe_batch(rng, size)
-            cases += [(s, b) for s in (0, 1, np.int8(1))]
-    got = [cmap.inverse_batch(s, b) for s, b in cases]
-    monkeypatch.setattr(cookie_module, "_POINT_BATCH_MAX", 0)
-    for (s, b), (child, extra) in zip(cases, got):
-        want, want_extra = cmap.inverse_batch(s, b)
-        for name in ("locus", "n", "u"):
-            g, w = getattr(child, name), getattr(want, name)
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (s, name)
-        assert extra.dtype == want_extra.dtype
-        assert extra.tobytes() == want_extra.tobytes(), s
+            for s in (0, 1, np.int8(1)):
+                pulled = [cmap.inverse_point(s, b.point(i))
+                          for i in range(size)]
+                want = PointBatch.from_points(q for q, _ in pulled)
+                _assert_same_pull_back(
+                    cmap.inverse_batch(s, b),
+                    (want, np.array([inc for _, inc in pulled])))
+
+
+def _every_locus_batch(rng):
+    """Points at every locus, deep windows included, as a 1-D batch of 60
+    and the same points as a 6 x 10 batch."""
+    b = _probe_batch(rng, 60)
+    assert set(b.locus.tolist()) == set(map(int, Locus))
+    return [b, PointBatch(*(a.reshape(6, 10) for a in (b.locus, b.n, b.u)))]
+
+
+def _junk_out(shape, extra_shape=None):
+    """An out pair of the given shapes, filled with values no pull-back
+    writes, so a test sees any entry left unwritten."""
+    return (PointBatch(np.full(shape, 9, np.int8), np.full(shape, -7, np.int32),
+                       np.full(shape, np.nan)),
+            np.full(shape if extra_shape is None else extra_shape, np.nan))
+
+
+def test_inverse_batch_writes_into_given_arrays(cmap):
+    for b in _every_locus_batch(np.random.default_rng(31)):
+        for symbol in (0, 1):
+            out = _junk_out(b.u.shape)
+            assert cmap.inverse_batch(symbol, b, out=out) is out
+            _assert_same_pull_back(out, cmap.inverse_batch(symbol, b))
+
+
+def test_inverse_batch_refuses_out_of_another_shape(cmap):
+    # numpy would broadcast b into a larger out, filling every row of it
+    for b in _every_locus_batch(np.random.default_rng(31)):
+        shape = b.u.shape
+        wrong = [_junk_out((2, *shape)), _junk_out((b.size - 1,)),
+                 _junk_out((1, b.size)), _junk_out(shape, (2, *shape)),
+                 _junk_out(shape, (b.size + 1,))]
+        for symbol in (0, 1):
+            for out in wrong:
+                with pytest.raises(DomainError, match="shape"):
+                    cmap.inverse_batch(symbol, b, out=out)
 
 
 def test_one_point_calls_read_no_table_batch(cmap, monkeypatch):

@@ -340,6 +340,37 @@ def test_level_matches_the_stacked_pull_backs(cmap, make):
     assert walked.engine._table_rows
 
 
+def test_point_levels_pull_back_through_inverse_batch(cmap, monkeypatch):
+    # each half of a level is one CookieMap.inverse_batch call, so a
+    # wrapper of it (the bench tracer's) sees every point of the walk
+    calls, inverse_batch = [], CookieMap.inverse_batch
+
+    def recorded(self, symbol, b, **kwargs):
+        out = inverse_batch(self, symbol, b, **kwargs)
+        calls.append((symbol, out[0].size))
+        return out
+
+    monkeypatch.setattr(CookieMap, "inverse_batch", recorded)
+    for level in word_levels(_PointGrid.root(65), cmap, 3):
+        pass
+    halves = [(s, 65 << j) for j in range(3) for s in (0, 1)]
+    assert calls == halves and level.extra.shape == (8, 65)
+    # 4-row levels: two levels from the root, then four one-row groups
+    # of two levels each
+    calls.clear()
+    _level_rows(monkeypatch, 4, 65)
+    distortion_module._run_shards(cmap, 4, 65, lambda extra: (extra[:, 0],),
+                                  threads=1)
+    assert calls == halves[:4] * 5
+
+
+def test_point_grid_refuses_out_of_another_shape(cmap):
+    root = _PointGrid.root(65)
+    for out in (root.empty(2), _PointGrid.window(3, 33)):
+        with pytest.raises(DomainError, match="shape"):
+            root.pull_back(cmap, 0, out=out)
+
+
 def _compose_extras_by_masks(cmap, symbols, s):
     # _compose_extras as it was, with two masked pull-backs per position
     b = PointBatch.from_raw(s)

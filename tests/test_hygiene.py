@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in it, and only
-flowcutter._checks writes the rule for a scalar argument.
+"""Source hygiene: every name a module imports is used in it, only
+flowcutter._checks writes the rule for a scalar argument, and no package
+module calls a private method of another object.
 
 The import check runs over the package, the tests and the demos. The
 package's __init__ re-exports names it does not use itself, `from
@@ -88,3 +89,42 @@ def test_only_the_checks_module_writes_the_argument_rule(path):
         assert writes, "the rule left flowcutter._checks"
     else:
         assert not writes, f"{path.name} writes the argument rule: {writes}"
+
+
+def _foreign_private_calls(node, owner=None):
+    """(call, line) for every call of an underscore method on an object
+    other than self, cls or the class whose body makes the call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _foreign_private_calls(child, child.name)
+            continue
+        if (isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr.startswith("_")
+                and not child.func.attr.startswith("__")
+                and not (isinstance(child.func.value, ast.Name)
+                         and child.func.value.id in {"self", "cls", owner})):
+            yield ast.unparse(child.func), child.lineno
+        yield from _foreign_private_calls(child, owner)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_calls_a_private_method_of_another_object(path):
+    # a layer reached through another object's private method is a layer
+    # a wrapper of its public entry point (the bench tracer) cannot see
+    calls = list(_foreign_private_calls(ast.parse(path.read_text())))
+    assert not calls, f"{path.name} calls private methods: {calls}"
+
+
+def test_private_calls_are_found():
+    source = """
+class A:
+    def f(self, other):
+        self._g(); A._h(); other._g(); B._h(); super().__init__()
+        return cls._k()
+
+def g(cmap):
+    return cmap._pull_back_into(0)
+"""
+    calls = list(_foreign_private_calls(ast.parse(source)))
+    assert calls == [("other._g", 4), ("B._h", 4), ("cmap._pull_back_into", 8)]

@@ -10,7 +10,6 @@ from flowcutter import (CookieMap, DepthCapError, DomainError, FlowEngine,
                         Locus, PointBatch, ScaledPoint, Word, basic_interval,
                         decompose_blocks, enumerate_intervals, interval_J,
                         interval_table, inverse_branch)
-import flowcutter.cookie as cookie_module
 from flowcutter.cookie import LN3
 from flowcutter.scaled import _pow3_batch
 from flowcutter.symbolic import (WIDTH_NODES, WIDTH_RULE_MAX, WIDTH_WEIGHTS,
@@ -111,10 +110,9 @@ def _branch_probe_points():
     return points
 
 
-def test_inverse_branch_is_a_batch_of_one(cmap, monkeypatch):
+def test_inverse_branch_is_a_batch_of_one(cmap):
     # ZERO, HOLE, GAP, J_0 and deep window points, bitwise against the
-    # block kernel: every batch takes the block route here
-    monkeypatch.setattr(cookie_module, "_POINT_BATCH_MAX", 0)
+    # batch kernel
     points = _branch_probe_points()
     assert {p.locus for p in points} == set(Locus)
     for symbol in (0, 1):
@@ -138,7 +136,7 @@ def test_inverse_branch_rejects_other_symbols(cmap):
 @pytest.mark.parametrize("symbol", [True, np.True_, 1.0, np.array(True),
                                     False, 0.0, np.float64(0.0), -1, "0"])
 def test_branch_symbol_is_an_integer_zero_or_one(cmap, symbol):
-    # one rule on every path: the point, the small-batch and the block route
+    # one rule on every path: the point and the batch kernel
     p = ScaledPoint.from_raw(0.1)
     batches = [PointBatch.from_points([p]),
                PointBatch.from_raw(np.linspace(0.05, 0.95, 9))]
@@ -430,7 +428,7 @@ def _pull_back_by_masks(state, cmap, symbol):
     return IntervalSet((state.n + 1).astype(np.int32), u_lo, d)
 
 
-def _children_by_masks(state, cmap):
+def _level_by_masks(state, cmap):
     return _concatenate(_pull_back_by_masks(state, cmap, 0),
                         _pull_back_by_masks(state, cmap, 1))
 
@@ -469,7 +467,7 @@ def test_interval_levels_match_the_masked_pull_backs(cmap, monkeypatch):
     want = IntervalSet.root()
     for depth, got in enumerate(
             word_levels(IntervalSet.root(), walked, 15), 1):
-        want = _children_by_masks(want, masked)
+        want = _level_by_masks(want, masked)
         _assert_same_rows(got, want)
         assert (list(walked.engine._table_rows)
                 == list(masked.engine._table_rows)), depth
@@ -494,7 +492,8 @@ def test_hand_made_rows_match_the_masked_pull_backs(cmap, monkeypatch,
                                                     family):
     rows = _common_rows(*_FAMILIES[family])
     (new, old), handed = _fresh_recorded_maps(cmap, monkeypatch)
-    _assert_same_rows(rows.children(new), _children_by_masks(rows, old))
+    (level,) = word_levels(rows, new, 1)
+    _assert_same_rows(level, _level_by_masks(rows, old))
     for symbol in (0, 1):
         _assert_same_rows(rows.pull_back(new, symbol),
                           _pull_back_by_masks(rows, old, symbol))
@@ -517,10 +516,10 @@ def test_pull_back_writes_into_given_rows(cmap):
         _assert_same_rows(out, rows.pull_back(cmap, symbol))
     for size in (rows.size - 1, rows.size + 1):
         with pytest.raises(DomainError, match="rows"):
-            rows.pull_back(cmap, 0, out=IntervalSet._empty(size))
+            rows.pull_back(cmap, 0, out=rows.empty(size))
 
 
-def test_children_pulls_back_through_pull_back(cmap, monkeypatch):
+def test_interval_level_pulls_back_through_pull_back(cmap, monkeypatch):
     # each half of a level is one pull_back call, so a wrapper of
     # IntervalSet.pull_back sees every row of the walk
     calls, pull_back = [], IntervalSet.pull_back
@@ -532,17 +531,18 @@ def test_children_pulls_back_through_pull_back(cmap, monkeypatch):
 
     monkeypatch.setattr(IntervalSet, "pull_back", recorded)
     rows = _common_rows(*_FAMILIES["threshold"])
-    rows.children(cmap)
+    (level,) = word_levels(rows, cmap, 1)
     assert calls == [(0, rows.size), (1, rows.size)]
+    assert level.size == 2 * rows.size
 
 
 def test_interval_level_peaks_below_its_new_rows(cmap):
     *_, level = word_levels(IntervalSet.root(), cmap, 16)
     assert level.size == 1 << 16
-    level.children(cmap)            # builds every table the next level reads
+    next(word_levels(level, cmap, 1))  # builds every table the level reads
     tracemalloc.start()
     try:
-        new = level.children(cmap)
+        new = next(word_levels(level, cmap, 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
