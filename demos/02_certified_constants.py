@@ -12,15 +12,15 @@ import math
 
 import numpy as np
 
-from flowcutter import FlowEngine, certify_constants
+from flowcutter import FlowEngine
 
-consts = certify_constants(grid_n=4096, tol=1e-13)
+engine = FlowEngine(tol=1e-13)
+consts = engine.certify(grid_n=4096)
 print(f"B1 (slope bound)      = {consts.B1:.12f}")
 print(f"T  (flow horizon)     = {consts.T}")
 print(f"M  (curvature bound)  = {consts.M:.6f}")
 print(f"exp(T*B1)             = {math.exp(consts.T * consts.B1):.6f}  (must be <= 1.5)")
 
-engine = FlowEngine(tol=consts.tol)
 xs = np.linspace(0.0, 1.0, 4097)
 
 print("\nmultiplier floor phi_t' >= 2/3 on the certification grid:")

@@ -20,7 +20,7 @@ from .distortion import (DistortionReport, SizeBoundReport, SbdProfile,
 from .errors import (BoundViolationError, CertificationError, DepthCapError,
                      DomainError, EscapeError, SolverError)
 from .flow import (FieldValue, FlowConstants, FlowEngine, FlowSample,
-                   certify_constants, vector_field)
+                   vector_field)
 from .scaled import Locus, PointBatch, ScaledPoint
 from .symbolic import (BasicInterval, BlockDecomposition, Word,
                        basic_interval, decompose_blocks, enumerate_intervals,
@@ -36,7 +36,7 @@ __all__ = [
     "IterateResult", "SizeBoundReport", "Locus", "PointBatch", "SbdProfile",
     "SbdWitness", "ScaledPoint", "SolverError", "TimeSchedule", "Word",
     "basic_interval", "bd_sweep", "bowen_dimension", "box_dimension",
-    "certified_bracket", "certify_constants", "decompose_blocks",
+    "certified_bracket", "decompose_blocks",
     "dimension_estimate", "distortion", "enumerate_intervals", "interval_J",
     "interval_table", "inverse_branch", "audit_interval_sizes",
     "pressure_root", "pressure_sum", "sbd_profile", "sbd_witness",

@@ -369,70 +369,68 @@ class CookieMap:
             return []
         # the seam steps in chart units, du = h 3^(n+1); the rows of J_n
         # keep du <= 1, so a window no step fits in would check nothing
-        dus = [np.array(_C1_STEPS) * _pow3(n + 1) for n in ns]
+        steps = np.array(_C1_STEPS)
+        dus = [steps * _pow3(n + 1) for n in ns]
         for n, du in zip(ns, dus):
             if n >= 1 and du[-1] > 1.0:
                 raise DomainError(
                     f"window {n} is too deep for the junction check: even "
                     f"its smallest step {_C1_STEPS[-1]:g} overshoots it")
 
-        # right of 0 at the raw step h: a gap, or a window point to flow
-        batch = PointBatch.from_raw(np.array(_C1_STEPS))
-        probes = [batch.point(i) for i in range(batch.size)]
-        deep = [p for p in probes if p.locus is Locus.INJ and p.n >= 1]
-        u0 = np.array([p.u for p in deep])
-        y = self.engine.evolve(self.schedule.flow_times(
-            np.array([p.n for p in deep], dtype=np.int64)), u0, order=0)[0]
-        zero_quotients = (3.0 * (y + 2.0) / (u0 + 2.0)).tolist()
+        # right of 0 at the raw step h: every h is below 1/3, so its probe
+        # is a gap point, where F = 3x, or a window point of J_m, m >= 1
+        probes = PointBatch.from_raw(steps)
+        window = probes.locus == int(Locus.INJ)
+        u0 = probes.u[window]
+        y = self.engine.evolve(self.schedule.flow_times(probes.n[window]),
+                               u0, order=0)[0]
+        zero = np.full(steps.size, 3.0)
+        zero[window] = 3.0 * (y + 2.0) / (u0 + 2.0)
 
         # window-midpoint family at 0: h = midpoint of J_m, m doubling;
         # convergence here is paced by t_m ~ T / m, the slow direction
         m = 1 << np.arange(14, dtype=np.int64)
         y = self.engine.evolve(self.schedule.flow_times(m),
                                np.full(m.shape, 0.5), order=0)[0]
-        midpoints = list(zip(m.tolist(), (3.0 * (y + 2.0) / 2.5).tolist()))
-        return [self._c1_report(n, du, probes, zero_quotients, midpoints)
+        midpoints = [C1Quotient("0", "right-midpoints", float(mi), q)
+                     for mi, q in zip(m.tolist(),
+                                      (3.0 * (y + 2.0) / 2.5).tolist())]
+        return [C1BoundaryReport(n=n, rows=self._c1_rows(n, du, zero),
+                                 midpoint_rows=list(midpoints))
                 for n, du in zip(ns, dus)]
 
-    def _c1_report(self, n, du, probes, zero_quotients, midpoints
-                   ) -> "C1BoundaryReport":
-        """The report for window n, given its seam steps du and the n-free
-        quotients."""
-        # seam points of J_n: x - h at u = 1 - du, x + h at u = du
-        if n >= 1:
-            seam = du[du <= 1.0]
+    def _c1_rows(self, n: int, du: np.ndarray, zero: np.ndarray
+                 ) -> list["C1Quotient"]:
+        """The rows of window n, given its seam steps du and the quotients
+        right of 0: step by step, one row per family in the order listed,
+        where each family holds one quotient a step, NaN for no row."""
+        if n == 0:
+            # J_0 = [2/3, 1]: the branch is affine, quotients are exact
+            three = np.full(du.size, 3.0)
+            families = {("1", "left"): three, ("2/3", "right"): three}
+        else:
+            # seam points of J_n: x - h at u = 1 - du, x + h at u = du
+            fit = du <= 1.0
+            seam = du[fit]
             y = self.engine.evolve(self.schedule.flow_time(n),
                                    np.concatenate([1.0 - seam, seam]),
                                    order=0)[0]
-            left = iter((3.0 * (1.0 - y[:seam.size]) / seam).tolist())
-            right = iter((3.0 * y[seam.size:] / seam).tolist())
-
-        zero = iter(zero_quotients)
-        rows: list[C1Quotient] = []
-        for h, d, p in zip(_C1_STEPS, du.tolist(), probes):
-            if n >= 1:
-                if d <= 1.0:
-                    rows.append(C1Quotient(f"1/3^{n}", "left", h, next(left)))
-                # right-sided at 1/3^n lands in the gap where F = 3x;
-                # for n = 1 the right side is the hole, outside the domain
-                if n >= 2 and d < 1.0:
-                    rows.append(C1Quotient(f"1/3^{n}", "right", h, 3.0))
-                if d <= 1.0:
-                    rows.append(C1Quotient(f"2/3^{n + 1}", "right", h,
-                                           next(right)))
-                if d < 1.0:
-                    rows.append(C1Quotient(f"2/3^{n + 1}", "left", h, 3.0))
-            else:
-                # J_0 = [2/3, 1]: the branch is affine, quotients are exact
-                rows.append(C1Quotient("1", "left", h, 3.0))
-                rows.append(C1Quotient("2/3", "right", h, 3.0))
-            if p.locus is Locus.GAP:
-                rows.append(C1Quotient("0", "right", h, 3.0))
-            elif p.locus is Locus.INJ and p.n >= 1:
-                rows.append(C1Quotient("0", "right", h, next(zero)))
-        midpoint_rows = [C1Quotient("0", "right-midpoints", float(mi), q)
-                         for mi, q in midpoints]
-        return C1BoundaryReport(n=n, rows=rows, midpoint_rows=midpoint_rows)
+            left, right, hole = np.full((3, du.size), np.nan)
+            left[fit] = 3.0 * (1.0 - y[:seam.size]) / seam
+            right[fit] = 3.0 * y[seam.size:] / seam
+            # off the window a seam step lands in a gap, where F = 3x; right
+            # of 1/3 (n = 1) is the hole, outside the domain: no rows
+            gap = np.where(du < 1.0, 3.0, np.nan)
+            families = {(f"1/3^{n}", "left"): left,
+                        (f"1/3^{n}", "right"): gap if n >= 2 else hole,
+                        (f"2/3^{n + 1}", "right"): right,
+                        (f"2/3^{n + 1}", "left"): gap}
+        families["0", "right"] = zero
+        columns = np.array(list(families.values())).T.tolist()
+        return [C1Quotient(location, side, h, q)
+                for h, column in zip(_C1_STEPS, columns)
+                for (location, side), q in zip(families, column)
+                if not math.isnan(q)]
 
 
 @dataclass(frozen=True)

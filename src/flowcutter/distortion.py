@@ -184,11 +184,6 @@ class _PointGrid(WordRows):
         out.extra += self.extra
         return out
 
-    def groups(self, size: int) -> list["_PointGrid"]:
-        """Consecutive runs of size rows, each a grid of its own, top to
-        bottom."""
-        return [self[i:i + size] for i in range(0, len(self), size)]
-
 
 def _positions(symbols: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per word position, innermost first, the tasks that take symbol 0
@@ -355,7 +350,7 @@ def _run_shards(cmap: CookieMap, k_max: int, grid: int, keep,
     levels = []
     for state in word_levels(state, cmap, d):
         levels.append(keep(state.extra))
-    seeds = state.groups(block)
+    seeds = [state[i:i + block] for i in range(0, len(state), block)]
 
     def run(seed):
         return [keep(level.extra)

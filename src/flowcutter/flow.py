@@ -141,8 +141,6 @@ def _field_arrays(x: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
     separate domain test.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0:
-        return tuple(c[0] for c in _field_arrays(x[None], order))
     with np.errstate(**_QUIET):
         speed, g, dead = _speed(x)
         if order == 0:
@@ -688,8 +686,3 @@ class FlowEngine:
                        for t in curvature_times)
 
         return FlowConstants(T=T, M=M, B1=b1, tol=self.tol, grid_n=grid_n)
-
-
-def certify_constants(grid_n: int = 4096, tol: float = 1e-13) -> FlowConstants:
-    """Convenience wrapper: build an engine and certify its constants."""
-    return FlowEngine(tol=tol).certify(grid_n=grid_n)

@@ -21,11 +21,10 @@ import pytest
 import flowcutter
 from flowcutter import (CookieMap, FlowEngine, PointBatch, ScaledPoint, Word,
                         audit_interval_sizes, bd_sweep, bowen_dimension,
-                        box_dimension, certify_constants, dimension_estimate,
-                        distortion, enumerate_intervals, interval_J,
-                        interval_table, inverse_branch, pressure_sum,
-                        sbd_profile, sbd_witness, theoretical_bound,
-                        vector_field)
+                        box_dimension, dimension_estimate, distortion,
+                        enumerate_intervals, interval_J, interval_table,
+                        inverse_branch, pressure_sum, sbd_profile,
+                        sbd_witness, theoretical_bound, vector_field)
 from flowcutter.dimension import DIMENSION_DEPTH_CAP
 from flowcutter.distortion import EXHAUSTIVE_DEPTH_CAP, PROFILE_DEPTH_CAP
 from flowcutter.errors import DepthCapError, DomainError
@@ -95,10 +94,6 @@ ROWS = [
                    "flow_second_derivative")
       for arg, what, least in (("t", "flow time", -1.0),
                                ("x", "position", 0.0))),
-    ("certify_constants", "grid_n", "certification grid", integer(1024),
-     lambda m, v: certify_constants(grid_n=v)),
-    ("certify_constants", "tol", "tolerance", real(1e-14, 1e-6),
-     lambda m, v: certify_constants(tol=v)),
     ("vector_field", "x", "field position", real(0.0, 1.0),
      lambda m, v: vector_field(v)),
     ("theoretical_bound", "M", "curvature bound", real(0.0),

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import os
@@ -10,7 +11,8 @@ import pytest
 
 from flowcutter import cli
 from flowcutter.cli import main
-from flowcutter.errors import SolverError
+from flowcutter.errors import CertificationError, SolverError
+from flowcutter.flow import FlowEngine
 from flowcutter.symbolic import IntervalSet
 
 
@@ -111,6 +113,27 @@ def test_internal_fault_exit_code(capsys, monkeypatch, fault):
     err = capsys.readouterr().err
     assert code == 70
     assert "Traceback" in err and type(fault).__name__ in err
+
+
+def test_failed_certification_exits_2(capsys, monkeypatch):
+    def failed(self, grid_n):
+        raise CertificationError("slope bound failed")
+
+    monkeypatch.setattr(FlowEngine, "certify", failed)
+    code = main(["certify"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "certification failed" in captured.err
+
+
+def test_failed_analysis_exits_1(capsys, monkeypatch):
+    # every C_k exceeds a ceiling of 1, so bd_sweep raises BoundViolationError
+    monkeypatch.setattr(importlib.import_module("flowcutter.distortion"),
+                        "theoretical_bound", lambda M: 1.0)
+    code = main(["distortion", "--depth", "2", "--grid", "33"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "analysis failed" in captured.err
 
 
 def test_out_into_missing_directory_is_usage_error(tmp_path, capsys,

@@ -670,21 +670,34 @@ def _scalar_c1_rows(cmap, n):
     return rows, midpoints
 
 
+def _assert_matches_scalar_solves(cmap, report):
+    rows, midpoints = _scalar_c1_rows(cmap, report.n)
+    for got_rows, want_rows in ((report.rows, rows),
+                                (report.midpoint_rows, midpoints)):
+        assert ([(r.location, r.side, r.step) for r in got_rows]
+                == [w[:3] for w in want_rows])
+        for r, w in zip(got_rows, want_rows):
+            assert type(r.quotient) is float
+            assert abs(r.quotient - w[3]) <= 1e-12, (report.n, r)
+
+
 def test_c1_boundary_batches_match_scalar_solves(cmap):
     first_midpoints = None
-    for n in (0, 1, 3, 10):
+    for n in (0, 1, 2, 3, 10, 17):
         report = cmap.check_c1_boundary(n)
-        rows, midpoints = _scalar_c1_rows(cmap, n)
-        for got_rows, want_rows in ((report.rows, rows),
-                                    (report.midpoint_rows, midpoints)):
-            assert ([(r.location, r.side, r.step) for r in got_rows]
-                    == [w[:3] for w in want_rows])
-            for r, w in zip(got_rows, want_rows):
-                assert type(r.quotient) is float
-                assert abs(r.quotient - w[3]) <= 1e-12, (n, r)
+        _assert_matches_scalar_solves(cmap, report)
         if first_midpoints is None:
             first_midpoints = report.midpoint_rows
         assert report.midpoint_rows == first_midpoints
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16])
+def test_c1_boundaries_of_the_inner_windows_match_scalar_solves(cmap, n):
+    # the windows the test above leaves out, each the second report of a
+    # batch, so its rows come from a batch of two windows
+    report = cmap.check_c1_boundaries([0, n])[1]
+    assert report.n == n
+    _assert_matches_scalar_solves(cmap, report)
 
 
 def test_c1_boundaries_batch_matches_per_n_reports(cmap, monkeypatch):

@@ -5,9 +5,10 @@ import pytest
 
 import flowcutter.dimension as dimension_module
 import flowcutter.symbolic as symbolic_module
-from flowcutter import (DepthCapError, DomainError, bowen_dimension,
-                        box_dimension, certified_bracket, dimension_estimate,
-                        enumerate_intervals, interval_table, pressure_sum)
+from flowcutter import (BoundViolationError, DepthCapError, DomainError,
+                        bowen_dimension, box_dimension, certified_bracket,
+                        dimension_estimate, enumerate_intervals,
+                        interval_table, pressure_sum)
 from flowcutter.dimension import (DIMENSION_DEPTH_CAP, PRESSURE_TOL,
                                   pressure_root)
 from flowcutter.symbolic import DEPTH_CAP
@@ -106,6 +107,12 @@ def test_pressure_root_meets_its_tolerance(counted_pressure):
     assert pressure_root(THIRDS_COVER) == pytest.approx(MIDDLE_THIRDS,
                                                        abs=PRESSURE_TOL)
     assert len(counted_pressure) <= 36
+
+
+def test_pressure_root_needs_a_root_bracketed_by_zero_and_one():
+    # one interval of size 1: the pressure is 0 for every s, no sign change
+    with pytest.raises(BoundViolationError, match="not bracketed"):
+        pressure_root(np.array([0.0]))
 
 
 @pytest.mark.parametrize("log_sizes", [

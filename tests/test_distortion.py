@@ -189,6 +189,25 @@ def test_sweep_refines_once(cmap, monkeypatch):
         assert np.array_equal(ra.per_word, rb.per_word)
 
 
+def test_chunked_refine_matches_one_chunk(cmap, monkeypatch):
+    whole = bd_sweep(cmap, 6, grid=33)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return _refine_extrema(*args, **kwargs)
+
+    monkeypatch.setattr(distortion_module, "_REFINE_CHUNK_WORDS", 16)
+    monkeypatch.setattr(distortion_module, "_refine_extrema", counted)
+    chunked = bd_sweep(cmap, 6, grid=33)
+    # the 2^7 - 2 words of depths 1..6 in chunks of 16, the last one short
+    assert calls == [16] * 7 + [14]
+    for ra, rb in zip(whole, chunked, strict=True):
+        assert ra.c_k.hex() == rb.c_k.hex()
+        assert ra.argmax_word == rb.argmax_word
+        assert ra.per_word.tobytes() == rb.per_word.tobytes()
+
+
 @pytest.mark.parametrize("short", ["one group a level", "every group a level",
                                    "one group a row"])
 @pytest.mark.parametrize("rows, walks", [(4, [2, 3, 3, 3, 3]),

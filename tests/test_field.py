@@ -75,14 +75,6 @@ def test_internal_evaluator_tolerates_stray_points():
     assert np.all(speed == 0.0)
 
 
-def test_internal_evaluator_takes_a_zero_dimensional_point():
-    xs = np.array([0.3, 1.0, 0.001])
-    batch = _field_arrays(xs, 2)
-    for i, x in enumerate(xs):
-        point = _field_arrays(x, 2)
-        assert [c.tobytes() for c in point] == [c[i].tobytes() for c in batch]
-
-
 def _difference(a, d, xa):
     # X(a + d) - X(a) given xa = X(a): one call of the kernel, under the
     # np.errstate its callers enter

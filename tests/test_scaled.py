@@ -75,6 +75,13 @@ def test_log_raw_at_the_left_end_of_j0():
     assert ScaledPoint.in_window(0, 0.0).log_raw == math.log(2.0) - math.log(3.0)
 
 
+@pytest.mark.parametrize("p", [ScaledPoint(Locus.HOLE, 0, 0.5),
+                               ScaledPoint(Locus.GAP, 4, 0.4)],
+                         ids=["hole", "gap"])
+def test_log_raw_off_the_windows(p):
+    assert p.log_raw == pytest.approx(math.log(p.raw), rel=1e-15)
+
+
 def test_validation():
     with pytest.raises(DomainError):
         ScaledPoint(Locus.INJ, -1, 0.5)

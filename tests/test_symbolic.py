@@ -296,6 +296,7 @@ def test_log_size_matches_raw_difference(cmap):
         iv = basic_interval(cmap, bits)
         raw_width = iv.right.raw - iv.left.raw
         assert iv.log_size == pytest.approx(math.log(raw_width), abs=1e-9)
+        assert iv.size == math.exp(iv.log_size)
 
 
 @pytest.mark.parametrize("bits", ["1" * 700, "1" + "0" * 646, "10" * 330],
