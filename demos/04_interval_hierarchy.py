@@ -26,8 +26,9 @@ for n in (1, 4, 8, 12):
           f"(exact {-(n + 1) * math.log(3):+.6f})")
 
 print("\nrun structure of a word and its tail lengths:")
-d = decompose_blocks("0011011")
-print(f"  001101 1 -> blocks {d.blocks}, tails {d.tails}")
+word = "0011011"
+d = decompose_blocks(word)
+print(f"  {word} -> blocks {d.blocks}, tails {d.tails}")
 
 print("\ntotal length of the depth-k cover (a strictly shrinking sequence):")
 for k in (2, 4, 6, 8, 10):

@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write output to a file")
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("certify", parents=[], help="certify T, M, B1")
+    s = sub.add_parser("certify", help="certify T, M, B1")
     s.add_argument("--grid", type=int, default=4096)
     s.set_defaults(func=_cmd_certify)
 
@@ -83,14 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(args, payload: dict, csv_rows: list[dict], csv_fields: list[str]) -> None:
+def _emit(args, payload: dict, rows: list[dict]) -> None:
+    """payload as JSON, or rows as CSV headed by their keys as first seen."""
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=csv_fields, lineterminator="\n")
+        fields = list(dict.fromkeys(key for row in rows for key in row))
+        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
-        for row in csv_rows:
+        for row in rows:
             writer.writerow({k: repr(v) if isinstance(v, float) else v
                              for k, v in row.items()})
         text = buf.getvalue()
@@ -116,22 +118,17 @@ def _check_out(path: str) -> None:
     raise DomainError(f"cannot write --out {path}: {reason}")
 
 
-def _certified(args) -> CookieMap:
-    return CookieMap.certified(grid_n=4096, tol=args.tol)
-
-
 def _cmd_certify(args) -> int:
     constants = FlowEngine(tol=args.tol).certify(grid_n=args.grid)
     row = {"T": constants.T, "M": constants.M, "B1": constants.B1,
            "tol": constants.tol, "grid": constants.grid_n, "ok": True}
-    _emit(args, row, [row],
-          ["T", "M", "B1", "tol", "grid", "ok"])
+    _emit(args, row, [row])
     return 0
 
 
 def _cmd_verify_lemmas(args) -> int:
     _checks.integer(args.depth, "--depth", 1)
-    cmap = _certified(args)
+    cmap = CookieMap.certified(tol=args.tol)
     rows = []
 
     reports = cmap.check_c1_boundaries(range(0, min(args.depth, 10) + 1))
@@ -170,8 +167,7 @@ def _cmd_verify_lemmas(args) -> int:
                  "pass": audit.ok, "min_slack": audit.min_slack_factor})
 
     ok = all(r["pass"] for r in rows)
-    _emit(args, {"rows": rows, "pass": ok}, rows,
-          ["check", "residual", "pass", "min_slack"])
+    _emit(args, {"rows": rows, "pass": ok}, rows)
     return 0 if ok else 1
 
 
@@ -182,50 +178,50 @@ def _window_log_slope(cmap: CookieMap, n: int, u: float) -> float:
 
 
 def _cmd_distortion(args) -> int:
-    cmap = _certified(args)
+    cmap = CookieMap.certified(tol=args.tol)
     reports = bd_sweep(cmap, args.depth, grid=args.grid, threads=args.threads)
     rows = [{"k": r.depth, "C_k": r.c_k, "C_theory": r.c_theory}
             for r in reports]
     payload = {"rows": [dict(row, argmax_word=str(rep.argmax_word))
                         for row, rep in zip(rows, reports)]}
-    _emit(args, payload, rows, ["k", "C_k", "C_theory"])
+    _emit(args, payload, rows)
     return 0
 
 
 def _cmd_sbd(args) -> int:
-    cmap = _certified(args)
+    cmap = CookieMap.certified(tol=args.tol)
     w = sbd_witness(cmap, args.k)
     row = {"k": w.k, "ratio": w.measured_ratio, "limit_ratio": w.limit_ratio,
            "image_log_size": w.image_log_size}
     payload = dict(row, alpha=w.alpha, beta=w.beta, margin=w.margin)
-    _emit(args, payload, [row], ["k", "ratio", "limit_ratio", "image_log_size"])
+    _emit(args, payload, [row])
     return 0
 
 
 def _cmd_sbd_profile(args) -> int:
-    cmap = _certified(args)
+    cmap = CookieMap.certified(tol=args.tol)
     profiles = sbd_profile(cmap, args.depth, grid=args.grid,
                            threads=args.threads)
     rows = [{"r": p.r, "beta_hat": p.beta_hat} for p in profiles]
-    _emit(args, {"rows": rows}, rows, ["r", "beta_hat"])
+    _emit(args, {"rows": rows}, rows)
     return 0
 
 
 def _cmd_dimension(args) -> int:
-    cmap = _certified(args)
+    cmap = CookieMap.certified(tol=args.tol)
     est = dimension_estimate(cmap, args.depth, method=args.method)
     row = {"depth": est.depth, "method": est.method, "s": est.value,
            "s_lower": est.lower, "s_upper": est.upper}
-    _emit(args, row, [row], ["depth", "method", "s", "s_lower", "s_upper"])
+    _emit(args, row, [row])
     return 0
 
 
 def _cmd_intervals(args) -> int:
-    cmap = _certified(args)
+    cmap = CookieMap.certified(tol=args.tol)
     rows = [{"word": str(iv.word), "left": iv.left.raw, "right": iv.right.raw,
              "log_size": iv.log_size}
             for iv in enumerate_intervals(cmap, args.depth)]
-    _emit(args, {"rows": rows}, rows, ["word", "left", "right", "log_size"])
+    _emit(args, {"rows": rows}, rows)
     return 0
 
 

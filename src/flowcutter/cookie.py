@@ -65,9 +65,10 @@ class TimeSchedule:
 
     T: float
 
-    def block_time(self, k: int) -> float:
-        """The flow time of every n in block k: (-1/2)^k T. k is not
-        checked: this one statement of the law is read on every step."""
+    def block_time(self, k: int | np.ndarray) -> float | np.ndarray:
+        """The flow time of every n in block k: (-1/2)^k T, for an integer
+        k or elementwise for an integer array of them. k is not checked:
+        this one statement of the law is read on every step."""
         return (-0.5) ** k * self.T
 
     def flow_time(self, n: int) -> float:
@@ -105,9 +106,7 @@ class TimeSchedule:
         if n.size and n.max() >= 1 << 53:
             raise DomainError(
                 f"schedule index must be < 2^53, got {int(n.max())}")
-        k = self.blocks(n)
-        return np.array([self.block_time(j)
-                         for j in range(int(k.max(initial=-1)) + 1)])[k]
+        return self.block_time(self.blocks(n))
 
     def cumulative_time(self, n: int) -> float:
         """t_1 + ... + t_n: the block sums before n's block, plus the
@@ -158,9 +157,9 @@ class IterateResult:
 class CookieMap:
     """F on [0, 1/3] u [2/3, 1], its slope, and precision-safe iteration."""
 
-    def __init__(self, constants: FlowConstants, engine: FlowEngine | None = None):
+    def __init__(self, constants: FlowConstants):
         self.constants = constants
-        self.engine = engine if engine is not None else FlowEngine(tol=constants.tol)
+        self.engine = FlowEngine(tol=constants.tol)
         self.schedule = TimeSchedule(constants.T)
 
     @staticmethod
@@ -472,5 +471,4 @@ class C1BoundaryReport:
 
 @lru_cache(maxsize=8)
 def _certified_map(grid_n: int, tol: float) -> CookieMap:
-    engine = FlowEngine(tol=tol)
-    return CookieMap(engine.certify(grid_n=grid_n), engine)
+    return CookieMap(FlowEngine(tol=tol).certify(grid_n=grid_n))

@@ -20,9 +20,9 @@ class CertificationError(RuntimeError):
 class EscapeError(RuntimeError):
     """An orbit left the two-branch domain before the requested iterate."""
 
-    def __init__(self, step: int, message: str | None = None):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"orbit entered the central hole at step {step}")
+        super().__init__(f"orbit entered the central hole at step {step}")
 
 
 class BoundViolationError(RuntimeError):

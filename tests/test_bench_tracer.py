@@ -18,7 +18,7 @@ from flowcutter import optimize
 from flowcutter.cookie import CookieMap
 from flowcutter.flow import FlowEngine
 from flowcutter.scaled import PointBatch, ScaledPoint
-from flowcutter.symbolic import IntervalSet
+from flowcutter.symbolic import IntervalSet, interval_table
 
 distortion_module = sys.modules["flowcutter.distortion"]
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -59,3 +59,13 @@ def test_tracer_finds_every_name_and_restores_it():
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
     assert tracer.spans == []
+
+
+def test_tracer_counts_every_pull_back_row(cmap):
+    # the counters read sizes off the wrapped methods' results: the rows of
+    # an IntervalSet by its size, which must stay its row count
+    tracer = load_tracer().Tracer()
+    with tracer.patched():
+        interval_table(cmap, 3)
+    assert [span.attrs["rows"] for span in tracer.spans
+            if span.name == "symbolic.pull_back"] == [1, 1, 2, 2, 4, 4]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flowcutter import FlowEngine
+from flowcutter import CertificationError, FlowEngine
 from flowcutter.flow import _field_arrays
 
 # 40-digit reference: the positive critical point of X' and the sup of |X'|
@@ -52,6 +52,20 @@ def test_curvature_bound_covers_grid(engine, consts):
     assert sup <= consts.M
     # the 5 percent pad means the bound is snug, not vacuous
     assert consts.M <= 1.2 * sup
+
+
+def test_certify_refuses_a_slope_below_two_thirds(monkeypatch):
+    # phi' halved at t = 1/16, the last positive slope time, falls to
+    # about 1/2: every earlier time passes, and this one names itself
+    evolve = FlowEngine.evolve
+
+    def halved(self, t, x, order=1):
+        out = evolve(self, t, x, order=order)
+        return (out[0], out[1] / 2.0, *out[2:]) if t == 0.0625 else out
+
+    monkeypatch.setattr(FlowEngine, "evolve", halved)
+    with pytest.raises(CertificationError, match=r"phi'_0\.0625 min"):
+        FlowEngine().certify(grid_n=1024)
 
 
 def test_grid_precondition():

@@ -123,6 +123,20 @@ def test_flow_times_match_flow_time_at_every_integer_width(consts, dtype):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("law", ["paper", "same-sign"])
+def test_block_time_of_an_array_is_block_time_of_each(consts, law,
+                                                      same_sign_schedule):
+    # an array takes numpy's power, which may run SIMD code; every time
+    # must keep the bits of Python's pow
+    for T in (consts.T, 1.0 - 2.0 ** -53):
+        sched = (TimeSchedule if law == "paper" else same_sign_schedule)(T)
+        want = np.array([sched.block_time(k) for k in range(64)])
+        for dtype in (np.int32, np.int64):
+            got = sched.block_time(np.arange(64, dtype=dtype))
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), (T, dtype)
+
+
 def test_flow_times_of_one_index_is_flow_time(consts):
     sched = TimeSchedule(consts.T)
     for n in range(1, 65):
@@ -212,7 +226,7 @@ def test_block_time_is_the_one_statement_of_the_law(consts, monkeypatch,
 
     # a fresh map on that law builds its tables at exactly its times
     T = consts.T
-    cmap = CookieMap(consts, FlowEngine(tol=consts.tol))
+    cmap = CookieMap(consts)
     cmap.schedule = same_sign_schedule(T)
     u = np.linspace(0.0, 1.0, 41)
     n = np.arange(u.size, dtype=np.int32) + 1          # blocks(n + 1): 1..5
@@ -295,6 +309,11 @@ def test_scaled_and_raw_routes_agree(cmap):
     for x in (0.05, 0.15, 0.7, 0.95, 1.0 / 3.0):
         p = ScaledPoint.from_raw(x)
         assert cmap.apply(p).raw == pytest.approx(apply_raw(cmap, x), abs=1e-12)
+
+
+def test_raw_route_refuses_the_hole(cmap):
+    with pytest.raises(DomainError, match="central hole"):
+        apply_raw(cmap, 0.5)
 
 
 def test_conjugation_square(cmap):

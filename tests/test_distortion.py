@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flowcutter import (CookieMap, DomainError, FlowEngine, SizeBoundReport, ScaledPoint, bd_sweep,
+from flowcutter import (CookieMap, DomainError, SizeBoundReport, ScaledPoint, bd_sweep,
                         distortion, audit_interval_sizes, sbd_profile, sbd_witness,
                         theoretical_bound)
 from flowcutter.distortion import (DEFAULT_GRID, _PointGrid, _compose_extras,
@@ -718,7 +718,7 @@ def test_profile_thread_count_does_not_change_bits(consts, monkeypatch,
     rows, walks = LAYOUTS_AT_6[layout]
     _level_rows(monkeypatch, rows, 65)
     calls = _walks(monkeypatch)
-    runs = [sbd_profile(CookieMap(consts, FlowEngine(tol=consts.tol)), 6,
+    runs = [sbd_profile(CookieMap(consts), 6,
                         scales=(1.0, 3.0, 27.0), grid=65, threads=threads)
             for threads in (1, 3)]
     assert calls == walks + walks

@@ -84,3 +84,10 @@ def test_step_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(integrate, "MAX_STEPS", 3)
     with pytest.raises(SolverError, match="step budget exhausted"):
         integrate_unit_interval(lambda y: -200.0 * y, np.ones((1, 2)))
+
+
+def test_step_size_underflow_raises():
+    # a field that turns over every 1e-6 of y needs steps below 1e-12
+    with pytest.raises(SolverError, match="step size underflow"):
+        integrate_unit_interval(lambda y: 1e6 * np.sin(1e6 * y),
+                                np.ones((1, 1)))

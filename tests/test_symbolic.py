@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcutter import (CookieMap, DepthCapError, DomainError, FlowEngine,
-                        Locus, PointBatch, ScaledPoint, Word, basic_interval,
+from flowcutter import (CookieMap, DepthCapError, DomainError, Locus,
+                        PointBatch, ScaledPoint, Word, basic_interval,
                         decompose_blocks, enumerate_intervals, interval_J,
                         interval_table, inverse_branch)
 from flowcutter.cookie import LN3
@@ -330,7 +330,7 @@ def test_depth_cap(cmap):
 
 def test_table_row_order_matches_words(cmap):
     table = interval_table(cmap, 5)
-    assert table.size == 32
+    assert len(table) == 32
     for i in (0, 7, 19, 31):
         iv = basic_interval(cmap, Word.from_index(i, 5))
         left, right = table.endpoints(i)
@@ -372,7 +372,7 @@ def _concatenate(a, b):
 
 
 def test_table_widths_match_high_precision_ode(cmap):
-    oracle = CookieMap(cmap.constants, FlowEngine(tol=1e-14))
+    oracle = CookieMap.certified(tol=1e-14)
     want = IntervalSet.root()
     for _ in range(16):
         want = _concatenate(_ode_pull_back(want, oracle),
@@ -406,7 +406,7 @@ def _pull_back_by_masks(state, cmap, symbol):
     # gathers and scatters the rows inside their window through masks
     if symbol == 1:
         pow3 = _pow3_batch(state.n + 1)
-        return IntervalSet(np.zeros(state.size, dtype=np.int32),
+        return IntervalSet(np.zeros(len(state), dtype=np.int32),
                            (state.u_lo + 2.0) / pow3, state.d / pow3)
     inside = state.u_lo >= 0.0
     k = cmap.schedule.blocks(state.n + 1)
@@ -472,7 +472,7 @@ def test_interval_levels_match_the_masked_pull_backs(cmap, monkeypatch):
         _assert_same_rows(got, want)
         assert (list(walked.engine._table_rows)
                 == list(masked.engine._table_rows)), depth
-    assert got.size == 1 << 15
+    assert len(got) == 1 << 15
     assert handed[0] == handed[1] and handed[0]
 
 
@@ -511,11 +511,11 @@ def test_hand_made_rows_match_the_masked_pull_backs(cmap, monkeypatch,
 def test_pull_back_writes_into_given_rows(cmap):
     rows = _common_rows(*_FAMILIES["threshold"])
     for symbol in (0, 1):
-        out = IntervalSet(np.zeros(rows.size, dtype=np.int32),
-                          np.zeros(rows.size), np.zeros(rows.size))
+        out = IntervalSet(np.zeros(len(rows), dtype=np.int32),
+                          np.zeros(len(rows)), np.zeros(len(rows)))
         assert rows.pull_back(cmap, symbol, out=out) is out
         _assert_same_rows(out, rows.pull_back(cmap, symbol))
-    for size in (rows.size - 1, rows.size + 1):
+    for size in (len(rows) - 1, len(rows) + 1):
         with pytest.raises(DomainError, match="rows"):
             rows.pull_back(cmap, 0, out=rows.empty(size))
 
@@ -527,19 +527,19 @@ def test_interval_level_pulls_back_through_pull_back(cmap, monkeypatch):
 
     def recorded(state, cmap, symbol, **kwargs):
         out = pull_back(state, cmap, symbol, **kwargs)
-        calls.append((symbol, out.size))
+        calls.append((symbol, len(out)))
         return out
 
     monkeypatch.setattr(IntervalSet, "pull_back", recorded)
     rows = _common_rows(*_FAMILIES["threshold"])
     (level,) = word_levels(rows, cmap, 1)
-    assert calls == [(0, rows.size), (1, rows.size)]
-    assert level.size == 2 * rows.size
+    assert calls == [(0, len(rows)), (1, len(rows))]
+    assert len(level) == 2 * len(rows)
 
 
 def test_interval_level_peaks_below_its_new_rows(cmap):
     *_, level = word_levels(IntervalSet.root(), cmap, 16)
-    assert level.size == 1 << 16
+    assert len(level) == 1 << 16
     next(word_levels(level, cmap, 1))  # builds every table the level reads
     tracemalloc.start()
     try:
