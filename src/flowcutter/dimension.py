@@ -50,19 +50,22 @@ def pressure_sum(log_sizes: np.ndarray, s: float) -> float:
     The shifted log-sum-exp as scipy.special.logsumexp computes it, and
     bitwise equal to it: the m terms equal to the maximum a_max are
     taken out of the sum, the rest summed as exp(a - a_max) and divided
-    by m, and the result is log1p(sum) + log(m) + a_max.
+    by m, and the result is log1p(sum) + log(m) + a_max. The terms are
+    made in place in one float64 scratch of the size of log_sizes.
     """
     s = _checks.real(s, "pressure exponent", 0.0, 1.0)
     a = np.asarray(log_sizes)
     if a.dtype.kind not in "iuf" or not a.size or not np.isfinite(a).all():
         raise DomainError(f"log sizes must be a nonempty array of finite "
                           f"reals, got {log_sizes!r}")
-    a = s * a.astype(np.float64, copy=False)
+    a = np.multiply(a, s, dtype=np.float64)
     a_max = np.max(a)
     top = a == a_max
     m = np.float64(np.count_nonzero(top))
-    rest = np.sum(np.exp(np.where(top, -np.inf, a) - a_max)) / m
-    return float(np.log1p(rest) + np.log(m) + a_max)
+    a -= a_max
+    a[top] = -np.inf
+    np.exp(a, out=a)
+    return float(np.log1p(np.sum(a) / m) + np.log(m) + a_max)
 
 
 def pressure_root(log_sizes: np.ndarray) -> float:

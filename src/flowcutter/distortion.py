@@ -27,7 +27,13 @@ every depth, the same refine that distortion() runs for one word; words
 enter it as rows of symbols, right-aligned and padded with -1, so a word
 of any length composes through exactly its own symbols.
 
-Every pull-back takes one branch symbol through one call of the batch
+The size audit (audit_interval_sizes) walks basic intervals by the same
+layout rule, _layout, an interval row counting as one point of the
+budget. Each of its (n, k) families is one run of rows of a level or of a
+group's level, so it keeps of each level only a count, the least slack
+and the violations, and needs no merge.
+
+Every grid pull-back takes one branch symbol through one call of the batch
 kernel, CookieMap.inverse_batch; a word-tree level has it write both
 pull-backs into the halves of one new grid. The window flows are lookups
 in per-time displacement tables, a pure function of each point. A word's
@@ -279,6 +285,11 @@ _REFINE_CHUNK_WORDS = 1 << 15
 # 69.9 MiB at 2^16 / 2^17 / 2^18 / 2^19 points, against 0.263 s and
 # 84.5 MiB for 2^11-row shards; bd_sweep(11) wall 0.24-0.26 s at every
 # budget, peak RSS 44.5 / 45.1 / 48.5 / 53.9 MiB against 59.2 MiB unsplit.
+# audit_interval_sizes counts an interval row (20 bytes) as one point: to
+# combined depth 20 it walks depths 1-18 whole, then four groups of 2^16
+# rows; its tracemalloc peak is 15.1 MiB against 44.1 MiB for whole levels,
+# and bench/run.py intervals peak RSS 93.98 -> 56.61 MiB (medians of ten
+# alternating pairs, seeds 7 and 11 alike, same VM).
 _LEVEL_POINTS = 1 << 18
 
 # Rows per block of _window_spreads, so that a block's rows and its max/min
@@ -322,30 +333,35 @@ def _window_spreads(extra: np.ndarray, window_cells) -> np.ndarray:
     return best
 
 
+def _layout(rows: int, levels: int) -> tuple[int, int]:
+    """How a walk of `levels` word-tree levels holds at most `rows` rows a
+    level: (d, B), breadth first from [0,1] to depth d, the deepest level
+    that fits, then depth d in groups of B consecutive rows, B the largest
+    power of two (at least 1) whose deepest level, B 2^(levels - d) rows,
+    fits. Every level fits when one row's subtree does."""
+    d = min(levels, rows.bit_length() - 1)
+    return d, 1 << min(d, max(0, (rows >> (levels - d)).bit_length() - 1))
+
+
 def _run_shards(cmap: CookieMap, k_max: int, grid: int, keep,
                 threads: int) -> tuple[np.ndarray, ...]:
     """Walk the word tree once, keeping keep(extra) of every level.
 
     keep maps a level's (rows x grid) extras to a tuple of arrays whose
     last axis runs over the level's rows (bd_sweep: _grid_extrema;
-    sbd_profile: each row's window spreads). No level holds more than
-    _LEVEL_POINTS points when one row's subtree fits: the walk goes
-    breadth-first from [0,1] while the next level fits, to depth d; then it
-    splits depth d into groups of B consecutive rows, B the largest power
-    of two (at least 1) whose deepest level, B 2^(k_max - d) rows, fits,
-    and walks each group alone, on a pool of up to `threads` workers when
-    there are two groups or more. The merge interleaves the groups' last
-    axes: row s of group g, p symbols further down, with prefix q of those
-    p symbols, is word q 2^d + g B + s, the row of its word in lex order; a
-    group that returns a wrong number of levels or rows raises. Nothing
-    depends on the thread count, so the result is bit-identical for any.
-    Returns keep's arrays, each concatenated along its last axis over
-    depths 1..k_max.
+    sbd_profile: each row's window spreads). The walk takes _layout's
+    (d, B) for _LEVEL_POINTS // grid rows a level: breadth first to depth
+    d, then each group of B rows of depth d alone, on a pool of up to
+    `threads` workers when there are two groups or more. The merge
+    interleaves the groups' last axes: row q B + s of group g, p symbols
+    further down, is word q 2^d + g B + s, the row of its word in lex
+    order; a group that returns a wrong number of levels or rows raises.
+    Nothing depends on the thread count, so the result is bit-identical
+    for any. Returns keep's arrays, each concatenated along its last axis
+    over depths 1..k_max.
     """
     threads = _checks.integer(threads, "threads", 1)
-    rows = max(1, _LEVEL_POINTS // grid)
-    d = min(k_max, rows.bit_length() - 1)
-    block = 1 << min(d, max(0, (rows >> (k_max - d)).bit_length() - 1))
+    d, block = _layout(max(1, _LEVEL_POINTS // grid), k_max)
     state = _PointGrid.root(grid)
     levels = []
     for state in word_levels(state, cmap, d):
@@ -530,14 +546,43 @@ def sbd_profile(cmap: CookieMap, k_max: int, scales=DEFAULT_SCALES,
                                            witness[:, 0].tolist())]
 
 
+def _interval_levels(cmap: CookieMap, cap: int):
+    """Every level of basic intervals to depth cap, within _LEVEL_POINTS rows.
+
+    The walk takes _layout's (d, B) for _LEVEL_POINTS rows a level, an
+    interval row (20 bytes) counting as one point (21 bytes): breadth first
+    to depth d, then each group of B rows of depth d alone, every pull-back
+    one IntervalSet.pull_back call. Yields (depth, level, d, offset, B):
+    row q B + s of the level holds the word q 2^d + offset + s, offset = g B
+    for group g. A breadth-first level at depth D is the one group of d = D,
+    B = 2^D.
+    """
+    d, block = _layout(_LEVEL_POINTS, cap)
+    state = IntervalSet.root()
+    for depth, state in enumerate(word_levels(state, cmap, d), 1):
+        yield depth, state, depth, 0, len(state)
+    for offset in range(0, len(state), block):
+        seed = state[offset:offset + block]
+        for depth, level in enumerate(word_levels(seed, cmap, cap - d), d + 1):
+            yield depth, level, d, offset, block
+
+
 def audit_interval_sizes(cmap: CookieMap, n_max: int, k_max: int,
                  combined_cap: int | None = None) -> SizeBoundReport:
     """Audit |I_{0^n 1 tau}| <= 3^(1-n) 2^(-k-2) exhaustively.
 
-    One breadth-first pass builds every basic interval up to the combined
-    depth; at depth d the words 0^(d-1-k) 1 tau with tau of length k are
-    exactly the contiguous index block [2^k, 2^(k+1)), so each (n, k)
-    family is a slice of the running table. The tolerance 1 + 1e-9 absorbs
+    _interval_levels builds every basic interval up to the combined depth,
+    no level above one working-set budget. At depth D the words
+    0^(D-1-k) 1 tau with tau of length k are exactly the contiguous index
+    block [2^k, 2^(k+1)), so each (n, k) family is one run of rows of a
+    level: [2^(k-d) B, 2^(k-d+1) B) for k >= d, and [2^k - offset,
+    2^(k+1) - offset) within [0, B) for k < d. Violations are sorted by
+    (depth, k, tau), the order of one breadth-first pass. Each pull-back
+    solves its rows wider than WIDTH_RULE_MAX by one pair-flow batch, whose
+    steps depend on the batch; on the certified map those rows are the
+    first 127 words of every depth from 16 on, so at the default budget
+    they stay in group 0 and every size is bitwise that of one
+    breadth-first pass. The tolerance 1 + 1e-9 absorbs
     roundoff; genuine violations would flag a geometry bug.
     """
     n_max = _checks.integer(n_max, "size audit n_max", 0)
@@ -552,19 +597,26 @@ def audit_interval_sizes(cmap: CookieMap, n_max: int, k_max: int,
     tolerance = math.log1p(1e-9)
     checked = 0
     min_slack = math.inf
-    violations: list[tuple[int, Word]] = []
-    for depth, table in enumerate(word_levels(IntervalSet.root(), cmap, cap), 1):
-        logs = table.log_sizes()
-        for k in range(0, min(k_max, depth - 1) + 1):
-            n = depth - 1 - k
-            if n > n_max:
+    bad: list[tuple[int, int, int]] = []
+    for depth, table, d, offset, block in _interval_levels(cmap, cap):
+        for k in range(max(0, depth - 1 - n_max), min(k_max, depth - 1) + 1):
+            if k >= d:
+                lo, hi = block << (k - d), block << (k - d + 1)
+            else:
+                lo = max(0, (1 << k) - offset)
+                hi = min(block, (2 << k) - offset)
+            if lo >= hi:
                 continue
-            family = logs[1 << k: 1 << (k + 1)]
+            n = depth - 1 - k
+            family = table[lo:hi].log_sizes()
             bound = (1.0 - n) * LN3 - (k + 2) * LN2
-            slack = bound - family
-            min_slack = min(min_slack, float(slack.min()))
+            # rounding is monotone, so this is the least of bound - family
+            min_slack = min(min_slack, float(bound - family.max()))
             checked += family.size
-            bad = np.flatnonzero(family > bound + tolerance)
-            violations.extend((n, Word.from_index(int(i), k)) for i in bad)
+            rows = lo + np.flatnonzero(family > bound + tolerance)
+            taus = (rows // block << d) + offset + rows % block - (1 << k)
+            bad.extend((depth, k, tau) for tau in taus.tolist())
+    violations = [(depth - 1 - k, Word.from_index(tau, k))
+                  for depth, k, tau in sorted(bad)]
     return SizeBoundReport(checked=checked, violations=violations,
                         min_slack_factor=math.exp(min_slack))

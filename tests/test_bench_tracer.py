@@ -61,11 +61,27 @@ def test_tracer_finds_every_name_and_restores_it():
     assert tracer.spans == []
 
 
-def test_tracer_counts_every_pull_back_row(cmap):
+def pull_back_rows(tracer):
+    return [span.attrs["rows"] for span in tracer.spans
+            if span.name == "symbolic.pull_back"]
+
+
+def test_tracer_counts_every_pull_back_row(cmap, monkeypatch):
     # the counters read sizes off the wrapped methods' results: the rows of
     # an IntervalSet by its size, which must stay its row count
     tracer = load_tracer().Tracer()
     with tracer.patched():
         interval_table(cmap, 3)
-    assert [span.attrs["rows"] for span in tracer.spans
-            if span.name == "symbolic.pull_back"] == [1, 1, 2, 2, 4, 4]
+    assert pull_back_rows(tracer) == [1, 1, 2, 2, 4, 4]
+    # a grouped audit (16 rows a level: depth 4, then 16 one-row groups)
+    # must still pull every level back through the wrapped name, each call
+    # writing half a level
+    budget, cap = 16, 8
+    monkeypatch.setattr(distortion_module, "_LEVEL_POINTS", budget)
+    tracer = load_tracer().Tracer()
+    with tracer.patched():
+        distortion_module.audit_interval_sizes(cmap, cap, cap,
+                                               combined_cap=cap)
+    rows = pull_back_rows(tracer)
+    assert sum(rows) == 2 ** (cap + 1) - 2
+    assert 2 * max(rows) <= budget

@@ -58,6 +58,22 @@ def test_pressure_sum_matches_scipy_logsumexp(cmap):
             assert pressure_sum(sizes, s) == float(logsumexp(s * sizes))
 
 
+def test_pressure_sum_leaves_the_cover_and_reads_any_real_dtype(cmap):
+    # the terms are made in place in a scratch; the cover must not move,
+    # and integer or float32 covers read as their float64 values
+    logs = interval_table(cmap, 10).log_sizes()
+    kept = logs.copy()
+    for s in (0.0, 0.5, 1.0):
+        pressure_sum(logs, s)
+        assert np.array_equal(logs, kept)
+    for cover in (np.array([-3, -1, -1, -8], dtype=np.int32),
+                  np.array([6, 8, 8, 1], dtype=np.uint8),
+                  logs.astype(np.float32)):
+        for s in (0.0, 0.6310053, 1.0):
+            assert pressure_sum(cover, s) == pressure_sum(
+                cover.astype(np.float64), s)
+
+
 def test_estimates_stabilize_with_depth(cmap):
     a = bowen_dimension(cmap, 10)
     b = bowen_dimension(cmap, 12)

@@ -9,13 +9,14 @@ import pytest
 from flowcutter import (CookieMap, DomainError, SizeBoundReport, ScaledPoint, bd_sweep,
                         distortion, audit_interval_sizes, sbd_profile, sbd_witness,
                         theoretical_bound)
+from flowcutter.cookie import LN3
 from flowcutter.distortion import (DEFAULT_GRID, _PointGrid, _compose_extras,
                                    _grid_extrema, _positions, _refine_extrema,
                                    _window_spreads, _SPREAD_BLOCK_ROWS)
 from flowcutter import flow as flow_module
 from flowcutter.optimize import golden_max, golden_min
 from flowcutter.scaled import Locus, PointBatch
-from flowcutter.symbolic import Word, word_levels
+from flowcutter.symbolic import IntervalSet, Word, word_levels
 
 # the package re-exports the function distortion under the module's name
 distortion_module = importlib.import_module("flowcutter.distortion")
@@ -768,3 +769,101 @@ def test_size_bound_rejects_a_cap_below_one(cmap, cap):
 def test_size_bound_cap_guard(cmap):
     with pytest.raises(Exception):
         audit_interval_sizes(cmap, 30, 30)
+
+
+def _breadth_first_audit(cmap, n_max, k_max, combined_cap):
+    """The audit as one breadth-first pass: every family a slice of a
+    whole level, violations in the order the pass meets them."""
+    ln2 = distortion_module.LN2
+    cap = n_max + 1 + k_max
+    if combined_cap is not None:
+        cap = min(cap, combined_cap)
+    tolerance = math.log1p(1e-9)
+    checked = 0
+    min_slack = math.inf
+    violations = []
+    levels = word_levels(IntervalSet.root(), cmap, cap)
+    for depth, table in enumerate(levels, 1):
+        logs = table.log_sizes()
+        for k in range(0, min(k_max, depth - 1) + 1):
+            n = depth - 1 - k
+            if n > n_max:
+                continue
+            family = logs[1 << k: 1 << (k + 1)]
+            bound = (1.0 - n) * LN3 - (k + 2) * ln2
+            slack = bound - family
+            min_slack = min(min_slack, float(slack.min()))
+            checked += family.size
+            bad = np.flatnonzero(family > bound + tolerance)
+            violations.extend((n, Word.from_index(int(i), k)) for i in bad)
+    return SizeBoundReport(checked=checked, violations=violations,
+                           min_slack_factor=math.exp(min_slack))
+
+
+# (n_max, k_max, combined_cap, LN2 or None): 1.08, 1.1 and 1.15 in place
+# of ln 2 make 2, 5 960 and 8 178 of the 8 178 words of (11, 11, 12) fail
+_AUDIT_CASES = [(9, 9, 10, None, 0), (6, 9, 10, None, 0),
+                (9, 4, 10, None, 0), (3, 3, None, None, 0),
+                (11, 11, 12, None, 0), (11, 11, 12, 1.08, 2),
+                (11, 11, 12, 1.1, 5960), (11, 11, 12, 1.15, 8178)]
+
+
+@pytest.mark.parametrize("budget", [1, 2, 8, 64, 1024])
+def test_grouped_audit_matches_the_breadth_first_audit(cmap, monkeypatch,
+                                                       budget):
+    # groups split the wide rows' pair-flow batches at budgets this small,
+    # which moves a width by about 1e-15 (the batch dependence of
+    # evolve_interval), so the slack is compared to 1e-14
+    monkeypatch.setattr(distortion_module, "_LEVEL_POINTS", budget)
+    for n_max, k_max, cap, ln2, failing in _AUDIT_CASES:
+        if ln2 is not None:
+            monkeypatch.setattr(distortion_module, "LN2", ln2)
+        want = _breadth_first_audit(cmap, n_max, k_max, cap)
+        got = audit_interval_sizes(cmap, n_max, k_max, combined_cap=cap)
+        case = (n_max, k_max, cap, ln2)
+        assert len(want.violations) == failing, case
+        assert got.checked == want.checked, case
+        assert got.violations == want.violations, case
+        assert got.min_slack_factor == pytest.approx(want.min_slack_factor,
+                                                     rel=1e-14, abs=0), case
+
+
+def test_audit_holds_its_level_budget(cmap, monkeypatch):
+    # 64 rows: depth 6 fits, and a one-row group's deepest level fits up
+    # to cap 12; with every word failing, the violations list each audited
+    # word once, so every word of every depth must be there once, in order
+    budget = 64
+    monkeypatch.setattr(distortion_module, "_LEVEL_POINTS", budget)
+    monkeypatch.setattr(distortion_module, "LN2", 10.0)
+    walked = []
+
+    def watched(state, cmap, levels):
+        for level in word_levels(state, cmap, levels):
+            walked.append(len(level))
+            yield level
+
+    monkeypatch.setattr(distortion_module, "word_levels", watched)
+    for cap in range(1, 13):
+        walked.clear()
+        audit = audit_interval_sizes(cmap, cap, cap, combined_cap=cap)
+        assert max(walked) <= budget, cap
+        assert sum(walked) == 2 ** (cap + 1) - 2, cap
+        every = [(depth - 1 - k, Word.from_index(i, k))
+                 for depth in range(1, cap + 1)
+                 for k in range(depth) for i in range(1 << k)]
+        assert audit.violations == every, cap
+        assert audit.checked == len(every), cap
+
+
+def test_deep_audit_holds_its_working_set(cmap):
+    # the combined-depth-20 audit of the intervals benchmark: a walk of
+    # whole levels peaked at 44 MiB, the budget holds it near 15 MiB
+    audit_interval_sizes(cmap, 17, 17, combined_cap=18)   # every table
+    tracemalloc.start()
+    try:
+        audit = audit_interval_sizes(cmap, 19, 19, combined_cap=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert audit.ok and audit.checked == 2 ** 21 - 22
+    assert peak < 16 * 2 ** 20
