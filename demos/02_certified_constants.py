@@ -6,6 +6,11 @@ above 2/3), and M, a verified ceiling on the second spatial derivative of
 the flow for |t| <= 1. Everything else in the package treats these as
 gospel, so they are computed by grid scan plus golden-section refinement
 and then re-verified pointwise.
+
+Certification reads phi_t' and phi_t'' in closed form from one
+displacement solve per flow time. The sweeps below integrate the
+variational equations with `evolve` instead, so they check the certified
+floor and ceiling by an independent method.
 """
 
 import math

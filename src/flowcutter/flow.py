@@ -41,11 +41,14 @@ Two evaluation routes are provided:
   whatever kernel, batch or block computes it;
 * the variational route: integrate y' = X(y) jointly with v' = X'(y) v and
   w' = X''(y) v^2 + X'(y) w using the adaptive stepper, in batches
-  (evolve) or one column at a time (flow). It serves certification, the
-  junction check (CookieMap.check_c1_boundary, three positions-only
-  batches per report), the few interval widths too wide for the
-  mean-value rule (evolve_interval) and the raw-coordinate cross-check
-  oracle.apply_raw, and is the oracle the tables are measured against.
+  (evolve) or one column at a time (flow). It serves the junction check
+  (CookieMap.check_c1_boundary, three positions-only batches per report),
+  the few interval widths too wide for the mean-value rule
+  (evolve_interval) and the raw-coordinate cross-check oracle.apply_raw,
+  and is the oracle the tables and certification are measured against.
+  Certification reads neither route: it solves the displacement ODE on
+  its grid and takes phi_t' and phi_t'' from it in closed form
+  (FlowEngine._derivatives).
 
 A third route, the rectified-time quadrature in flowcutter.oracle, shares
 no code with these beyond the field formula, so their agreement with it is
@@ -526,6 +529,35 @@ class FlowEngine:
         return integrate_unit_interval(rhs, np.zeros((1, x.size)),
                                        atol=self.tol)[0][0]
 
+    def _derivatives(self, t: float, x: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """phi_t'(x) and phi_t''(x) from one displacement solve, in closed
+        form.
+
+        With y = phi_t(x), phi_t' = X(y)/X(x) = exp(e(y) - e(x)), the log
+        slope of _log_slope. Differentiating again, with X'/X = e' and
+        e'(u) = -(2u - 1)/g(u)^2,
+        phi_t'' = phi_t' (e'(y) (phi_t' - 1) + (e'(y) - e'(x))),
+        where phi_t' - 1 is expm1 of the log slope and, with a = 2x - 1,
+        G = g(y) and d = y - x, e'(y) - e'(x) is
+        d (a (a + d) (G + g) - 2 g^2) / (g^2 G^2). Neither has the
+        cancellation of e'(y) phi_t' - e'(x), which loses digits in the
+        flat tails, where phi_t' is near 1 and e' is large. Dead points
+        read phi_t' = 1 and phi_t'' = 0.
+        """
+        y, d, log_slope = _log_slope(x, self._displacement(t, x))
+        slope = np.exp(log_slope)
+        with np.errstate(**_QUIET):
+            g, _, live = _exponent(x)
+            gy = y * (y - 1.0)
+            a = 2.0 * x - 1.0
+            gap = d * (a * (a + d) * (gy + g) - 2.0 * g * g)
+            gap /= (g * g) * (gy * gy)
+            curvature = np.expm1(log_slope) * (1.0 - 2.0 * y) / (gy * gy)
+            curvature += gap
+            curvature *= slope
+        return slope, np.where(live, curvature, 0.0)
+
     # ------------------------------------------------------------------
     # batched ODE route
     # ------------------------------------------------------------------
@@ -644,10 +676,11 @@ class FlowEngine:
         pointwise on the grid for dyadic |t| <= T. M is 1.05 times the grid
         supremum of |phi_t''| over t in {+-1, +-1/2, +-1/4, +-1/8}.
 
-        Each distinct flow time is solved once, at order 2 if M reads it
-        and order 1 otherwise, and the slope check reads phi_t' from that
-        solve. With T = 1 the eight curvature times are also slope times,
-        so the ten slope times cost ten solves in all.
+        Each distinct flow time costs one displacement solve on the grid,
+        from which phi_t' and phi_t'' follow in closed form (_derivatives);
+        the slope check and M read them. With T = 1 the eight curvature
+        times are also slope times, so certification makes ten solves in
+        all, and no variational solve.
 
         Raises CertificationError if the 2/3 bound fails anywhere.
         """
@@ -671,18 +704,16 @@ class FlowEngine:
         slope_times = [sgn * T / 2 ** j for j in range(5) for sgn in (1.0, -1.0)]
         curvature_times = [sgn * tv for tv in (1.0, 0.5, 0.25, 0.125)
                            for sgn in (1.0, -1.0)]
-        orders = dict.fromkeys(slope_times, 1)
-        orders.update(dict.fromkeys(curvature_times, 2))
-        solved = {t: self.evolve(t, grid, order=order)
-                  for t, order in orders.items()}
+        derivatives = {t: self._derivatives(t, grid)
+                       for t in dict.fromkeys(slope_times + curvature_times)}
 
         for t in slope_times:
-            vmin = float(solved[t][1].min())
+            vmin = float(derivatives[t][0].min())
             if vmin < 2.0 / 3.0:
                 raise CertificationError(
                     f"slope bound failed: phi'_{t:g} min {vmin} < 2/3")
 
-        M = 1.05 * max(float(np.max(np.abs(solved[t][2])))
+        M = 1.05 * max(float(np.max(np.abs(derivatives[t][1])))
                        for t in curvature_times)
 
         return FlowConstants(T=T, M=M, B1=b1, tol=self.tol, grid_n=grid_n)
