@@ -46,9 +46,9 @@ Two evaluation routes are provided:
   the few interval widths too wide for the mean-value rule
   (evolve_interval) and the raw-coordinate cross-check oracle.apply_raw,
   and is the oracle the tables and certification are measured against.
-  Certification reads neither route: it solves the displacement ODE on
-  its grid and takes phi_t' and phi_t'' from it in closed form
-  (FlowEngine._derivatives).
+  Certification uses neither route: it solves the tables' displacement
+  ODE on its own grid, builds no table, and takes phi_t' and phi_t''
+  from that solve in closed form (FlowEngine._derivatives).
 
 A third route, the rectified-time quadrature in flowcutter.oracle, shares
 no code with these beyond the field formula, so their agreement with it is
