@@ -13,25 +13,24 @@ distortion bound cannot improve toward 1 at small image scales.
 sbd_profile takes one such pair as one more row of its search: a uniform
 grid on J_{2^k-1} pulled back through 0^(2^k).
 
-All sweeps run on (words x grid) arrays, walked by symbolic.word_levels
-(level j+1 stacks both pullbacks of level j) from [0,1] while a level fits
-one budget of points, _LEVEL_POINTS, and below the last level that fits in
-groups of its rows, each group's levels within the budget. The grid of a word
-is always the inverse image of one fixed uniform grid on [0,1], so the
-grid position of a sample IS its normalized image coordinate under F^k,
-which the profile search uses directly. The walk keeps of each level
-only what its caller reads: each word's grid extrema for bd_sweep, the
-word's windowed spreads for sbd_profile. bd_sweep then sharpens the
-extrema with one golden-section pass run in lockstep across every word of
-every depth, the same refine that distortion() runs for one word; words
-enter it as rows of symbols, right-aligned and padded with -1, so a word
-of any length composes through exactly its own symbols.
-
-The size audit (audit_interval_sizes) walks basic intervals by the same
-layout rule, _layout, an interval row counting as one point of the
-budget. Each of its (n, k) families is one run of rows of a level or of a
-group's level, so it keeps of each level only a count, the least slack
-and the violations, and needs no merge.
+All sweeps run on (words x grid) arrays. One driver, _walk, walks the
+word tree for every analysis, by symbolic.word_levels (level j+1 stacks
+both pullbacks of level j): from [0,1] while a level fits one budget of
+points, _LEVEL_POINTS, and below the last level that fits in groups of its
+rows, each group's levels within the budget. It hands each level to its
+caller with each row's lex word index, and the caller keeps only what it
+reads: bd_sweep each word's grid extrema, at the word's index; sbd_profile
+the level's largest windowed spread per scale; the size audit
+(audit_interval_sizes), which walks basic intervals, each (n, k) family's
+count, least slack and violations, the family being the run of rows whose
+indices fall in one block. The grid of a word is always the inverse image
+of one fixed uniform grid on [0,1], so the grid position of a sample IS
+its normalized image coordinate under F^k, which the profile search uses
+directly. bd_sweep then sharpens the extrema with one golden-section pass
+run in lockstep across every word of every depth, the same refine that
+distortion() runs for one word; words enter it as rows of symbols,
+right-aligned and padded with -1, so a word of any length composes through
+exactly its own symbols.
 
 Every grid pull-back takes one branch symbol through one call of the batch
 kernel, CookieMap.inverse_batch; a word-tree level has it write both
@@ -276,8 +275,8 @@ def _refine_extrema(cmap: CookieMap, symbols: np.ndarray, cells: np.ndarray,
 # 24 iterations), twice the 9 MiB of a whole depth-13 walk at the budget.
 _REFINE_CHUNK_WORDS = 1 << 15
 
-# Points per word-tree level that _run_shards holds at once, its working
-# set (a _PointGrid point is 21 bytes, so 2^18 points are 5.5 MB). At the
+# Points per word-tree level that _walk holds at once, its working set (a
+# _PointGrid point is 21 bytes, so 2^18 points are 5.5 MB). At the
 # default grid that is 1 020 rows; one row's subtree fits it to depth 16
 # for every grid up to 1 024 points. Medians of seven bench/worker.py runs
 # each (seed 7, 2-core Xeon VM, numpy 2.4): sbd_profile(13, threads=2)
@@ -287,9 +286,10 @@ _REFINE_CHUNK_WORDS = 1 << 15
 # budget, peak RSS 44.5 / 45.1 / 48.5 / 53.9 MiB against 59.2 MiB unsplit.
 # audit_interval_sizes counts an interval row (20 bytes) as one point: to
 # combined depth 20 it walks depths 1-18 whole, then four groups of 2^16
-# rows; its tracemalloc peak is 15.1 MiB against 44.1 MiB for whole levels,
-# and bench/run.py intervals peak RSS 93.98 -> 56.61 MiB (medians of ten
-# alternating pairs, seeds 7 and 11 alike, same VM).
+# rows; its tracemalloc peak is 15.6 MiB (0.5 of it the groups' word
+# indices) against 44.1 MiB for whole levels, and bench/run.py intervals
+# peak RSS 93.98 -> 56.61 MiB (medians of ten alternating pairs, seeds 7
+# and 11 alike, same VM).
 _LEVEL_POINTS = 1 << 18
 
 # Rows per block of _window_spreads, so that a block's rows and its max/min
@@ -333,59 +333,50 @@ def _window_spreads(extra: np.ndarray, window_cells) -> np.ndarray:
     return best
 
 
-def _layout(rows: int, levels: int) -> tuple[int, int]:
-    """How a walk of `levels` word-tree levels holds at most `rows` rows a
-    level: (d, B), breadth first from [0,1] to depth d, the deepest level
-    that fits, then depth d in groups of B consecutive rows, B the largest
-    power of two (at least 1) whose deepest level, B 2^(levels - d) rows,
-    fits. Every level fits when one row's subtree does."""
-    d = min(levels, rows.bit_length() - 1)
-    return d, 1 << min(d, max(0, (rows >> (levels - d)).bit_length() - 1))
+def _walk(root: WordRows, cmap: CookieMap, levels: int, row_points: int,
+          keep, threads: int = 1) -> list:
+    """Walk the word tree `levels` levels down from root, the one-row
+    state of [0,1], keeping keep(depth, level, words) of every level.
 
-
-def _run_shards(cmap: CookieMap, k_max: int, grid: int, keep,
-                threads: int) -> tuple[np.ndarray, ...]:
-    """Walk the word tree once, keeping keep(extra) of every level.
-
-    keep maps a level's (rows x grid) extras to a tuple of arrays whose
-    last axis runs over the level's rows (bd_sweep: _grid_extrema;
-    sbd_profile: each row's window spreads). The walk takes _layout's
-    (d, B) for _LEVEL_POINTS // grid rows a level: breadth first to depth
-    d, then each group of B rows of depth d alone, on a pool of up to
-    `threads` workers when there are two groups or more. The merge
-    interleaves the groups' last axes: row q B + s of group g, p symbols
-    further down, is word q 2^d + g B + s, the row of its word in lex
-    order; a group that returns a wrong number of levels or rows raises.
-    Nothing depends on the thread count, so the result is bit-identical
-    for any. Returns keep's arrays, each concatenated along its last axis
-    over depths 1..k_max.
+    No level holds more than _LEVEL_POINTS // row_points rows (at least
+    1): the walk goes breadth first to depth d, the deepest level that
+    fits, then splits depth d into groups of B consecutive rows, B the
+    largest power of two (at least 1) whose deepest level, B 2^(levels - d)
+    rows, fits, and walks each group alone, on a pool of up to `threads`
+    workers when there are two groups or more. words holds each row's index
+    among the level's words in lex order: row q B + s of group g, p symbols
+    below d, is word q 2^d + g B + s, so words increase along the rows. A
+    group that walks a wrong number of levels or rows raises ValueError.
+    Nothing depends on the thread count. Returns keep's results in walk
+    order: depths 1..d, then each group's depths d+1..levels in turn.
     """
     threads = _checks.integer(threads, "threads", 1)
-    d, block = _layout(max(1, _LEVEL_POINTS // grid), k_max)
-    state = _PointGrid.root(grid)
-    levels = []
-    for state in word_levels(state, cmap, d):
-        levels.append(keep(state.extra))
-    seeds = [state[i:i + block] for i in range(0, len(state), block)]
+    rows = max(1, _LEVEL_POINTS // row_points)
+    d = min(levels, rows.bit_length() - 1)
+    block = 1 << min(d, max(0, (rows >> (levels - d)).bit_length() - 1))
+    kept, state = [], root
+    for depth, state in enumerate(word_levels(root, cmap, d), 1):
+        kept.append(keep(depth, state, np.arange(len(state))))
 
-    def run(seed):
-        return [keep(level.extra)
-                for level in word_levels(seed, cmap, k_max - d)]
+    def run(offset):
+        found = []
+        walk = word_levels(state[offset:offset + block], cmap, levels - d)
+        for p, level in zip(range(1, levels - d + 1), walk, strict=True):
+            words = ((np.arange(1 << p) << d)[:, None]
+                     + np.arange(offset, offset + block)).ravel()
+            if len(level) != words.size:
+                raise ValueError(f"a group's depth-{d + p} level has "
+                                 f"{len(level)} rows, not {words.size}")
+            found.append(keep(d + p, level, words))
+        return found
 
-    if threads > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(seeds))) as pool:
-            groups = list(pool.map(run, seeds))
+    offsets = range(0, len(state), block)
+    if threads > 1 and len(offsets) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(offsets))) as pool:
+            groups = list(pool.map(run, offsets))
     else:
-        groups = [run(seed) for seed in seeds]
-
-    for p, *parts in zip(range(1, k_max - d + 1), *groups, strict=True):
-        levels.append(tuple(
-            np.stack([a.reshape(*a.shape[:-1], 1 << p, block)
-                      for a in arrays], axis=-2).reshape(
-                          *arrays[0].shape[:-1], 1 << (d + p))
-            for arrays in zip(*parts, strict=True)))
-    return tuple(np.concatenate(arrays, axis=-1)
-                 for arrays in zip(*levels, strict=True))
+        groups = [run(offset) for offset in offsets]
+    return kept + [result for group in groups for result in group]
 
 
 # ----------------------------------------------------------------------
@@ -427,7 +418,15 @@ def bd_sweep(cmap: CookieMap, k_max: int, grid: int = DEFAULT_GRID,
     grid = _checks.integer(grid, "grid points", 33)
     refine_iters = _checks.integer(refine_iters, "refine iterations", 0)
     c_theory = theoretical_bound(cmap.constants.M)
-    cells, values = _run_shards(cmap, k_max, grid, _grid_extrema, threads)
+    # word i of depth D at column 2^D - 2 + i, its row in symbols below
+    cells = np.empty((2, (2 << k_max) - 2), np.intp)
+    values = np.empty((2, (2 << k_max) - 2))
+
+    def keep(depth, level, words):
+        at = (1 << depth) - 2 + words
+        cells[:, at], values[:, at] = _grid_extrema(level.extra)
+
+    _walk(_PointGrid.root(grid), cmap, k_max, grid, keep, threads)
     sizes = [1 << depth for depth in range(1, k_max + 1)]
     # every word of every depth in lex order, right-aligned in k_max
     # columns: bit j of a word's index is its symbol j places from the end
@@ -530,9 +529,9 @@ def sbd_profile(cmap: CookieMap, k_max: int, scales=DEFAULT_SCALES,
         raise DomainError(f"scales must be <= {reach:g}, the reach of a "
                           f"{grid}-point witness row, got {max(scales):g}")
     window_cells = [int((grid - 1) // r) for r in scales]
-    found, = _run_shards(
-        cmap, k_max, grid, lambda extra: (_window_spreads(extra, window_cells),),
-        threads)
+    found = _walk(_PointGrid.root(grid), cmap, k_max, grid,
+                  lambda depth, level, words: _window_spreads(
+                      level.extra, window_cells).max(axis=1), threads)
 
     k = next((k for k in range(_WITNESS_BLOCK_MAX)
               if 3.0 ** (1 << k) >= max(scales, default=1.0)),
@@ -541,49 +540,29 @@ def sbd_profile(cmap: CookieMap, k_max: int, scales=DEFAULT_SCALES,
     row = pull_back_word(_PointGrid.window(m, grid), cmap, "0" * (m + 1))
     witness = _window_spreads(
         row.extra, [(grid - 1) * 3.0 ** (m + 1) // r for r in scales])
-    return [SbdProfile(r=r, beta_hat=float(np.exp(max(searched, spread))))
-            for r, searched, spread in zip(scales, found.max(axis=1).tolist(),
-                                           witness[:, 0].tolist())]
-
-
-def _interval_levels(cmap: CookieMap, cap: int):
-    """Every level of basic intervals to depth cap, within _LEVEL_POINTS rows.
-
-    The walk takes _layout's (d, B) for _LEVEL_POINTS rows a level, an
-    interval row (20 bytes) counting as one point (21 bytes): breadth first
-    to depth d, then each group of B rows of depth d alone, every pull-back
-    one IntervalSet.pull_back call. Yields (depth, level, d, offset, B):
-    row q B + s of the level holds the word q 2^d + offset + s, offset = g B
-    for group g. A breadth-first level at depth D is the one group of d = D,
-    B = 2^D.
-    """
-    d, block = _layout(_LEVEL_POINTS, cap)
-    state = IntervalSet.root()
-    for depth, state in enumerate(word_levels(state, cmap, d), 1):
-        yield depth, state, depth, 0, len(state)
-    for offset in range(0, len(state), block):
-        seed = state[offset:offset + block]
-        for depth, level in enumerate(word_levels(seed, cmap, cap - d), d + 1):
-            yield depth, level, d, offset, block
+    searched = np.max(found, axis=0)
+    return [SbdProfile(r=r, beta_hat=float(np.exp(max(walk, spread))))
+            for r, walk, spread in zip(scales, searched.tolist(),
+                                       witness[:, 0].tolist())]
 
 
 def audit_interval_sizes(cmap: CookieMap, n_max: int, k_max: int,
                  combined_cap: int | None = None) -> SizeBoundReport:
     """Audit |I_{0^n 1 tau}| <= 3^(1-n) 2^(-k-2) exhaustively.
 
-    _interval_levels builds every basic interval up to the combined depth,
-    no level above one working-set budget. At depth D the words
-    0^(D-1-k) 1 tau with tau of length k are exactly the contiguous index
-    block [2^k, 2^(k+1)), so each (n, k) family is one run of rows of a
-    level: [2^(k-d) B, 2^(k-d+1) B) for k >= d, and [2^k - offset,
-    2^(k+1) - offset) within [0, B) for k < d. Violations are sorted by
-    (depth, k, tau), the order of one breadth-first pass. Each pull-back
-    solves its rows wider than WIDTH_RULE_MAX by one pair-flow batch, whose
-    steps depend on the batch; on the certified map those rows are the
-    first 127 words of every depth from 16 on, so at the default budget
-    they stay in group 0 and every size is bitwise that of one
-    breadth-first pass. The tolerance 1 + 1e-9 absorbs
-    roundoff; genuine violations would flag a geometry bug.
+    _walk builds every basic interval up to the combined depth, an
+    interval row counting as one point of the working-set budget. At depth
+    D the words 0^(D-1-k) 1 tau with tau of length k are exactly the
+    contiguous index block [2^k, 2^(k+1)), and the word indices of a
+    level's rows increase, so each (n, k) family is the one run of rows
+    whose indices fall in that block. Violations are sorted by (depth, k,
+    tau), the order of one breadth-first pass. Each pull-back solves its
+    rows wider than WIDTH_RULE_MAX by one pair-flow batch, whose steps
+    depend on the batch; on the certified map those rows are the first 127
+    words of every depth from 16 on, so at the default budget they stay in
+    group 0 and every size is bitwise that of one breadth-first pass. The
+    tolerance 1 + 1e-9 absorbs roundoff; genuine violations would flag a
+    geometry bug.
     """
     n_max = _checks.integer(n_max, "size audit n_max", 0)
     k_max = _checks.integer(k_max, "size audit k_max", 0)
@@ -595,16 +574,12 @@ def audit_interval_sizes(cmap: CookieMap, n_max: int, k_max: int,
         raise DepthCapError(
             f"size audit combined depth {cap} exceeds cap {DEPTH_CAP}")
     tolerance = math.log1p(1e-9)
-    checked = 0
-    min_slack = math.inf
-    bad: list[tuple[int, int, int]] = []
-    for depth, table, d, offset, block in _interval_levels(cmap, cap):
+    checked, min_slack, bad = 0, math.inf, []
+
+    def keep(depth, table, words):
+        nonlocal checked, min_slack
         for k in range(max(0, depth - 1 - n_max), min(k_max, depth - 1) + 1):
-            if k >= d:
-                lo, hi = block << (k - d), block << (k - d + 1)
-            else:
-                lo = max(0, (1 << k) - offset)
-                hi = min(block, (2 << k) - offset)
+            lo, hi = np.searchsorted(words, [1 << k, 2 << k]).tolist()
             if lo >= hi:
                 continue
             n = depth - 1 - k
@@ -613,9 +588,10 @@ def audit_interval_sizes(cmap: CookieMap, n_max: int, k_max: int,
             # rounding is monotone, so this is the least of bound - family
             min_slack = min(min_slack, float(bound - family.max()))
             checked += family.size
-            rows = lo + np.flatnonzero(family > bound + tolerance)
-            taus = (rows // block << d) + offset + rows % block - (1 << k)
+            taus = words[lo:hi][family > bound + tolerance] - (1 << k)
             bad.extend((depth, k, tau) for tau in taus.tolist())
+
+    _walk(IntervalSet.root(), cmap, cap, 1, keep)
     violations = [(depth - 1 - k, Word.from_index(tau, k))
                   for depth, k, tau in sorted(bad)]
     return SizeBoundReport(checked=checked, violations=violations,

@@ -106,7 +106,8 @@ def test_sweep_matches_single_word_evaluations(cmap):
 
 
 def _level_rows(monkeypatch, rows, grid):
-    """Let a word-tree level of the sweeps hold `rows` rows of `grid` points.
+    """Let a word-tree level of the walk hold `rows` rows of `grid` points
+    (an interval row counts as one point).
 
     At depth k_max the walk then runs unsplit when 2^k_max <= rows, and
     otherwise breadth-first to the depth d of the largest 2^d <= rows and
@@ -214,7 +215,7 @@ def test_chunked_refine_matches_one_chunk(cmap, monkeypatch):
 @pytest.mark.parametrize("rows, walks", [(4, [2, 3, 3, 3, 3]),
                                          (8, [3, 2, 2, 2, 2])],
                          ids=["one-row groups", "two-row groups"])
-def test_merge_rejects_a_short_shard(cmap, monkeypatch, short, rows, walks):
+def test_walk_rejects_a_short_group(cmap, monkeypatch, short, rows, walks):
     # the top walk is the first word_levels call, the groups the next four
     _level_rows(monkeypatch, rows, 33)
     calls = []
@@ -232,16 +233,16 @@ def test_merge_rejects_a_short_shard(cmap, monkeypatch, short, rows, walks):
     monkeypatch.setattr(distortion_module, "word_levels", shortened)
     with pytest.raises(ValueError):
         bd_sweep(cmap, 5, grid=33, refine_iters=0)
-    # the merge raises, after the top walk and all four groups
-    assert calls == walks
+    # the walk raises at the first short group: the first or the second
+    assert calls == walks[:2 if short.startswith("every") else 3]
 
 
 @pytest.mark.parametrize("grid", [33, 65, 257])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_walk_holds_its_level_budget(cmap, monkeypatch, grid, threads):
     # 2^13 points: a one-row group's deepest level fits up to k_max = 8 at
-    # grid 257; the kept extras, transposed, put each row in its word's
-    # column, so the merge must return the breadth-first walk's levels
+    # grid 257; the kept extras, each row put at its word's index, must
+    # fill every word of the breadth-first walk's levels with its bits
     budget = 1 << 13
     monkeypatch.setattr(distortion_module, "_LEVEL_POINTS", budget)
     walked = []
@@ -251,28 +252,33 @@ def test_walk_holds_its_level_budget(cmap, monkeypatch, grid, threads):
             walked.append(level.extra.size)
             yield level
 
-    def keep(extra):
-        kept.append(extra.size)
-        return (extra.T,)
+    def keep(depth, level, words):
+        kept.append(level.extra.size)
+        got[depth - 1][words] = level.extra
 
     monkeypatch.setattr(distortion_module, "word_levels", watched)
     levels = list(word_levels(_PointGrid.root(grid), cmap, 8))
     for k_max in range(1, 9):
         walked, kept = [], []
-        columns, = distortion_module._run_shards(cmap, k_max, grid, keep,
-                                                 threads)
+        got = [np.full(level.extra.shape, np.nan) for level in levels[:k_max]]
+        distortion_module._walk(_PointGrid.root(grid), cmap, k_max, grid,
+                                keep, threads)
         assert max(walked) <= budget and max(kept) <= budget, k_max
         assert sum(kept) == sum(walked) == (2 ** (k_max + 1) - 2) * grid
-        want = np.concatenate([level.extra.T for level in levels[:k_max]],
-                              axis=1)
-        assert np.array_equal(columns, want), k_max
+        for a, level in zip(got, levels[:k_max], strict=True):
+            assert a.tobytes() == level.extra.tobytes(), k_max
 
 
+@pytest.mark.parametrize("root", ["points", "intervals"])
 @pytest.mark.parametrize("rows, workers", [(1, None), (64, None), (2, 2),
                                            (4, 3), (16, 3)],
                          ids=["d = 0", "no split", "two groups",
                               "four one-row groups", "four four-row groups"])
-def test_pool_starts_only_for_two_groups(cmap, monkeypatch, rows, workers):
+def test_pool_starts_only_for_two_groups(cmap, monkeypatch, rows, workers,
+                                         root):
+    # the rows of every layout of LAYOUTS_AT_6 and of two groups; each
+    # level's word indices increase along its rows, and a depth's levels
+    # hand out every word of the depth once
     pools = []
 
     class Recorded(distortion_module.ThreadPoolExecutor):
@@ -281,9 +287,18 @@ def test_pool_starts_only_for_two_groups(cmap, monkeypatch, rows, workers):
             super().__init__(max_workers)
 
     monkeypatch.setattr(distortion_module, "ThreadPoolExecutor", Recorded)
-    _level_rows(monkeypatch, rows, 33)
-    bd_sweep(cmap, 6, grid=33, refine_iters=0, threads=3)
+    start, points = ((_PointGrid.root(33), 33) if root == "points"
+                     else (IntervalSet.root(), 1))
+    _level_rows(monkeypatch, rows, points)
+    kept = distortion_module._walk(start, cmap, 6, points,
+                                   lambda depth, level, words: (depth, words),
+                                   threads=3)
     assert pools == ([] if workers is None else [workers])
+    for depth, words in kept:
+        assert np.all(np.diff(words) > 0), depth
+    for depth in range(1, 7):
+        every = np.concatenate([words for d, words in kept if d == depth])
+        assert np.array_equal(np.sort(every), np.arange(1 << depth)), depth
 
 
 def test_long_words_compose_through_every_symbol(cmap):
@@ -379,8 +394,8 @@ def test_point_levels_pull_back_through_inverse_batch(cmap, monkeypatch):
     # of two levels each
     calls.clear()
     _level_rows(monkeypatch, 4, 65)
-    distortion_module._run_shards(cmap, 4, 65, lambda extra: (extra[:, 0],),
-                                  threads=1)
+    distortion_module._walk(_PointGrid.root(65), cmap, 4, 65,
+                            lambda depth, level, words: None)
     assert calls == halves[:4] * 5
 
 

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used in it, only
-flowcutter._checks writes the rule for a scalar argument, and no package
-module calls a private method of another object.
+flowcutter._checks writes the rule for a scalar argument, no package
+module calls a private method of another object, and one driver walks the
+word tree under the level budget.
 
 The import check runs over the package, the tests and the demos. The
 package's __init__ re-exports names it does not use itself, `from
@@ -128,3 +129,36 @@ def g(cmap):
 """
     calls = list(_foreign_private_calls(ast.parse(source)))
     assert calls == [("other._g", 4), ("B._h", 4), ("cmap._pull_back_into", 8)]
+
+
+def _walk_forks(tree):
+    """(owner, name) for every read of _LEVEL_POINTS or word_levels in a
+    module, a call included, owner the module-level function or method
+    that holds it (its nested functions too), else "<module>"."""
+    def owners(body, prefix=""):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from owners(node.body, f"{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + node.name, node
+            else:
+                yield "<module>", node
+
+    for owner, top in owners(tree.body):
+        for node in ast.walk(top):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if (name in {"_LEVEL_POINTS", "word_levels"}
+                    and isinstance(getattr(node, "ctx", None), ast.Load)):
+                yield owner, name
+
+
+def test_one_driver_walks_the_word_tree_under_the_budget():
+    # the three analyses over every word (bd_sweep, sbd_profile and the
+    # size audit) walk through distortion._walk, the one reader of the
+    # level budget; interval_table and box_dimension walk whole levels
+    found = {(path.name, *fork) for path in MODULES
+             for fork in _walk_forks(ast.parse(path.read_text()))}
+    assert found == {("distortion.py", "_walk", "_LEVEL_POINTS"),
+                     ("distortion.py", "_walk", "word_levels"),
+                     ("symbolic.py", "interval_table", "word_levels"),
+                     ("dimension.py", "box_dimension", "word_levels")}
